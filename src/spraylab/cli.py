@@ -208,7 +208,7 @@ def cmd_make_ak(config: dict, seed: int, out) -> int:
         "threads_cap": _threads_cap(),
         "map": {"name": mapping.name, "k": k, "size": mapping.p},
         "identities": identities,
-        "min_abs_det_on_sphere": mapping.min_abs_det(seed=seed),
+        "min_abs_det_on_sphere": mapping.min_abs_det(),
         "pass": identities.passed,
     }
     _write_report(report, out)

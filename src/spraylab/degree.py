@@ -7,16 +7,18 @@ counting on higher spheres, both under the outward-normal-first orientation
 convention with interleaved realification (re, im, re, im, ...).
 
 The column-based degree formula needs a k-by-k representative of the map;
-maps presented with larger matrix size are compressed by explicitly rotating
-the last column to a constant, one size step at a time, which preserves the
-homotopy class because each rotation field is built from a contraction of a
-non-surjective column map.
+maps presented with larger matrix size are compressed by rotating the last
+column to a constant, one size step at a time, which preserves the homotopy
+class because each rotation field is built from a contraction of a
+non-surjective column map.  Each rotation is the identity plus a rank-two
+update, so the chain is applied to columns directly and only the columns a
+caller asks for (plus the last columns later steps still rotate) are carried.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -32,7 +34,7 @@ from .geometry import (
     radial_to_fermat,
     sphere_tangent_basis_many,
 )
-from .sampling import rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
+from .sampling import normalize_rows, rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
 
 DEFAULT_AK_CAP = 6
 
@@ -70,7 +72,11 @@ class MatrixSphereMap:
     def eval(self, z: np.ndarray) -> np.ndarray:
         return self.eval_many(np.asarray(z, dtype=complex)[None])[0]
 
-    def min_abs_det(self, n_samples: int = 256, seed: int = 0) -> float:
+    def eval_columns(self, z: np.ndarray, cols) -> np.ndarray:
+        """Columns ``cols`` of the values at rows z, shape (N, p, len(cols))."""
+        return self.eval_many(z)[:, :, list(cols)]
+
+    def min_abs_det(self, n_samples: int = 256) -> float:
         z = sphere_quasi_uniform_complex(n_samples, self.k)
         return float(np.min(np.abs(np.linalg.det(self.eval_many(z)))))
 
@@ -301,10 +307,6 @@ class DegreeReport:
     calibration_sign: Optional[int] = None
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
-
-
 def winding_number(map_many: Callable, grid: int = 1 << 16) -> tuple:
     """Winding number of a circle self-map from summed angular increments."""
     theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
@@ -320,19 +322,6 @@ def winding_number(map_many: Callable, grid: int = 1 << 16) -> tuple:
     return int(round(total)), residual
 
 
-def _fd_jacobian(map_many: Callable, points: np.ndarray, h: float) -> np.ndarray:
-    """Jacobian of map-after-normalize at sphere points, central differences."""
-    n_amb = points.shape[1]
-    cols = []
-    for j in range(n_amb):
-        e = np.zeros(n_amb)
-        e[j] = h
-        plus = map_many(_normalize_rows(points + e))
-        minus = map_many(_normalize_rows(points - e))
-        cols.append((plus - minus) / (2.0 * h))
-    return np.stack(cols, axis=2)
-
-
 def _fd_tangent_jacobian(map_many, points, values, frames, h):
     """One-sided Jacobian along tangent frame directions (Newton inner loop).
 
@@ -342,79 +331,82 @@ def _fd_tangent_jacobian(map_many, points, values, frames, h):
     """
     cols = []
     for j in range(frames.shape[1]):
-        stepped = _normalize_rows(points + h * frames[:, j, :])
+        stepped = normalize_rows(points + h * frames[:, j, :])
         cols.append((map_many(stepped) - values) / h)
     return np.stack(cols, axis=2)
 
 
 def _newton_preimages(map_many, n, y, starts, opts):
-    """All converged solutions of map(x) = y from the given starts."""
+    """All converged solutions of map(x) = y from the given starts.
+
+    Only the rows still above tolerance are evaluated and stepped; a row keeps
+    the point and residual of its last evaluation.
+    """
     x = starts.copy()
+    resid = np.empty(x.shape[0])
+    idx = np.arange(x.shape[0])
     n_tan = starts.shape[1] - 1
-    for _ in range(opts.newton_max_iter):
-        p = _normalize_rows(x)
+    for it in range(opts.newton_max_iter + 1):
+        p = normalize_rows(x[idx])
+        x[idx] = p
         values = map_many(p)
-        resid = values - y
-        active = np.linalg.norm(resid, axis=1) > opts.newton_tol
-        if not np.any(active):
-            x = p
+        resid[idx] = np.linalg.norm(values - y, axis=1)
+        active = resid[idx] > opts.newton_tol
+        if it == opts.newton_max_iter or not np.any(active):
             break
-        frames = sphere_tangent_basis_many(p[active])
-        jac = _fd_tangent_jacobian(map_many, p[active], values[active], frames, opts.fd_step)
+        idx, p, values = idx[active], p[active], values[active]
+        frames = sphere_tangent_basis_many(p)
+        jac = _fd_tangent_jacobian(map_many, p, values, frames, opts.fd_step)
         gram = np.swapaxes(jac, 1, 2) @ jac
         gram += 1e-14 * np.eye(n_tan)
-        rhs = np.einsum("naj,na->nj", jac, -resid[active])
+        rhs = np.einsum("naj,na->nj", jac, y - values)
         delta = np.linalg.solve(gram, rhs[..., None])[..., 0]
         step = np.einsum("nj,nja->na", delta, frames)
         norms = np.linalg.norm(step, axis=1)
         too_big = norms > 0.5
         step[too_big] *= (0.5 / norms[too_big])[:, None]
-        x = p.copy()
-        x[active] = _normalize_rows(p[active] + step)
-    p = _normalize_rows(x)
-    final = np.linalg.norm(map_many(p) - y, axis=1)
-    conv = final <= opts.newton_tol * 10.0
-    max_resid = float(np.max(final[conv])) if np.any(conv) else float(np.min(final))
-    return p[conv], max_resid
+        x[idx] = normalize_rows(p + step)
+    conv = resid <= opts.newton_tol * 10.0
+    max_resid = float(np.max(resid[conv])) if np.any(conv) else float(np.min(resid))
+    return x[conv], max_resid
 
 
 def _dedup_points(points: np.ndarray, radius: float):
+    """Cluster points in lexicographic order: each joins the first representative
+    within ``radius`` or becomes a new one.  Returns representatives and counts."""
     if points.shape[0] == 0:
         return points, []
     order = np.lexsort(np.round(points, 9).T[::-1])
     pts = points[order]
+    free = np.ones(pts.shape[0], dtype=bool)
     reps, counts = [], []
-    for row in pts:
-        placed = False
-        for i, rep in enumerate(reps):
-            if np.linalg.norm(row - rep) <= radius:
-                counts[i] += 1
-                placed = True
-                break
-        if not placed:
-            reps.append(row)
-            counts.append(1)
+    while np.any(free):
+        rep = pts[np.argmax(free)]
+        near = free & (np.linalg.norm(pts - rep, axis=1) <= radius)
+        reps.append(rep)
+        counts.append(int(np.count_nonzero(near)))
+        free &= ~near
     return np.array(reps), counts
 
 
 def _preimage_signs(map_many, preimages, y, fd_step, min_jacobian):
-    """Orientation signs of the map at each preimage; reject near-singular values."""
+    """Orientation signs of the map at each preimage; reject near-singular values.
+
+    Central differences along every preimage's oriented frame, in one map call.
+    """
+    if preimages.shape[0] == 0:
+        return [], []
     frame_y = oriented_sphere_frame_many(y)
-    signs, dets = [], []
-    for x in preimages:
-        frame_x = oriented_sphere_frame_many(x)
-        cols = []
-        for t in frame_x:
-            plus = map_many(_normalize_rows((x + fd_step * t)[None]))[0]
-            minus = map_many(_normalize_rows((x - fd_step * t)[None]))[0]
-            cols.append((plus - minus) / (2.0 * fd_step))
-        mat = frame_y @ np.stack(cols, axis=1)
-        det = float(np.linalg.det(mat))
-        if abs(det) < min_jacobian:
-            raise _RegularValueReject(f"near-singular preimage (|det| = {abs(det):.3e})")
-        signs.append(1 if det > 0 else -1)
-        dets.append(det)
-    return signs, dets
+    step = fd_step * oriented_sphere_frame_many(preimages)  # (P, n, n+1)
+    shifted = np.stack([preimages[:, None] + step, preimages[:, None] - step], axis=2)
+    values = map_many(normalize_rows(shifted.reshape(-1, preimages.shape[1])))
+    values = values.reshape(shifted.shape)
+    cols = (values[:, :, 0] - values[:, :, 1]) / (2.0 * fd_step)  # (P, n, n+1)
+    dets = np.linalg.det(frame_y @ np.swapaxes(cols, 1, 2))
+    bad = np.flatnonzero(np.abs(dets) < min_jacobian)
+    if bad.size:
+        raise _RegularValueReject(f"near-singular preimage (|det| = {abs(dets[bad[0]]):.3e})")
+    return [1 if d > 0 else -1 for d in dets], [float(d) for d in dets]
 
 
 def _preimage_count_once(map_many, n, gen, starts, opts):
@@ -517,51 +509,76 @@ def first_column_sphere_map(h: MatrixSphereMap) -> Callable:
     """Normalized first column of a k-by-k map as a self-map of S^(2k-1)."""
 
     def many(x_real: np.ndarray) -> np.ndarray:
-        col = h.eval_many(deinterleave(x_real))[:, :, 0]
+        col = h.eval_columns(deinterleave(x_real), [0])[:, :, 0]
         return interleave(col / np.linalg.norm(col, axis=1)[:, None])
 
     return many
 
 
-def _rotation_to(b: np.ndarray, a_many: np.ndarray) -> np.ndarray:
-    """Stack of unitaries taking each row a of ``a_many`` to the fixed unit b.
+def _rotate_columns(a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple:
+    """Apply the unitary taking unit a to unit b to a stack of columns.
 
-    Acts as the 2-by-2 rotation [[mu, -s], [s, conj(mu)]] on span{a, n} and
-    as the identity on the orthogonal complement, mu = <a, b>, s = |b - mu a|.
-    Requires every a to stay away from the complex line through b.
+    The unitary is the identity plus a rank-two update: it acts as the 2-by-2
+    rotation [[mu, -s], [s, conj(mu)]] on span{a, n} and as the identity on
+    the orthogonal complement, mu = <a, b>, s = |b - mu a|, n = (b - mu a)/s.
+    Vectors come first and points last: ``a`` and ``b`` are (q, N) or (q, 1),
+    ``cols`` is (q, m, N).  Where s < 1e-12 (b on the complex line of a) only
+    the phase mu is applied.  Returns the rotated columns and s.
     """
-    mu = np.einsum("ni,i->n", np.conj(a_many), b)
-    v = b[None, :] - mu[:, None] * a_many
-    s = np.linalg.norm(v, axis=1)
-    if np.min(s) < 1e-8:
-        raise ValueError("rotation field degenerates: a column hits the complex line of b")
-    nvec = v / s[:, None]
-    p = a_many.shape[1]
-    eye = np.broadcast_to(np.eye(p, dtype=complex), (a_many.shape[0], p, p))
-    outer = lambda x, y: x[:, :, None] * np.conj(y)[:, None, :]
-    return (
-        eye
-        + (mu - 1.0)[:, None, None] * outer(a_many, a_many)
-        + (np.conj(mu) - 1.0)[:, None, None] * outer(nvec, nvec)
-        + s[:, None, None] * (outer(nvec, a_many) - outer(a_many, nvec))
-    )
-
-
-def _rotation_fixed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Single unitary taking unit vector a to unit vector b (same construction)."""
-    mu = complex(np.conj(a) @ b)
+    # The builtin sum adds rows in order, so a point's result does not depend
+    # on how many points share the call (np.sum may pair up a lone column).
+    mu = sum(np.conj(a) * b)
     v = b - mu * a
-    s = float(np.linalg.norm(v))
-    p = a.shape[0]
-    if s < 1e-12:
-        return np.eye(p, dtype=complex) + (mu - 1.0) * np.outer(a, np.conj(a))
-    nvec = v / s
-    return (
-        np.eye(p, dtype=complex)
-        + (mu - 1.0) * np.outer(a, np.conj(a))
-        + (np.conj(mu) - 1.0) * np.outer(nvec, np.conj(nvec))
-        + s * (np.outer(nvec, np.conj(a)) - np.outer(a, np.conj(nvec)))
-    )
+    s = np.sqrt(sum((np.conj(v) * v).real))
+    nvec = np.divide(v, s, out=np.zeros_like(v), where=s >= 1e-12)
+    ax = sum(np.conj(a)[:, None] * cols)
+    nx = sum(np.conj(nvec)[:, None] * cols)
+    rotated = cols + a[:, None] * ((mu - 1.0) * ax - s * nx)
+    rotated += nvec[:, None] * ((np.conj(mu) - 1.0) * nx + s * ax)
+    return rotated, s
+
+
+def _compress_chain(mats: np.ndarray, missed: list, cols) -> np.ndarray:
+    """Columns ``cols`` of stacked (N, p, p) values after the compression steps.
+
+    Step t acts on the leading q = p - t rows: a rotation per point takes the
+    last column (index q - 1) to -missed[t], then one constant rotation takes
+    -missed[t] to e_q.  Only the wanted columns and the last columns of later
+    steps are carried.  Returns (N, q, len(cols)) with q the size the last
+    step acted on (p without steps), so that step's block form can be checked.
+    """
+    p = mats.shape[1]
+    keep = sorted(set(cols) | {p - 1 - t for t in range(len(missed))})
+    x = np.ascontiguousarray(np.transpose(mats[:, :, keep], (1, 2, 0)))
+    for t, point in enumerate(missed):
+        q = p - t
+        x = x[:q, : sum(j < q for j in keep)]
+        b = -np.asarray(point, dtype=complex)[:, None]
+        x, s = _rotate_columns(x[:, -1], b, x)
+        if np.min(s) < 1e-8:
+            raise ValueError("rotation field degenerates: a column hits the complex line of b")
+        x, _ = _rotate_columns(b, np.eye(q, dtype=complex)[:, q - 1 :], x)
+    return np.transpose(x[:, [keep.index(j) for j in cols]], (2, 0, 1))
+
+
+class _CompressedMap(MatrixSphereMap):
+    """``base`` with one column killed per missed point, evaluated column-wise.
+
+    Every evaluation calls ``base.eval_many`` once and carries only the
+    columns asked for through the rotation chain.
+    """
+
+    def __init__(self, base: MatrixSphereMap, missed: list):
+        self.base, self.missed = base, list(missed)
+        super().__init__(
+            k=base.k,
+            p=base.p - len(missed),
+            eval_many=lambda z: self.eval_columns(z, range(self.p)),
+            name=base.name + "~" * len(missed),
+        )
+
+    def eval_columns(self, z: np.ndarray, cols) -> np.ndarray:
+        return _compress_chain(self.base.eval_many(z), self.missed, cols)[:, : self.p]
 
 
 def _find_missed_point(
@@ -574,7 +591,7 @@ def _find_missed_point(
     sampled columns find a point with positive margin.
     """
     z = sphere_quasi_uniform_complex(n_samples, f.k)
-    cols = f.eval_many(z)[:, :, f.p - 1]
+    cols = f.eval_columns(z, [f.p - 1])[:, :, 0]
     cands = sphere_quasi_uniform_complex(n_candidates, f.p)
     cands = cands[np.abs(cands[:, f.p - 1]) < 0.9]
     overlap = np.max(np.abs(cols @ np.conj(cands).T), axis=0)
@@ -587,27 +604,6 @@ def _find_missed_point(
     return cands[best]
 
 
-def _compress_once(f: MatrixSphereMap, missed: np.ndarray) -> MatrixSphereMap:
-    """Kill the last column: rotate it to the last basis vector and drop the block.
-
-    The rotation field z -> R(z) is null-homotopic by construction (it is the
-    endpoint of a contraction of the column through the missed point), so the
-    compressed map stays in the homotopy class of the input.
-    """
-    p = f.p
-    e_last = np.zeros(p, dtype=complex)
-    e_last[p - 1] = 1.0
-    fixed = _rotation_fixed(-missed, e_last)
-
-    def eval_many(z: np.ndarray) -> np.ndarray:
-        mats = f.eval_many(z)
-        rot = _rotation_to(-missed, mats[:, :, p - 1])
-        g = (fixed @ rot) @ mats
-        return g[:, : p - 1, : p - 1]
-
-    return MatrixSphereMap(k=f.k, p=p - 1, eval_many=eval_many, name=f.name + "~")
-
-
 def compress_to_k_block(
     f: MatrixSphereMap,
     seed: int = 0,
@@ -618,38 +614,41 @@ def compress_to_k_block(
 ) -> MatrixSphereMap:
     """Homotope a unitary-valued map down to k-by-k size, one column at a time.
 
+    Step t rotates the last column of the size-(p - t) map to a constant by
+    the identity plus a rank-two update per point, and drops it.  The rotation
+    field is the endpoint of a contraction of the column through the missed
+    point, so it is null-homotopic and the homotopy class is kept.  The result
+    evaluates the input map once per call and carries only the columns it is
+    asked for through the chain (column 0 alone for the degree formula).
+
     ``missed_points`` lets callers pin the per-step missed points (mainly for
     tests); by default they are found by seeded quasi-uniform search.  The
-    block structure of each step is verified on samples.
+    block structure of each step is verified on samples through the same
+    chain, with all columns.
     """
     if f.max_unitarity_defect() > 1e-9:
         raise ValueError("compression requires unitary values on the sphere")
-    cur = f
-    step = 0
-    while cur.p > f.k:
+    z = sphere_quasi_uniform_complex(64, f.k)
+    mats = f.eval_many(z)
+    missed = []
+    while f.p - len(missed) > f.k:
+        step = len(missed)
         if missed_points is not None:
-            missed = np.asarray(missed_points[step], dtype=complex)
+            point = np.asarray(missed_points[step], dtype=complex)
         else:
-            missed = _find_missed_point(cur, seed + step, n_samples, n_candidates, margin)
-        nxt = _compress_once(cur, missed)
+            cur = _CompressedMap(f, missed)
+            point = _find_missed_point(cur, seed + step, n_samples, n_candidates, margin)
+        missed.append(point)
         # The construction promises block-diagonal form; check it held.
-        z = sphere_quasi_uniform_complex(64, f.k)
-        mats = cur.eval_many(z)
-        p = cur.p
-        e_last = np.zeros(p, dtype=complex)
-        e_last[p - 1] = 1.0
-        fixed = _rotation_fixed(-missed, e_last)
-        rot = _rotation_to(-missed, mats[:, :, p - 1])
-        full = (fixed @ rot) @ mats
+        q = f.p - step
+        full = _compress_chain(mats, missed, range(q))
         defect = max(
-            float(np.max(np.abs(full[:, :, p - 1] - e_last))),
-            float(np.max(np.abs(full[:, p - 1, : p - 1]))),
+            float(np.max(np.abs(full[:, :, q - 1] - np.eye(q)[q - 1]))),
+            float(np.max(np.abs(full[:, q - 1, : q - 1]))),
         )
         if defect > 1e-9:
             raise ValueError(f"column compression failed to block-diagonalize ({defect:.3e})")
-        cur = nxt
-        step += 1
-    return cur
+    return _CompressedMap(f, missed) if missed else f
 
 
 @lru_cache(maxsize=None)

@@ -21,12 +21,12 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
+def normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def sample_sphere(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    return _normalize_rows(gen.standard_normal((count, n + 1)))
+    return normalize_rows(gen.standard_normal((count, n + 1)))
 
 
 def sample_group(spec: VarietySpec, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -75,7 +75,7 @@ def _sample_variety(spec: VarietySpec, count: int, gen: np.random.Generator) -> 
 
 def sample_fiber(dim: int, count: int, gen: np.random.Generator, radius: float) -> np.ndarray:
     """Fiber vectors with directions uniform and norms uniform in (0, radius]."""
-    d = _normalize_rows(gen.standard_normal((count, dim)))
+    d = normalize_rows(gen.standard_normal((count, dim)))
     return d * (radius * gen.uniform(0.0, 1.0, count))[:, None]
 
 
@@ -114,7 +114,7 @@ def sphere_quasi_uniform(count: int, n: int) -> np.ndarray:
     alphas = _kronecker_alphas(n + 1)
     u = _frac(0.5 + np.outer(np.arange(1, count + 1, dtype=float), alphas))
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return _normalize_rows(ndtri(u))
+    return normalize_rows(ndtri(u))
 
 
 def sphere_quasi_uniform_complex(count: int, k: int) -> np.ndarray:

@@ -6,7 +6,10 @@ from spraylab.degree import (
     DegreeOptions,
     InconsistencyError,
     MatrixSphereMap,
+    _dedup_points,
     _preimage_count_once,
+    _preimage_signs,
+    _RegularValueReject,
     a_k,
     ak_matrix_many,
     antipodal_map,
@@ -24,7 +27,13 @@ from spraylab.degree import (
     verify_ak_identities,
     winding_number,
 )
-from spraylab.sampling import rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
+from spraylab.geometry import interleave, oriented_sphere_frame_many
+from spraylab.sampling import (
+    normalize_rows,
+    rng,
+    sphere_quasi_uniform,
+    sphere_quasi_uniform_complex,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +196,72 @@ def test_degeneracy_error_on_pinned_critical_value():
         _preimage_count_once(folded, 1, PinnedGen(), starts, opts)
 
 
+def _dedup_reference(points, radius):
+    # Point-by-point greedy clustering: the loop the batched version replaces.
+    pts = points[np.lexsort(np.round(points, 9).T[::-1])]
+    reps, counts = [], []
+    for row in pts:
+        for i, rep in enumerate(reps):
+            if np.linalg.norm(row - rep) <= radius:
+                counts[i] += 1
+                break
+        else:
+            reps.append(row)
+            counts.append(1)
+    return np.array(reps), counts
+
+
+def test_dedup_matches_pointwise_greedy_loop():
+    gen = rng(5)
+    centers = sphere_quasi_uniform(6, 3)
+    # Chains of points 0.6 radius apart: the first-representative rule decides
+    # which cluster each one joins, so order and counts are both exercised.
+    pts = np.concatenate(
+        [c + 1e-6 * gen.uniform(-0.6, 0.6, (gen.integers(1, 40), 4)) for c in centers]
+    )
+    pts = pts[gen.permutation(pts.shape[0])]
+    reps, counts = _dedup_points(pts, 1e-6)
+    ref_reps, ref_counts = _dedup_reference(pts, 1e-6)
+    np.testing.assert_array_equal(reps, ref_reps)
+    assert counts == ref_counts
+
+
+def _signs_reference(map_many, preimages, y, fd_step, min_jacobian):
+    # One preimage and one frame direction per map call: the loop the batched
+    # version replaces.
+    frame_y = oriented_sphere_frame_many(y)
+    signs, dets = [], []
+    for x in preimages:
+        cols = []
+        for t in oriented_sphere_frame_many(x):
+            plus = map_many(normalize_rows((x + fd_step * t)[None]))[0]
+            minus = map_many(normalize_rows((x - fd_step * t)[None]))[0]
+            cols.append((plus - minus) / (2.0 * fd_step))
+        det = float(np.linalg.det(frame_y @ np.stack(cols, axis=1)))
+        if abs(det) < min_jacobian:
+            raise _RegularValueReject(f"near-singular preimage (|det| = {abs(det):.3e})")
+        signs.append(1 if det > 0 else -1)
+        dets.append(det)
+    return signs, dets
+
+
+def test_preimage_signs_match_per_point_loop():
+    psi = first_column_sphere_map(compress_to_k_block(a_k(3), seed=0))
+    points = sphere_quasi_uniform(24, 5)
+    y = points[0]
+    signs, dets = _preimage_signs(psi, points, y, 1e-6, 1e-8)
+    ref_signs, ref_dets = _signs_reference(psi, points, y, 1e-6, 1e-8)
+    assert signs == ref_signs and len(set(signs)) == 2
+    assert dets == ref_dets
+    # A threshold between the determinants rejects, naming the same preimage.
+    cut = float(np.median(np.abs(ref_dets)))
+    with pytest.raises(_RegularValueReject) as ref_err:
+        _signs_reference(psi, points, y, 1e-6, cut)
+    with pytest.raises(_RegularValueReject) as err:
+        _preimage_signs(psi, points, y, 1e-6, cut)
+    assert str(err.value) == str(ref_err.value)
+
+
 # ---------------------------------------------------------------------------
 # the column formula
 # ---------------------------------------------------------------------------
@@ -279,6 +354,78 @@ def test_compressed_column_degree_is_two():
     reduced = compress_to_k_block(a_k(3), seed=0)
     psi = first_column_sphere_map(reduced)
     assert sphere_degree(psi, 5).value == 2
+
+
+def _dense_rotation(a, b):
+    # The p-by-p unitaries I + rank two taking each row of a to the matching
+    # row of b, built as full matrices: the reference for the column chain.
+    mu = np.einsum("ni,ni->n", np.conj(a), b)
+    v = b - mu[:, None] * a
+    s = np.linalg.norm(v, axis=1)
+    n = v / s[:, None]
+    outer = lambda x, y: x[:, :, None] * np.conj(y)[:, None, :]
+    return (
+        np.eye(a.shape[1])
+        + (mu - 1.0)[:, None, None] * outer(a, a)
+        + (np.conj(mu) - 1.0)[:, None, None] * outer(n, n)
+        + s[:, None, None] * (outer(n, a) - outer(a, n))
+    )
+
+
+def test_compress_a4_first_column_matches_dense_reference():
+    def unit(v):
+        v = np.asarray(v, dtype=complex)
+        return v / np.linalg.norm(v)
+
+    pinned = [
+        unit([1, 1j, 0, 0, 0, 0, 0, 0.5]),
+        unit([1, 0, 1j, 0, 0, 0, 0]),
+        unit([1, 0, 0, 1j, 0, 0]),
+        unit([1, 0, 0, 0, 1j]),
+    ]
+    z = sphere_quasi_uniform_complex(200, 4)
+    mats = a_k(4).eval_many(z)
+    for point in pinned:
+        q = mats.shape[1]
+        b = np.broadcast_to(-point, (z.shape[0], q))
+        e_last = np.broadcast_to(np.eye(q, dtype=complex)[q - 1], (z.shape[0], q))
+        rotated = _dense_rotation(b, e_last) @ _dense_rotation(mats[:, :, q - 1], b) @ mats
+        mats = rotated[:, : q - 1, : q - 1]
+    reduced = compress_to_k_block(a_k(4), missed_points=pinned)
+    assert reduced.p == 4
+    col = reduced.eval_columns(z, [0])[:, :, 0]
+    np.testing.assert_allclose(col, mats[:, :, 0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(reduced.eval_many(z), mats, rtol=0, atol=1e-13)
+
+
+def test_compress_missed_point_on_column_line_raises():
+    # The last column of a_3 at z = e1 is e4, so a missed point pinned at e4
+    # puts that column on the complex line of -missed: the rotation field
+    # degenerates there and evaluation must refuse.
+    reduced = compress_to_k_block(a_k(3), missed_points=[np.array([0, 0, 0, 1.0], complex)])
+    z0 = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="degenerates"):
+        reduced.eval_many(z0)
+    with pytest.raises(ValueError, match="degenerates"):
+        first_column_sphere_map(reduced)(interleave(z0))
+
+
+@pytest.mark.parametrize(
+    "name, f, psi_degree, signs, basin_counts",
+    [
+        ("a_2", a_k(2), 1, [1], [600]),
+        ("a_3", a_k(3), 2, [1, 1], [518, 482]),
+        ("z^2#a_2", sharp_product(power_map_matrix(2), a_k(2)), 4, [1, 1, 1, 1],
+         [246, 181, 185, 234]),
+    ],
+)
+def test_unitary_degree_frozen_preimage_data(name, f, psi_degree, signs, basin_counts):
+    # Frozen from the dense-rotation implementation with full-batch Newton:
+    # the column chain and the active-set search must find the same basins.
+    report = unitary_degree(f, DegreeOptions(seed=11))
+    assert report.psi_degree == psi_degree
+    assert report.signs == signs
+    assert report.basin_counts == basin_counts
 
 
 @pytest.mark.slow
