@@ -98,11 +98,16 @@ def track_eta(
 ) -> TrackResult:
     """Chain per-interval fiber vectors so the iterated spray reproduces F(., 1).
 
-    Starts from the single interval [0, 1] and bisects any interval on which
-    the spray inversion fails, so each step stays inside the local inversion
-    neighborhood of the zero section.  The returned eta stacks the interval
-    solutions in order; feeding it to the iterated spray from (x, F0(x))
-    lands on (x, F(x, 1)) within cfg.tol.
+    Starts from the single interval [0, 1] and walks the partition left to
+    right.  When the spray inversion fails on an interval (or its node
+    residual exceeds cfg.tol), the interval is bisected and the walk resumes
+    from the last accepted node, so each step stays inside the local
+    inversion neighborhood of the zero section.  ``solve_fiber_many`` is a
+    pure function, so this gives the partition and eta that rebuilding the
+    chain from t = 0 would, with one solve per accepted interval and one per
+    bisection.  The returned eta stacks the interval solutions in order;
+    feeding it to the iterated spray from (x, F0(x)) lands on (x, F(x, 1))
+    within cfg.tol.
     """
     cfg = cfg or TrackConfig()
     grid = np.asarray(grid, dtype=float)
@@ -113,32 +118,28 @@ def track_eta(
         return np.hstack([grid, homotopy.eval_many(grid, t)])
 
     partition = [0.0, 1.0]
-    while True:
-        if len(partition) - 1 > cfg.max_intervals:
-            raise HomotopyTooWildError(
-                f"partition needs more than {cfg.max_intervals} intervals"
-            )
-        cur = base.copy()
-        blocks, node_residuals = [], []
-        failed_at = None
-        for i in range(len(partition) - 1):
-            target = section(partition[i + 1])
-            try:
-                vs = solve_fiber_many(prod, cur, target, cfg.newton)
-            except SprayInversionError:
-                failed_at = i
-                break
-            cur = prod.eval_many(cur, vs)
-            node_res = float(np.max(np.abs(cur - target)))
-            if node_res > cfg.tol:
-                failed_at = i
-                break
-            blocks.append(vs)
-            node_residuals.append(node_res)
-        if failed_at is None:
-            break
-        mid = 0.5 * (partition[failed_at] + partition[failed_at + 1])
-        partition.insert(failed_at + 1, mid)
+    cur = base
+    blocks, node_residuals = [], []
+    while len(blocks) < len(partition) - 1:
+        i = len(blocks)
+        target = section(partition[i + 1])
+        try:
+            vs = solve_fiber_many(prod, cur, target, cfg.newton)
+        except SprayInversionError:
+            node_res = np.inf
+        else:
+            node = prod.eval_many(cur, vs)
+            node_res = float(np.max(np.abs(node - target)))
+        if node_res > cfg.tol:
+            partition.insert(i + 1, 0.5 * (partition[i] + partition[i + 1]))
+            if len(partition) - 1 > cfg.max_intervals:
+                raise HomotopyTooWildError(
+                    f"partition needs more than {cfg.max_intervals} intervals"
+                )
+            continue
+        blocks.append(vs)
+        node_residuals.append(node_res)
+        cur = node
 
     eta = np.hstack(blocks)
     spray = iterated_spray(prod, len(partition) - 1)

@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 
-from .approx import DegreeExhaustedError, HomotopyTooWildError
+from .approx import HomotopyTooWildError
 from .approx import approximate as run_pipeline
 from .degree import (
     DegeneracyError,
@@ -230,7 +230,7 @@ def cmd_approximate(config: dict, seed: int, out) -> int:
         cfg.grid_size = int(config["grid_size"])
     try:
         approx = run_pipeline(demo.f_many, demo.homotopy, demo.spray, cfg)
-    except (HomotopyTooWildError, DegreeExhaustedError) as exc:
+    except HomotopyTooWildError as exc:
         _write_report(
             {
                 "command": "approximate",

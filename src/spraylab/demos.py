@@ -15,6 +15,7 @@ import numpy as np
 
 from .approx import ApproxConfig, Homotopy, monomial_exponents
 from .geometry import VarietySpec
+from .sampling import normalize_rows
 from .serialize import decimal_string
 from .sprays import Spray, stereographic_spray
 
@@ -27,10 +28,6 @@ class DemoSetup:
     spray: Spray
     cfg: ApproxConfig
     expected_degree: int
-
-
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _poly_descriptor(name: str, formula: str, input_dim: int, degree: int, columns) -> dict:
@@ -130,7 +127,7 @@ def s2_bump_identity() -> DemoSetup:
 
     def at_time(x, t):
         x = np.asarray(x, dtype=float)
-        return _normalize_rows(x + 0.2 * t * _bump_field(x))
+        return normalize_rows(x + 0.2 * t * _bump_field(x))
 
     def ident(x):
         return np.asarray(x, dtype=float).copy()

@@ -194,22 +194,7 @@ def membership_residual(p: np.ndarray, spec: VarietySpec) -> float:
         )
     if not np.all(np.isfinite(p)):
         raise ValueError("point has non-finite coordinates")
-    if spec.kind == "sphere":
-        return abs(float(p @ p) - 1.0)
-    if spec.kind == "fermat_sphere":
-        return abs(float(np.sum(p**spec.exponent)) - 1.0)
-    if spec.is_group:
-        q = point_to_matrix(p, spec)
-        gram = q @ q.conj().T - np.eye(spec.m)
-        resid = float(np.max(np.abs(gram)))
-        if spec.kind in ("SO", "SU"):
-            resid = max(resid, abs(np.linalg.det(q) - 1.0))
-        return resid
-    if spec.kind == "product":
-        return max(
-            membership_residual(p[s], f) for s, f in zip(spec.slices(), spec.factors)
-        )
-    raise ValueError(f"unknown variety kind {spec.kind!r}")
+    return float(membership_residual_many(p[None], spec)[0])
 
 
 def is_member(p: np.ndarray, spec: VarietySpec, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
@@ -260,13 +245,9 @@ def cayley(a: np.ndarray) -> np.ndarray:
         raise ShapeError(f"square matrix required, got shape {a.shape}")
     if not np.issubdtype(a.dtype, np.complexfloating):
         a = a.astype(float)
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    ipa = eye + a
-    if np.linalg.cond(ipa) > CAYLEY_CONDITION_LIMIT:
+    if np.linalg.cond(np.eye(a.shape[0]) + a) > CAYLEY_CONDITION_LIMIT:
         raise SingularMatrixError("I + A is numerically singular")
-    # X(I+A) = I-A solved via the plain-transposed system; LU with partial
-    # pivoting underneath.
-    return np.linalg.solve(ipa.T, (eye - a).T).T
+    return cayley_many(a)
 
 
 def cayley_many(a: np.ndarray) -> np.ndarray:
@@ -287,25 +268,29 @@ def cayley_many(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    # The stacked matmul sums like ``v @ v`` on one row, so batches agree bitwise.
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 def shrink_map(v: np.ndarray, c: float) -> np.ndarray:
-    """Rational squeeze c*v / (1 + |v|^2); image norm stays below c/2."""
+    """Rational squeeze c*v / (1 + |v|^2) over the last axis; image norms stay below c/2."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("input has non-finite coordinates")
     if c <= 0:
         raise ValueError(f"scale must be positive, got {c}")
-    return c * v / (1.0 + float(v @ v))
+    return c * v / (1.0 + _squared_norms(v))[..., None]
 
 
 def unshrink_map(w: np.ndarray, c: float) -> np.ndarray:
-    """Inverse of :func:`shrink_map` on its image ball |w| < c/2 (small branch)."""
+    """Inverse of :func:`shrink_map` over the last axis, on its image ball |w| < c/2 (small branch)."""
     w = np.asarray(w, dtype=float)
-    r = float(np.linalg.norm(w))
-    if r == 0.0:
-        return w.copy()
+    r = np.sqrt(_squared_norms(w))[..., None]
     disc = c * c - 4.0 * r * r
-    if disc < 0:
+    if np.any(disc < 0):
         raise ValueError("vector lies outside the image of the shrink map")
+    r = np.where(r == 0.0, 1.0, r)  # w = 0 maps to itself; t below is then 0
     t = (c - np.sqrt(disc)) / (2.0 * r)
     return w * (t / r)
 
@@ -459,12 +444,6 @@ def _algebra_flat_pinv(kind: str, m: int) -> np.ndarray:
     else:
         flat = basis.reshape(basis.shape[0], -1)
     return np.linalg.pinv(flat)
-
-
-def algebra_coordinates(a: np.ndarray, kind: str, m: int) -> tuple:
-    """Coordinates of a Lie algebra element in the fixed basis, with residual."""
-    coords, resid = algebra_coordinates_many(np.asarray(a)[None], kind, m)
-    return coords[0], float(resid[0])
 
 
 def algebra_coordinates_many(a: np.ndarray, kind: str, m: int) -> tuple:

@@ -8,7 +8,6 @@ from scipy.special import ndtri
 from .geometry import (
     VarietySpec,
     cayley_many,
-    interleave,
     lie_algebra_basis,
     matrix_to_point,
     radial_to_fermat,
@@ -121,7 +120,3 @@ def sphere_quasi_uniform_complex(count: int, k: int) -> np.ndarray:
     """Quasi-uniform points on the unit sphere of C^k, returned as complex rows."""
     real = sphere_quasi_uniform(count, 2 * k - 1)
     return real[:, 0::2] + 1j * real[:, 1::2]
-
-
-def complex_sphere_to_real(z: np.ndarray) -> np.ndarray:
-    return interleave(z)

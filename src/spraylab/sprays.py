@@ -50,21 +50,6 @@ class NewtonConfig:
     max_fiber_norm: float = 100.0
 
 
-@dataclass(frozen=True)
-class SubmersionSpec:
-    """The canonical projection X x Y -> X whose sections get approximated."""
-
-    domain: VarietySpec  # X
-    target: VarietySpec  # Y
-
-    @property
-    def total_space(self) -> VarietySpec:
-        return VarietySpec.product(self.domain, self.target)
-
-    def project(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float)[..., : self.domain.ambient_dim]
-
-
 @dataclass
 class Spray:
     """A trivialized spray: ``eval_many`` maps (base points, fiber vectors) to base points.
@@ -223,7 +208,7 @@ def group_action_spray(
 
     def _group_elements(vs):
         if shrink_c is not None:
-            vs = np.array([shrink_map(v, shrink_c) for v in vs])
+            vs = shrink_map(vs, shrink_c)
         return cayley_many(embed_fiber_in_algebra(vs, algebra_kind, m))
 
     if self_action:
@@ -249,7 +234,7 @@ def group_action_spray(
                     "target group element is not in the Cayley-reachable neighborhood"
                 )
             if shrink_c is not None:
-                coords = np.array([unshrink_map(c, shrink_c) for c in coords])
+                coords = unshrink_map(coords, shrink_c)
             return coords
 
     else:
@@ -497,71 +482,33 @@ def verify_dominating(
 # ---------------------------------------------------------------------------
 
 
-def _newton_inverse(spray: Spray, y: np.ndarray, q: np.ndarray, cfg: NewtonConfig) -> np.ndarray:
-    v = np.zeros(spray.fiber_dim)
-    resid = spray.eval(y, v) - q
-    rn = float(np.linalg.norm(resid))
-    for _ in range(cfg.max_iter):
-        if rn <= cfg.tol:
-            return v
-        h = cfg.fd_step * (1.0 + float(np.linalg.norm(v)))
-        jac = np.empty((y.shape[0], spray.fiber_dim))
-        for i in range(spray.fiber_dim):
-            e = np.zeros(spray.fiber_dim)
-            e[i] = h
-            jac[:, i] = (spray.eval(y, v + e) - spray.eval(y, v - e)) / (2.0 * h)
-        # rcond cuts the finite-difference noise directions of a
-        # rank-deficient fiber Jacobian (fiber_dim can exceed dim Y).
-        delta = np.linalg.lstsq(jac, -resid, rcond=1e-6)[0]
-        step = 1.0
-        while True:
-            v_new = v + step * delta
-            r_new = spray.eval(y, v_new) - q
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new < rn:
-                break
-            step *= 0.5
-            if step < 1.0 / 1024.0:
-                raise SprayInversionError("damped Gauss-Newton stalled")
-        if float(np.linalg.norm(v_new)) > cfg.max_fiber_norm:
-            raise SprayInversionError("iterate left the local inversion neighborhood")
-        v, resid, rn = v_new, r_new, rn_new
-    if rn <= cfg.tol:
-        return v
-    raise SprayInversionError(f"no convergence after {cfg.max_iter} iterations (residual {rn:.3e})")
-
-
 def spray_local_inverse(
     spray: Spray, y: np.ndarray, q: np.ndarray, cfg: Optional[NewtonConfig] = None
 ) -> np.ndarray:
-    """Fiber vector xi with s(y, xi) = q, for q near the image of the zero section.
-
-    Uses the attached exact inverse when the spray has one, otherwise a
-    damped Gauss-Newton iteration from xi = 0.  Raises SprayInversionError
-    when q is out of reach (the caller is expected to refine its homotopy
-    partition on that signal).
-    """
-    cfg = cfg or NewtonConfig()
+    """Single-point :func:`solve_fiber_many`: the fiber vector xi with s(y, xi) = q."""
     y = np.asarray(y, dtype=float)
     q = np.asarray(q, dtype=float)
-    if spray.inverse_many is not None:
-        v = spray.inverse(y, q)
-        if float(np.linalg.norm(v)) > cfg.max_fiber_norm:
-            raise SprayInversionError(
-                "exact inverse lies outside the local neighborhood "
-                f"(|v| = {float(np.linalg.norm(v)):.3e})"
-            )
-        resid = float(np.linalg.norm(spray.eval(y, v) - q))
-        if resid > 1e-8:
-            raise SprayInversionError(f"exact inverse failed to verify (residual {resid:.3e})")
-        return v
-    return _newton_inverse(spray, y, q, cfg)
+    return solve_fiber_many(spray, y[None], q[None], cfg)[0]
 
 
 def solve_fiber_many(
     spray: Spray, points: np.ndarray, targets: np.ndarray, cfg: Optional[NewtonConfig] = None
 ) -> np.ndarray:
-    """Batched :func:`spray_local_inverse` (vectorized when an exact inverse exists)."""
+    """Fiber vectors xi with s(y, xi) = q per row, for q near the image of the zero section.
+
+    A spray with an exact inverse uses it, then checks max |xi| against
+    ``cfg.max_fiber_norm`` and the max-abs image residual against 1e-8.
+    Otherwise one masked, damped Gauss-Newton runs from xi = 0 over all rows:
+    only rows whose residual norm is above ``cfg.tol`` are evaluated and
+    stepped.  Each active row gets central-difference Jacobian columns with
+    step ``fd_step * (1 + |xi_row|)`` (all probes in one ``eval_many`` call),
+    a minimal-norm step through the pseudo-inverse, and its own halving line
+    search.  Raises SprayInversionError for the whole batch when any row
+    stalls below step 1/1024, leaves the ``max_fiber_norm`` ball, or has not
+    converged after ``cfg.max_iter`` iterations; the caller is expected to
+    refine its homotopy partition on that signal.  The result depends only
+    on the arguments, so equal calls return bitwise-equal vectors.
+    """
     cfg = cfg or NewtonConfig()
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -576,10 +523,43 @@ def solve_fiber_many(
         if resid > 1e-8:
             raise SprayInversionError(f"exact inverse failed to verify (residual {resid:.3e})")
         return vs
-    out = np.empty((points.shape[0], spray.fiber_dim))
-    for i in range(points.shape[0]):
-        out[i] = _newton_inverse(spray, points[i], targets[i], cfg)
-    return out
+    fdim = spray.fiber_dim
+    probe_dirs = np.concatenate([np.eye(fdim), -np.eye(fdim)])  # +h e_i, then -h e_i
+    vs = np.zeros((points.shape[0], fdim))
+    resid = spray.eval_many(points, vs) - targets
+    rn = np.linalg.norm(resid, axis=1)
+    for _ in range(cfg.max_iter):
+        act = np.flatnonzero(~(rn <= cfg.tol))  # a NaN residual stays active
+        if act.size == 0:
+            return vs
+        y, v, r = points[act], vs[act], resid[act]
+        h = cfg.fd_step * (1.0 + np.linalg.norm(v, axis=1))
+        probes = v[:, None, :] + h[:, None, None] * probe_dirs
+        out = spray.eval_many(np.repeat(y, 2 * fdim, axis=0), probes.reshape(-1, fdim))
+        out = out.reshape(act.size, 2, fdim, -1)
+        jac = np.swapaxes(out[:, 0] - out[:, 1], 1, 2) / (2.0 * h)[:, None, None]
+        # rcond cuts the finite-difference noise directions of a
+        # rank-deficient fiber Jacobian (fiber_dim can exceed dim Y).
+        delta = -(np.linalg.pinv(jac, rcond=1e-6) @ r[:, :, None])[:, :, 0]
+        searching, step = np.arange(act.size), 1.0
+        while searching.size:
+            v_new = v[searching] + step * delta[searching]
+            r_new = spray.eval_many(y[searching], v_new) - targets[act[searching]]
+            rn_new = np.linalg.norm(r_new, axis=1)
+            better = rn_new < rn[act[searching]]
+            rows = act[searching[better]]
+            vs[rows], resid[rows], rn[rows] = v_new[better], r_new[better], rn_new[better]
+            searching = searching[~better]
+            step *= 0.5
+            if searching.size and step < 1.0 / 1024.0:
+                raise SprayInversionError("damped Gauss-Newton stalled")
+        if np.max(np.linalg.norm(vs[act], axis=1)) > cfg.max_fiber_norm:
+            raise SprayInversionError("iterate left the local inversion neighborhood")
+    if np.all(rn <= cfg.tol):
+        return vs
+    raise SprayInversionError(
+        f"no convergence after {cfg.max_iter} iterations (residual {np.max(rn):.3e})"
+    )
 
 
 def probe_injectivity_radius(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spraylab.approx as approx_mod
 from spraylab.approx import (
     ApproxConfig,
     DegreeExhaustedError,
@@ -19,7 +20,7 @@ from spraylab.demos import DEMOS
 from spraylab.geometry import VarietySpec, membership_residual_many
 from spraylab.sampling import rng, sphere_quasi_uniform
 from spraylab.serialize import dumps_canonical
-from spraylab.sprays import stereographic_spray
+from spraylab.sprays import NewtonConfig, group_action_spray, stereographic_spray
 
 CIRCLE = VarietySpec.sphere(1)
 SPHERE2 = VarietySpec.sphere(2)
@@ -92,6 +93,43 @@ def test_track_half_sweep_forces_bisection():
     assert len(result.partition) - 1 >= 2
     assert result.final_residual <= 1e-10
     assert max(result.node_residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("max_fiber_norm,intervals", [(1.0, 4), (0.3, 16)])
+def test_track_resumes_after_bisection(monkeypatch, max_fiber_norm, intervals):
+    # Each accepted interval and each bisection costs one solve; replaying the
+    # chain from t = 0 after every bisection would cost 9 and 119.
+    solve, calls = approx_mod.solve_fiber_many, []
+
+    def spy(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(approx_mod, "solve_fiber_many", spy)
+    cfg = TrackConfig(newton=NewtonConfig(max_fiber_norm=max_fiber_norm))
+    grid = sphere_quasi_uniform(128, 1)
+    result = track_eta(
+        _rotation_homotopy(np.pi), stereographic_spray(1, fiber="ambient"), grid, cfg
+    )
+    assert len(result.partition) - 1 == intervals
+    assert len(calls) == 2 * intervals - 1
+    assert result.final_residual <= cfg.tol
+
+
+def test_track_newton_only_spray_so3_on_s2():
+    axis = np.array([0.3, -0.2, 0.9]) / np.linalg.norm([0.3, -0.2, 0.9])
+
+    def at_time(x, t):
+        c, s = np.cos(0.3 * t), np.sin(0.3 * t)
+        return c * x + s * np.cross(axis, x) + (1.0 - c) * (x @ axis)[:, None] * axis
+
+    spray = group_action_spray(VarietySpec.group("SO", 3))
+    assert spray.inverse_many is None
+    h = Homotopy(SPHERE2, SPHERE2, at_time, _identity, {"name": "identity"})
+    cfg = TrackConfig()
+    result = track_eta(h, spray, sphere_quasi_uniform(128, 2), cfg)
+    assert result.final_residual <= cfg.tol
+    assert max(result.node_residuals) <= cfg.tol
 
 
 def test_track_interval_budget_error():

@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from spraylab.approx import ApproxConfig, Homotopy, TrackConfig
 from spraylab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from spraylab.demos import DEMOS, DemoSetup
+from spraylab.geometry import VarietySpec
+from spraylab.sprays import stereographic_spray
 
 
 def run_cli(tmp_path, command, config, seed=None, name="cfg"):
@@ -150,6 +155,31 @@ def test_approximate_unattainable_target_exit_one_with_best_effort(tmp_path):
     assert code == EXIT_FAIL
     assert report["approximation"]["status"] == "degree_exhausted"
     assert report["approximation"]["beta"]["coefficients"]  # best effort included
+
+
+def test_approximate_tracking_failure_reports_stage(tmp_path, monkeypatch):
+    # A half-turn needs a bisection that a one-interval budget forbids.
+    circle = VarietySpec.sphere(1)
+
+    def half_turn(x, t):
+        c, s = np.cos(np.pi * t), np.sin(np.pi * t)
+        return np.column_stack([c * x[:, 0] - s * x[:, 1], s * x[:, 0] + c * x[:, 1]])
+
+    def build():
+        homotopy = Homotopy(circle, circle, half_turn, lambda x: np.array(x, float), {})
+        return DemoSetup(
+            name="half-turn",
+            f_many=lambda x: half_turn(x, 1.0),
+            homotopy=homotopy,
+            spray=stereographic_spray(1, fiber="ambient"),
+            cfg=ApproxConfig(track=TrackConfig(max_intervals=1)),
+            expected_degree=1,
+        )
+
+    monkeypatch.setitem(DEMOS, "half-turn", build)
+    code, report, _ = run_cli(tmp_path, "approximate", {"demo": "half-turn"})
+    assert code == EXIT_FAIL
+    assert report["error"]["stage"] == "tracking"
 
 
 def test_approximate_unknown_demo_usage(tmp_path):

@@ -8,12 +8,12 @@ from spraylab.sprays import (
     NewtonConfig,
     Spray,
     SprayInversionError,
-    SubmersionSpec,
     constant_spray,
     group_action_spray,
     iterated_spray,
     probe_injectivity_radius,
     product_submersion_spray,
+    solve_fiber_many,
     spray_local_inverse,
     stereographic_spray,
     verify_dominating,
@@ -209,14 +209,6 @@ def test_constant_spray_fails_dominance_with_rank_zero():
     assert dom.max_rank == 0
 
 
-def test_submersion_spec_projection_lands_in_domain():
-    sub = SubmersionSpec(domain=S(2), target=S(1))
-    pts = sample_variety(sub.total_space, 100, 3)
-    proj = sub.project(pts)
-    assert proj.shape == (100, 3)
-    assert np.max(membership_residual_many(proj, sub.domain)) <= 1e-12
-
-
 def test_product_spray_dominance_and_exact_x_block():
     spray = product_submersion_spray(S(2), stereographic_spray(1))
     pts = sample_variety(spray.base, 200, 0)
@@ -333,6 +325,23 @@ def test_newton_divergence_error():
     cfg = NewtonConfig(max_iter=4)
     with pytest.raises(SprayInversionError):
         spray_local_inverse(spray, y, -y, cfg)
+    # One unreachable row fails the whole batch, even when the others converge.
+    pts = sample_variety(spray.base, 8, 18)
+    targets = spray.eval_many(pts, sample_fiber(3, 8, rng(19), 0.3))
+    targets[5] = -pts[5]
+    solve_fiber_many(spray, pts[:5], targets[:5], cfg)
+    with pytest.raises(SprayInversionError):
+        solve_fiber_many(spray, pts, targets, cfg)
+
+
+def test_batched_newton_matches_single_row_solves():
+    spray = group_action_spray(SO("SO", 3))
+    pts = sample_variety(spray.base, 64, 20)
+    targets = spray.eval_many(pts, sample_fiber(3, 64, rng(21), 1.0))
+    batch = solve_fiber_many(spray, pts, targets)
+    single = np.array([spray_local_inverse(spray, p, q) for p, q in zip(pts, targets)])
+    assert np.max(np.abs(spray.eval_many(pts, batch) - targets)) <= 1e-10
+    assert np.max(np.abs(spray.eval_many(pts, batch) - spray.eval_many(pts, single))) <= 1e-10
 
 
 def test_probe_injectivity_radius_reaches_three():
