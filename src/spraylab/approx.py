@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import VarietySpec, membership_residual_many, sphere_tangent_basis_many
-from .sampling import sphere_quasi_uniform
+from .sampling import normalize_rows, sphere_quasi_uniform
 from .serialize import decimal_string, variety_to_json
 from .sprays import (
     NewtonConfig,
@@ -90,7 +90,6 @@ class TrackResult:
     node_residuals: list
     final_residual: float
     spray: Spray  # the iterated spray with one block per interval
-    product_spray: Spray
 
 
 def track_eta(
@@ -150,7 +149,6 @@ def track_eta(
         node_residuals=node_residuals,
         final_residual=final,
         spray=spray,
-        product_spray=prod,
     )
 
 
@@ -161,35 +159,47 @@ def track_eta(
 
 def monomial_exponents(n_vars: int, degree: int) -> list:
     """All exponent tuples of total degree <= degree, sorted by (degree, lex)."""
-    out = []
-    for total in range(degree + 1):
-        out.extend(
-            sorted(
-                e
-                for e in itertools.product(range(total + 1), repeat=n_vars)
-                if sum(e) == total
-            )
-        )
-    return out
+    exps = (e for e in itertools.product(range(degree + 1), repeat=n_vars) if sum(e) <= degree)
+    return sorted(exps, key=lambda e: (sum(e), e))
+
+
+def sphere_exponents(n_vars: int, degree: int) -> list:
+    """The :func:`monomial_exponents` with last entry <= 1, in the same order.
+
+    On the unit sphere x_n^2 = 1 - sum of the other squares, so they are a basis there.
+    """
+    return [e for e in monomial_exponents(n_vars, degree) if e[-1] <= 1]
 
 
 def _vandermonde(points: np.ndarray, exponents: list) -> np.ndarray:
-    cols = [np.prod(points**np.asarray(e, dtype=float), axis=1) for e in exponents]
-    return np.column_stack(cols)
+    """Columns x**e, each its parent column (first nonzero entry of e lowered) times x_i.
+
+    Parents must be listed before their children, as both monomial orders are.
+    """
+    index = {e: k for k, e in enumerate(exponents)}
+    out = np.ones((points.shape[0], len(exponents)), order="F")
+    for k, e in enumerate(exponents):
+        i = next((i for i, ei in enumerate(e) if ei), None)
+        if i is not None:
+            parent = index[e[:i] + (e[i] - 1,) + e[i + 1 :]]
+            np.multiply(out[:, parent], points[:, i], out=out[:, k])
+    return out
 
 
 @dataclass
 class PolynomialMapSpec:
-    """Dense polynomial map in ambient coordinates, restricted to the variety.
+    """Dense polynomial map in ambient coordinates, restricted to the sphere.
 
-    Coefficients are stored per output dimension over the canonical monomial
-    basis of total degree <= degree (see :func:`monomial_exponents`).
+    ``coefficients`` holds one column per output dimension over the monomials
+    ``exponents`` (the :func:`sphere_exponents` basis of the fitted degree),
+    so ``eval_many`` is the ambient polynomial sum_k coefficients[k] x**exponents[k].
     """
 
     input_dim: int
     output_dim: int
     degree: int
-    coefficients: np.ndarray  # (n_basis, output_dim)
+    exponents: list
+    coefficients: np.ndarray  # (len(exponents), output_dim)
     fit_rms: float
     val_max: float
     fit_rms_curve: list
@@ -197,14 +207,14 @@ class PolynomialMapSpec:
     achieved_target: bool
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        exps = monomial_exponents(self.input_dim, self.degree)
-        return _vandermonde(np.asarray(points, dtype=float), exps) @ self.coefficients
+        return _vandermonde(np.asarray(points, dtype=float), self.exponents) @ self.coefficients
 
     def to_jsonable(self) -> dict:
         return {
             "input_dim": self.input_dim,
             "output_dim": self.output_dim,
             "degree": self.degree,
+            "exponents": [list(e) for e in self.exponents],
             "coefficients": [[decimal_string(c) for c in row] for row in self.coefficients],
             "fit_rms": self.fit_rms,
             "val_max": self.val_max,
@@ -219,15 +229,16 @@ def fit_polynomial(
     values: np.ndarray,
     target_resid: float,
     d_max: int = 20,
-    ridge: float = 1e-12,
 ) -> PolynomialMapSpec:
-    """Least-squares polynomial fit with degree escalation and held-out validation.
+    """Least-squares polynomial fit on the unit sphere with degree escalation.
 
-    Even-indexed samples are fitted, odd-indexed ones validate; the degree
-    escalates until the held-out max residual meets ``target_resid``.  The
-    recorded fit residual (rms over the fitted half) is nonincreasing in the
-    degree because the monomial bases are nested.  Raises
-    DegreeExhaustedError carrying the best fit when the cap is reached.
+    ``points`` lie on the unit sphere.  Each degree is fitted on the
+    :func:`sphere_exponents` basis, which has full column rank there, by one
+    column-scaled least-squares solve.  Even-indexed samples are fitted,
+    odd-indexed ones validate; the degree escalates until the held-out max
+    residual meets ``target_resid``.  The recorded fit residual (rms over the
+    fitted half) is nonincreasing in the degree because the bases are nested.
+    Raises DegreeExhaustedError carrying the best fit when the cap is reached.
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -236,15 +247,12 @@ def fit_polynomial(
     best = None
     fit_curve, val_curve = [], []
     for degree in range(1, d_max + 1):
-        exps = monomial_exponents(points.shape[1], degree)
+        exps = sphere_exponents(points.shape[1], degree)
         if len(exps) > fit_pts.shape[0]:
             break  # not enough samples to determine this degree
         vmat = _vandermonde(fit_pts, exps)
-        coef, _, rank, _ = np.linalg.lstsq(vmat, fit_vals, rcond=None)
-        if rank < len(exps):
-            gram = vmat.T @ vmat
-            gram += ridge * np.trace(gram) / len(exps) * np.eye(len(exps))
-            coef = np.linalg.solve(gram, vmat.T @ fit_vals)
+        scale = np.linalg.norm(vmat, axis=0)
+        coef = np.linalg.lstsq(vmat / scale, fit_vals, rcond=None)[0] / scale[:, None]
         fit_resid = vmat @ coef - fit_vals
         fit_rms = float(np.sqrt(np.mean(np.sum(fit_resid**2, axis=1))))
         val_resid = _vandermonde(val_pts, exps) @ coef - val_vals
@@ -255,6 +263,7 @@ def fit_polynomial(
             input_dim=points.shape[1],
             output_dim=values.shape[1],
             degree=degree,
+            exponents=exps,
             coefficients=coef,
             fit_rms=fit_rms,
             val_max=val_max,
@@ -369,10 +378,8 @@ def approximation_error(
     c1 = 0.0
     for j in range(frames.shape[1]):
         t = frames[:, j, :]
-        plus = grid + fd_step * t
-        plus /= np.linalg.norm(plus, axis=1, keepdims=True)
-        minus = grid - fd_step * t
-        minus /= np.linalg.norm(minus, axis=1, keepdims=True)
+        plus = normalize_rows(grid + fd_step * t)
+        minus = normalize_rows(grid - fd_step * t)
         dg = (g_many(plus) - g_many(minus)) / (2.0 * fd_step)
         df = (f_many(plus) - f_many(minus)) / (2.0 * fd_step)
         c1 = max(c1, float(np.max(np.linalg.norm(dg - df, axis=1))))

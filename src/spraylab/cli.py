@@ -22,9 +22,7 @@ import tempfile
 from .approx import HomotopyTooWildError
 from .approx import approximate as run_pipeline
 from .degree import (
-    DegeneracyError,
     DegreeOptions,
-    InconsistencyError,
     a_k,
     antipodal_map,
     fermat_power_self_map,
@@ -301,7 +299,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"spraylab: bad config: {exc!r}", file=sys.stderr)
         return EXIT_USAGE
-    except (InconsistencyError, DegeneracyError, RuntimeError) as exc:
+    except RuntimeError as exc:  # pipeline failures, degree-oracle errors, non-finite reports
         print(f"spraylab: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -331,9 +331,6 @@ def sphere_tangent_basis_many(points: np.ndarray) -> np.ndarray:
     Returns an array of shape (N, n, n+1).
     """
     p = np.asarray(points, dtype=float)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p[None, :]
     count, amb = p.shape
     n = amb - 1
     drop = np.argmax(np.abs(p), axis=1)
@@ -348,7 +345,7 @@ def sphere_tangent_basis_many(points: np.ndarray) -> np.ndarray:
             u -= np.einsum("ni,ni->n", u, frame[:, l, :])[:, None] * frame[:, l, :]
         u /= np.linalg.norm(u, axis=1)[:, None]
         frame[:, j, :] = u
-    return frame[0] if squeeze else frame
+    return frame
 
 
 def sphere_tangent_basis(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -356,7 +353,7 @@ def sphere_tangent_basis(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if abs(float(p @ p) - 1.0) > max(tol, 1e-10) * 10:
         raise ValueError("point is not on the unit sphere")
-    return sphere_tangent_basis_many(p)
+    return sphere_tangent_basis_many(p[None])[0]
 
 
 def oriented_sphere_frame_many(points: np.ndarray) -> np.ndarray:
@@ -437,69 +434,44 @@ def embed_fiber_in_algebra(v: np.ndarray, kind: str, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _algebra_flat_pinv(kind: str, m: int) -> np.ndarray:
-    basis = lie_algebra_basis(kind, m)
-    if np.iscomplexobj(basis):
-        flat = interleave(basis.reshape(basis.shape[0], -1))
-    else:
-        flat = basis.reshape(basis.shape[0], -1)
-    return np.linalg.pinv(flat)
+def _algebra_flat(kind: str, m: int) -> tuple:
+    """Realified flat Lie algebra basis rows and their pseudo-inverse."""
+    flat = matrix_to_point(lie_algebra_basis(kind, m), VarietySpec.group(kind, m))
+    return flat, np.linalg.pinv(flat)
 
 
 def algebra_coordinates_many(a: np.ndarray, kind: str, m: int) -> tuple:
     """Batched basis coordinates of (N, m, m) algebra elements, with residuals."""
-    basis = lie_algebra_basis(kind, m)
-    if np.iscomplexobj(basis):
-        vec = interleave(np.asarray(a, dtype=complex).reshape(a.shape[0], -1))
-        flat = interleave(basis.reshape(basis.shape[0], -1))
-    else:
-        vec = np.asarray(a, dtype=float).reshape(a.shape[0], -1)
-        flat = basis.reshape(basis.shape[0], -1)
-    coords = vec @ _algebra_flat_pinv(kind, m)
-    resid = np.max(np.abs(coords @ flat - vec), axis=1)
-    return coords, resid
+    flat, pinv = _algebra_flat(kind, m)
+    vec = matrix_to_point(a, VarietySpec.group(kind, m))
+    coords = vec @ pinv
+    return coords, np.max(np.abs(coords @ flat - vec), axis=1)
 
 
-def group_tangent_frame(p: np.ndarray, spec: VarietySpec) -> np.ndarray:
-    """Orthonormal frame of the group's tangent space at ``p`` in flat coordinates."""
-    q = point_to_matrix(p, spec)
-    basis = lie_algebra_basis(spec.kind, spec.m)
-    tangents = basis @ q  # (d, m, m)
-    rows = matrix_to_point(tangents, spec)
-    # QR with a sign fix keeps the frame deterministic.
-    qmat, rmat = np.linalg.qr(rows.T)
-    signs = np.sign(np.diag(rmat))
-    signs[signs == 0] = 1.0
-    return (qmat * signs).T
+def variety_tangent_frame(points: np.ndarray, spec: VarietySpec) -> np.ndarray:
+    """Orthonormal tangent frames at rows of ``points`` on any supported variety.
 
-
-def variety_tangent_frame(p: np.ndarray, spec: VarietySpec) -> np.ndarray:
-    """Orthonormal tangent frame at a point of any supported variety."""
+    Takes (N, ambient_dim) points and returns (N, dim, ambient_dim) frames.
+    """
+    p = np.asarray(points, dtype=float)
     if spec.kind == "sphere":
         return sphere_tangent_basis_many(p)
     if spec.kind == "fermat_sphere":
         # Gradient of the defining polynomial replaces the radial direction.
-        grad = spec.exponent * np.asarray(p, dtype=float) ** (spec.exponent - 1)
-        grad /= np.linalg.norm(grad)
-        seeds = np.eye(spec.ambient_dim)
-        drop = int(np.argmax(np.abs(grad)))
-        rows = []
-        for j in range(spec.ambient_dim):
-            if j == drop:
-                continue
-            u = seeds[j] - (seeds[j] @ grad) * grad
-            for r in rows:
-                u -= (u @ r) * r
-            rows.append(u / np.linalg.norm(u))
-        return np.array(rows)
+        grad = spec.exponent * p ** (spec.exponent - 1)
+        return sphere_tangent_basis_many(grad / np.linalg.norm(grad, axis=1, keepdims=True))
     if spec.is_group:
-        return group_tangent_frame(p, spec)
+        basis = lie_algebra_basis(spec.kind, spec.m)
+        rows = matrix_to_point(basis @ point_to_matrix(p, spec)[:, None], spec)  # (N, d, amb)
+        # QR with a sign fix keeps the frames deterministic.
+        qmat, rmat = np.linalg.qr(np.swapaxes(rows, 1, 2))
+        signs = np.where(np.diagonal(rmat, axis1=1, axis2=2) < 0, -1.0, 1.0)
+        return np.swapaxes(qmat * signs[:, None, :], 1, 2)
     if spec.kind == "product":
-        blocks = []
+        out = np.zeros((p.shape[0], spec.dim, spec.ambient_dim))
+        row = 0
         for s, f in zip(spec.slices(), spec.factors):
-            sub = variety_tangent_frame(np.asarray(p)[s], f)
-            block = np.zeros((sub.shape[0], spec.ambient_dim))
-            block[:, s] = sub
-            blocks.append(block)
-        return np.vstack(blocks)
+            out[:, row : row + f.dim, s] = variety_tangent_frame(p[:, s], f)
+            row += f.dim
+        return out
     raise ValueError(f"unknown variety kind {spec.kind!r}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .geometry import (
     VarietySpec,
@@ -56,8 +55,7 @@ def sample_group(spec: VarietySpec, count: int, gen: np.random.Generator) -> np.
 
 def sample_variety(spec: VarietySpec, count: int, seed: int) -> np.ndarray:
     """Deterministic batch of points on ``spec``, shape (count, ambient_dim)."""
-    gen = rng(seed)
-    return _sample_variety(spec, count, gen)
+    return _sample_variety(spec, count, rng(seed))
 
 
 def _sample_variety(spec: VarietySpec, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -110,6 +108,8 @@ def sphere_quasi_uniform(count: int, n: int) -> np.ndarray:
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         theta = 2.0 * np.pi * _frac(i / _GOLDEN)
         return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+    from scipy.special import ndtri  # imported here: it dominates `import spraylab`
+
     alphas = _kronecker_alphas(n + 1)
     u = _frac(0.5 + np.outer(np.arange(1, count + 1, dtype=float), alphas))
     u = np.clip(u, 1e-12, 1.0 - 1e-12)

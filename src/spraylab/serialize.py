@@ -9,13 +9,15 @@ Schemas:
           {"kind": "product", "factors": [...]}
 
 Floats are emitted as shortest round-trip decimals (the json module uses
-repr), which keeps reports byte-stable across reruns.
+repr), which keeps reports byte-stable across reruns.  NaN and infinities
+have no JSON form, so a report holding one is refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -128,6 +130,30 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _non_finite_path(obj, path: str = ""):
+    """Dotted path of the first NaN or infinity in key-sorted order, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        children = sorted(obj.items())
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return None
+    for key, value in children:
+        found = _non_finite_path(value, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: sorted keys, fixed separators, trailing newline.
+
+    A NaN or an infinity has no JSON form: RuntimeError names the first one's field.
+    """
+    data = jsonable(obj)
+    try:
+        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise RuntimeError(f"report has a non-finite value at {_non_finite_path(data)}") from None

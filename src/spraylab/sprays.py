@@ -255,9 +255,7 @@ def group_action_spray(
         required_rank=space.dim,
         eval_many=eval_many,
         inverse_many=inverse_many,
-        vertical_frame=lambda pts: np.array(
-            [variety_tangent_frame(p, space) for p in np.asarray(pts, float)]
-        ),
+        vertical_frame=lambda pts: variety_tangent_frame(pts, space),
         params={
             "group": serialize.variety_to_json(group),
             "space": serialize.variety_to_json(space),
@@ -351,9 +349,7 @@ def constant_spray(spec: VarietySpec, fiber_dim: Optional[int] = None) -> Spray:
         fiber_dim=fd,
         required_rank=spec.dim,
         eval_many=lambda points, vs: points.copy(),
-        vertical_frame=lambda pts: np.array(
-            [variety_tangent_frame(p, spec) for p in np.asarray(pts, float)]
-        ),
+        vertical_frame=lambda pts: variety_tangent_frame(pts, spec),
         params={"fiber_dim": fd},
     )
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from spraylab.approx import (
     assemble_regular_map,
     fit_polynomial,
     monomial_exponents,
+    sphere_exponents,
     track_eta,
 )
 from spraylab.degree import sphere_degree
@@ -147,6 +150,49 @@ def test_track_interval_budget_error():
 def test_monomial_basis_is_canonical():
     exps = monomial_exponents(2, 2)
     assert exps == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("n,degree,columns", [(1, 20, 41), (2, 12, 169)])
+def test_sphere_basis_has_full_rank(n, degree, columns):
+    exps = sphere_exponents(n + 1, degree)
+    assert len(exps) == columns
+    assert exps == [e for e in monomial_exponents(n + 1, degree) if e[-1] <= 1]
+    vmat = approx_mod._vandermonde(sphere_quasi_uniform(1024, n), exps)
+    assert np.linalg.matrix_rank(vmat / np.linalg.norm(vmat, axis=0)) == columns
+
+
+def test_vandermonde_matches_monomial_products():
+    grid = sphere_quasi_uniform(64, 2)
+    for exps in (monomial_exponents(3, 5), sphere_exponents(3, 5)):
+        ref = np.prod(grid[:, None, :] ** np.array(exps, dtype=float)[None], axis=2)
+        np.testing.assert_allclose(approx_mod._vandermonde(grid, exps), ref, rtol=1e-14, atol=0)
+
+
+def test_fit_coefficients_stable_under_tiny_eta_noise():
+    # A full-rank basis makes the fit a well-conditioned least-squares problem:
+    # a 1e-10 perturbation of eta may move the coefficients only slightly.
+    demo = DEMOS["s2-bump-identity"]()
+    grid = sphere_quasi_uniform(1024, 2)
+    eta = track_eta(demo.homotopy, demo.spray, grid).eta
+    noisy = eta + 1e-10 * rng(5).standard_normal(eta.shape)
+    fits = []
+    for values in (eta, noisy):
+        with pytest.raises(DegreeExhaustedError) as err:
+            fit_polynomial(grid, values, target_resid=0.0, d_max=8)
+        fits.append(err.value.best)
+    assert [f.degree for f in fits] == [8, 8]
+    assert np.max(np.abs(fits[0].coefficients - fits[1].coefficients)) <= 1e-6
+
+
+def test_report_exponents_reproduce_beta():
+    demo = DEMOS["s2-bump-identity"]()
+    approx = approximate(demo.f_many, demo.homotopy, demo.spray, demo.cfg)
+    beta = json.loads(dumps_canonical(approx.to_jsonable()))["beta"]
+    exps = np.array(beta["exponents"], dtype=float)
+    coeffs = np.array([[float(c) for c in row] for row in beta["coefficients"]])
+    grid = sphere_quasi_uniform(300, 2)
+    values = np.prod(grid[:, None, :] ** exps[None], axis=2) @ coeffs
+    np.testing.assert_allclose(values, approx.beta.eval_many(grid), rtol=0, atol=1e-12)
 
 
 def test_fit_zero_samples():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spraylab
 from spraylab.approx import ApproxConfig, Homotopy, TrackConfig
 from spraylab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from spraylab.demos import DEMOS, DemoSetup
@@ -59,6 +63,16 @@ def test_verify_unknown_kind_usage_error(tmp_path):
     code, report, _ = run_cli(tmp_path, "verify-spray", {"kind": "nonsense"})
     assert code == EXIT_USAGE
     assert report is None
+
+
+def test_verify_non_finite_report_fails_naming_the_field(tmp_path, capsys):
+    # A huge fiber radius overflows the spray to NaN, which JSON cannot hold.
+    config = {"kind": "stereographic", "n": 2, "samples": 50, "fiber_radius": 1e200}
+    with np.errstate(all="ignore"):
+        code, report, out_path = run_cli(tmp_path, "verify-spray", config)
+    assert code == EXIT_FAIL
+    assert report is None and not out_path.exists()
+    assert "max_violation" in capsys.readouterr().err
 
 
 def test_missing_config_file_usage_error(tmp_path):
@@ -214,3 +228,10 @@ def test_seed_echoed_and_config_roundtrip(tmp_path):
     assert code == EXIT_OK
     assert report["seed"] == 42
     assert report["config"] == {"map": "power", "d": 1}
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = os.path.dirname(os.path.dirname(spraylab.__file__))
+    code = "import sys, spraylab; sys.exit('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -13,14 +13,20 @@ from spraylab.geometry import (
     fermat_root_map,
     interleave,
     is_member,
+    lie_algebra_basis,
+    matrix_to_point,
     membership_residual,
+    point_to_matrix,
     oriented_sphere_frame_many,
     radial_to_fermat,
     shrink_map,
     sphere_tangent_basis,
     unshrink_map,
+    variety_tangent_frame,
 )
+from spraylab.sampling import sample_variety
 from spraylab.serialize import (
+    dumps_canonical,
     matrix_from_json,
     matrix_to_json,
     point_from_json,
@@ -284,6 +290,58 @@ def test_tangent_basis_deterministic():
     np.testing.assert_array_equal(sphere_tangent_basis(p), sphere_tangent_basis(p))
 
 
+def _frame_reference(p, spec):
+    # One point at a time: the per-point frames the batched version replaces.
+    if spec.kind == "sphere":
+        return sphere_tangent_basis(p)
+    if spec.kind == "fermat_sphere":
+        grad = spec.exponent * p ** (spec.exponent - 1)
+        grad /= np.linalg.norm(grad)
+        drop = int(np.argmax(np.abs(grad)))
+        rows = []
+        for seed in np.delete(np.eye(spec.ambient_dim), drop, axis=0):
+            u = seed - (seed @ grad) * grad
+            for r in rows:
+                u -= (u @ r) * r
+            rows.append(u / np.linalg.norm(u))
+        return np.array(rows)
+    if spec.is_group:
+        tangents = lie_algebra_basis(spec.kind, spec.m) @ point_to_matrix(p, spec)
+        qmat, rmat = np.linalg.qr(matrix_to_point(tangents, spec).T)
+        signs = np.sign(np.diag(rmat))
+        signs[signs == 0] = 1.0
+        return (qmat * signs).T
+    blocks = []
+    for s, f in zip(spec.slices(), spec.factors):
+        sub = _frame_reference(p[s], f)
+        block = np.zeros((sub.shape[0], spec.ambient_dim))
+        block[:, s] = sub
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        VarietySpec.sphere(2),
+        VarietySpec.fermat_sphere(3, 6),
+        VarietySpec.group("SO", 3),
+        VarietySpec.group("U", 2),
+        VarietySpec.group("SU", 2),
+        VarietySpec.product(VarietySpec.sphere(1), VarietySpec.group("SU", 2)),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_batched_tangent_frames_match_per_point_loop(spec):
+    points = sample_variety(spec, 40, seed=4)
+    frames = variety_tangent_frame(points, spec)
+    assert frames.shape == (40, spec.dim, spec.ambient_dim)
+    ref = np.array([_frame_reference(p, spec) for p in points])
+    np.testing.assert_allclose(frames, ref, rtol=0, atol=1e-14)
+    gram = frames @ np.swapaxes(frames, 1, 2)
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(spec.dim), gram.shape), atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # realification and JSON literals
 # ---------------------------------------------------------------------------
@@ -310,3 +368,9 @@ def test_matrix_json_roundtrip_real_and_complex():
 def test_matrix_json_entry_count_checked():
     with pytest.raises(ShapeError):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [1.0, 2.0, 3.0]})
+
+
+def test_dumps_canonical_refuses_non_finite_and_names_the_field():
+    report = {"z": float("nan"), "a": {"ok": 1.0, "rows": [0.5, float("inf")]}}
+    with pytest.raises(RuntimeError, match=r"a\.rows\.1$"):
+        dumps_canonical(report)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spraylab.geometry import VarietySpec, membership_residual_many
+import spraylab.sprays as sprays_mod
+from spraylab.geometry import VarietySpec, membership_residual_many, variety_tangent_frame
 from spraylab.sampling import rng, sample_fiber, sample_variety
 from spraylab.sprays import (
     AntipodeError,
@@ -218,6 +219,30 @@ def test_product_spray_dominance_and_exact_x_block():
     assert np.array_equal(out[:, :3], pts[:, :3])
     dom = verify_dominating(spray, n_samples=200, seed=0)
     assert dom.passed and dom.required_rank == 1
+
+
+@pytest.mark.parametrize(
+    "spray",
+    [
+        group_action_spray(SO("SO", 3)),
+        group_action_spray(SO("U", 2), SO("U", 2)),
+        constant_spray(S(2)),
+    ],
+    ids=lambda spray: spray.kind,
+)
+def test_vertical_frame_is_one_batched_call(spray, monkeypatch):
+    # The lookup goes through the sprays module at call time, so a wrapper
+    # installed there sees every call.
+    calls = []
+
+    def counting(points, spec):
+        calls.append(points.shape)
+        return variety_tangent_frame(points, spec)
+
+    monkeypatch.setattr(sprays_mod, "variety_tangent_frame", counting)
+    frames = spray.vertical_frame(sample_variety(spray.base, 25, seed=2))
+    assert calls == [(25, spray.base.ambient_dim)]
+    assert frames.shape == (25, spray.base.dim, spray.base.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
