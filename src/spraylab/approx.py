@@ -22,10 +22,17 @@ from .sprays import (
     NewtonConfig,
     Spray,
     SprayInversionError,
+    fiber_differences,
     iterated_spray,
     product_submersion_spray,
     solve_fiber_many,
 )
+
+TRACK_TOL = 1e-10  # max-abs miss of a tracked node from the homotopy section
+_FD_STEP = 1e-5  # central differences of the error stage and the Lipschitz probe
+# The fit's held-out target leaves this factor of slack for the first-order
+# bound c0 <= lipschitz * max|beta - eta| + tracking residual.
+_FIT_MARGIN = 2.0
 
 
 class HomotopyTooWildError(RuntimeError):
@@ -60,14 +67,14 @@ class Homotopy:
     f0_many: Callable
     f0_descriptor: dict = field(default_factory=dict)
 
-    def check(self, points: np.ndarray, tol_member: float = 1e-10, tol_f0: float = 1e-12):
-        """Validate the homotopy invariants on sample points; raise on failure."""
+    def check(self, points: np.ndarray):
+        """Check F(., 0) = F0 within 1e-12 and F(., t) on the target within 1e-10."""
         dev = float(np.max(np.abs(self.eval_many(points, 0.0) - self.f0_many(points))))
-        if dev > tol_f0:
+        if dev > 1e-12:
             raise ValueError(f"F(., 0) deviates from the exact base map by {dev:.3e}")
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             resid = float(np.max(membership_residual_many(self.eval_many(points, t), self.target)))
-            if resid > tol_member:
+            if resid > 1e-10:
                 raise ValueError(f"homotopy leaves the target at t = {t} (residual {resid:.3e})")
 
 
@@ -78,7 +85,6 @@ class Homotopy:
 
 @dataclass
 class TrackConfig:
-    tol: float = 1e-10
     max_intervals: int = 64
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
@@ -99,14 +105,14 @@ def track_eta(
 
     Starts from the single interval [0, 1] and walks the partition left to
     right.  When the spray inversion fails on an interval (or its node
-    residual exceeds cfg.tol), the interval is bisected and the walk resumes
+    residual exceeds TRACK_TOL), the interval is bisected and the walk resumes
     from the last accepted node, so each step stays inside the local
     inversion neighborhood of the zero section.  ``solve_fiber_many`` is a
     pure function, so this gives the partition and eta that rebuilding the
     chain from t = 0 would, with one solve per accepted interval and one per
     bisection.  The returned eta stacks the interval solutions in order;
     feeding it to the iterated spray from (x, F0(x)) lands on (x, F(x, 1))
-    within cfg.tol.
+    within TRACK_TOL.
     """
     cfg = cfg or TrackConfig()
     grid = np.asarray(grid, dtype=float)
@@ -129,7 +135,7 @@ def track_eta(
         else:
             node = prod.eval_many(cur, vs)
             node_res = float(np.max(np.abs(node - target)))
-        if node_res > cfg.tol:
+        if node_res > TRACK_TOL:
             partition.insert(i + 1, 0.5 * (partition[i] + partition[i + 1]))
             if len(partition) - 1 > cfg.max_intervals:
                 raise HomotopyTooWildError(
@@ -359,12 +365,7 @@ def assemble_regular_map(
     )
 
 
-def approximation_error(
-    g_many: Callable,
-    f_many: Callable,
-    grid: np.ndarray,
-    fd_step: float = 1e-5,
-) -> dict:
+def approximation_error(g_many: Callable, f_many: Callable, grid: np.ndarray) -> dict:
     """Sup discrepancy of values (c0) and of finite-difference tangent maps (c1).
 
     The c1 comparison differentiates both maps along the same deterministic
@@ -378,10 +379,10 @@ def approximation_error(
     c1 = 0.0
     for j in range(frames.shape[1]):
         t = frames[:, j, :]
-        plus = normalize_rows(grid + fd_step * t)
-        minus = normalize_rows(grid - fd_step * t)
-        dg = (g_many(plus) - g_many(minus)) / (2.0 * fd_step)
-        df = (f_many(plus) - f_many(minus)) / (2.0 * fd_step)
+        plus = normalize_rows(grid + _FD_STEP * t)
+        minus = normalize_rows(grid - _FD_STEP * t)
+        dg = (g_many(plus) - g_many(minus)) / (2.0 * _FD_STEP)
+        df = (f_many(plus) - f_many(minus)) / (2.0 * _FD_STEP)
         c1 = max(c1, float(np.max(np.linalg.norm(dg - df, axis=1))))
     return {"c0": c0, "c1": c1}
 
@@ -393,27 +394,21 @@ def approximation_error(
 
 @dataclass
 class ApproxConfig:
+    """Pipeline settings.  ``seed`` only labels the report: the grid is
+    quasi-uniform and deterministic, so no stage draws random numbers."""
+
     target_c0: float = 1e-3
     d_max: int = 20
     grid_size: Optional[int] = None
     seed: int = 0
-    fit_margin: float = 2.0
     track: TrackConfig = field(default_factory=TrackConfig)
-    fd_step: float = 1e-5
 
 
-def _spray_fiber_lipschitz(track: TrackResult, base: np.ndarray, step: float = 1e-5) -> float:
+def _spray_fiber_lipschitz(track: TrackResult, base: np.ndarray) -> float:
     """Largest finite-difference gain of the iterated spray in its fiber argument."""
-    spray = track.spray
     idx = np.arange(0, base.shape[0], max(1, base.shape[0] // 128))
-    pts, eta = base[idx], track.eta[idx]
-    lip = 0.0
-    for j in range(spray.fiber_dim):
-        e = np.zeros(spray.fiber_dim)
-        e[j] = step
-        diff = spray.eval_many(pts, eta + e) - spray.eval_many(pts, eta - e)
-        lip = max(lip, float(np.max(np.linalg.norm(diff, axis=1))) / (2.0 * step))
-    return lip
+    diff = fiber_differences(track.spray, base[idx], track.eta[idx], _FD_STEP)
+    return float(np.max(np.linalg.norm(diff, axis=2))) / (2.0 * _FD_STEP)
 
 
 def approximate(
@@ -444,7 +439,7 @@ def approximate(
     base = np.hstack([grid, homotopy.f0_many(grid)])
     lip = _spray_fiber_lipschitz(track, base)
     target_resid = max(
-        (cfg.target_c0 - track.final_residual) / (cfg.fit_margin * max(lip, 1e-12)), 1e-15
+        (cfg.target_c0 - track.final_residual) / (_FIT_MARGIN * max(lip, 1e-12)), 1e-15
     )
 
     status = "ok"
@@ -455,7 +450,7 @@ def approximate(
         status = "degree_exhausted"
 
     approx = assemble_regular_map(homotopy, track, beta, status=status)
-    errors = approximation_error(approx.eval_many, f_many, grid, cfg.fd_step)
+    errors = approximation_error(approx.eval_many, f_many, grid)
     approx.c0 = errors["c0"]
     approx.c1 = errors["c1"]
     approx.membership_max = float(
@@ -472,7 +467,7 @@ def approximate(
         "d_max": cfg.d_max,
         "grid_size": grid_size,
         "seed": cfg.seed,
-        "fit_margin": cfg.fit_margin,
+        "fit_margin": _FIT_MARGIN,
         "fit_target_resid": target_resid,
     }
     if status == "ok" and approx.c0 > cfg.target_c0:

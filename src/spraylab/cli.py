@@ -247,10 +247,10 @@ def cmd_approximate(config: dict, seed: int, out) -> int:
         "threads_cap": _threads_cap(),
         "approximation": approx.to_jsonable(),
     }
-    if config.get("check_degree", True):
-        deg = sphere_degree(
-            approx.eval_many, demo.homotopy.target.n, DegreeOptions(seed=seed)
-        )
+    target, n = demo.homotopy.target, demo.homotopy.domain.n
+    # The degree oracles take self-maps of a sphere; other targets have no check.
+    if config.get("check_degree", True) and target == VarietySpec.sphere(n):
+        deg = sphere_degree(approx.eval_many, n, DegreeOptions(seed=seed))
         report["degree"] = {
             "value": deg.value,
             "method": deg.method,

@@ -18,7 +18,7 @@ caller asks for (plus the last columns later steps still rotate) are carried.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -37,6 +37,16 @@ from .geometry import (
 from .sampling import normalize_rows, rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
 
 DEFAULT_AK_CAP = 6
+
+_CHECK_SAMPLES = 256  # sphere samples of min_abs_det and max_unitarity_defect
+_WINDING_GRID = 1 << 16
+_NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 60
+_FD_STEP = 1e-6
+_DEDUP_RADIUS = 1e-6
+_MISSED_SAMPLES = 4096  # the missed-point search of compress_to_k_block
+_MISSED_CANDIDATES = 128
+_MISSED_MARGIN = 0.02
 
 
 class DegeneracyError(RuntimeError):
@@ -76,12 +86,12 @@ class MatrixSphereMap:
         """Columns ``cols`` of the values at rows z, shape (N, p, len(cols))."""
         return self.eval_many(z)[:, :, list(cols)]
 
-    def min_abs_det(self, n_samples: int = 256) -> float:
-        z = sphere_quasi_uniform_complex(n_samples, self.k)
+    def min_abs_det(self) -> float:
+        z = sphere_quasi_uniform_complex(_CHECK_SAMPLES, self.k)
         return float(np.min(np.abs(np.linalg.det(self.eval_many(z)))))
 
-    def max_unitarity_defect(self, n_samples: int = 256) -> float:
-        z = sphere_quasi_uniform_complex(n_samples, self.k)
+    def max_unitarity_defect(self) -> float:
+        z = sphere_quasi_uniform_complex(_CHECK_SAMPLES, self.k)
         mats = self.eval_many(z)
         gram = mats @ np.conj(np.swapaxes(mats, 1, 2)) - np.eye(self.p)
         return float(np.max(np.abs(gram)))
@@ -276,15 +286,9 @@ def verify_ak_identities(
 class DegreeOptions:
     seed: int = 0
     n_starts: Optional[int] = None  # defaults to 200 * n
-    grid: int = 1 << 16
-    newton_tol: float = 1e-11
-    newton_max_iter: int = 60
-    fd_step: float = 1e-6
-    dedup_radius: float = 1e-6
     min_jacobian: float = 1e-8
     max_redraws: int = 5
     max_dim: int = 5
-    cross_check: bool = True
 
 
 @dataclass
@@ -307,9 +311,9 @@ class DegreeReport:
     calibration_sign: Optional[int] = None
 
 
-def winding_number(map_many: Callable, grid: int = 1 << 16) -> tuple:
+def winding_number(map_many: Callable) -> tuple:
     """Winding number of a circle self-map from summed angular increments."""
-    theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_GRID, endpoint=False)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
     img = map_many(pts)
     ang = np.arctan2(img[:, 1], img[:, 0])
@@ -336,7 +340,7 @@ def _fd_tangent_jacobian(map_many, points, values, frames, h):
     return np.stack(cols, axis=2)
 
 
-def _newton_preimages(map_many, n, y, starts, opts):
+def _newton_preimages(map_many, y, starts):
     """All converged solutions of map(x) = y from the given starts.
 
     Only the rows still above tolerance are evaluated and stepped; a row keeps
@@ -346,17 +350,17 @@ def _newton_preimages(map_many, n, y, starts, opts):
     resid = np.empty(x.shape[0])
     idx = np.arange(x.shape[0])
     n_tan = starts.shape[1] - 1
-    for it in range(opts.newton_max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         p = normalize_rows(x[idx])
         x[idx] = p
         values = map_many(p)
         resid[idx] = np.linalg.norm(values - y, axis=1)
-        active = resid[idx] > opts.newton_tol
-        if it == opts.newton_max_iter or not np.any(active):
+        active = resid[idx] > _NEWTON_TOL
+        if it == _NEWTON_MAX_ITER or not np.any(active):
             break
         idx, p, values = idx[active], p[active], values[active]
         frames = sphere_tangent_basis_many(p)
-        jac = _fd_tangent_jacobian(map_many, p, values, frames, opts.fd_step)
+        jac = _fd_tangent_jacobian(map_many, p, values, frames, _FD_STEP)
         gram = np.swapaxes(jac, 1, 2) @ jac
         gram += 1e-14 * np.eye(n_tan)
         rhs = np.einsum("naj,na->nj", jac, y - values)
@@ -366,7 +370,7 @@ def _newton_preimages(map_many, n, y, starts, opts):
         too_big = norms > 0.5
         step[too_big] *= (0.5 / norms[too_big])[:, None]
         x[idx] = normalize_rows(p + step)
-    conv = resid <= opts.newton_tol * 10.0
+    conv = resid <= _NEWTON_TOL * 10.0
     max_resid = float(np.max(resid[conv])) if np.any(conv) else float(np.min(resid))
     return x[conv], max_resid
 
@@ -415,11 +419,9 @@ def _preimage_count_once(map_many, n, gen, starts, opts):
         y = gen.standard_normal(n + 1)
         y /= np.linalg.norm(y)
         try:
-            converged, max_resid = _newton_preimages(map_many, n, y, starts, opts)
-            preimages, counts = _dedup_points(converged, opts.dedup_radius)
-            signs, dets = _preimage_signs(
-                map_many, preimages, y, opts.fd_step, opts.min_jacobian
-            )
+            converged, max_resid = _newton_preimages(map_many, y, starts)
+            preimages, counts = _dedup_points(converged, _DEDUP_RADIUS)
+            signs, dets = _preimage_signs(map_many, preimages, y, _FD_STEP, opts.min_jacobian)
             return {
                 "value": int(sum(signs)),
                 "regular_value": [float(v) for v in y],
@@ -470,7 +472,7 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
 
     ``map_many`` maps batched ambient rows (N, n+1) of sphere points to
     sphere points.  n = 1 integrates the winding number over a fine grid
-    (and cross-checks against preimage counting); n >= 2 counts signed
+    and cross-checks it against preimage counting; n >= 2 counts signed
     preimages of a regular value, with rejection of near-singular values
     and a second independent regular value as a consistency check.
     """
@@ -481,23 +483,25 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
         raise ValueError(
             f"sphere dimension {n} exceeds the configured cap {opts.max_dim}"
         )
-    if n == 1:
-        value, residual = winding_number(map_many, opts.grid)
-        report = DegreeReport(
-            value=value, method="winding", n=1, seed=opts.seed, winding_residual=residual
+    if n > 1:
+        return preimage_count_degree(map_many, n, opts)
+    value, residual = winding_number(map_many)
+    counted = preimage_count_degree(map_many, n, opts)
+    if counted.value != value:
+        raise InconsistencyError(
+            f"winding ({value}) and preimage count ({counted.value}) disagree"
         )
-        if opts.cross_check:
-            counted = preimage_count_degree(map_many, n, opts)
-            if counted.value != value:
-                raise InconsistencyError(
-                    f"winding ({value}) and preimage count ({counted.value}) disagree"
-                )
-            report.cross_check_value = counted.value
-            report.regular_value = counted.regular_value
-            report.preimages = counted.preimages
-            report.signs = counted.signs
-        return report
-    return preimage_count_degree(map_many, n, opts)
+    return DegreeReport(
+        value=value,
+        method="winding",
+        n=1,
+        seed=opts.seed,
+        regular_value=counted.regular_value,
+        preimages=counted.preimages,
+        signs=counted.signs,
+        cross_check_value=counted.value,
+        winding_residual=residual,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -581,36 +585,29 @@ class _CompressedMap(MatrixSphereMap):
         return _compress_chain(self.base.eval_many(z), self.missed, cols)[:, : self.p]
 
 
-def _find_missed_point(
-    f: MatrixSphereMap, seed: int, n_samples: int, n_candidates: int, margin: float
-) -> np.ndarray:
+def _find_missed_point(f: MatrixSphereMap) -> np.ndarray:
     """A unit vector of C^p whose complex line the last-column map never meets.
 
     The column map S^(2k-1) -> S^(2p-1) has image of dimension at most 2k-1
     < 2p-1, so quasi-uniform candidates scored by their worst overlap with
     sampled columns find a point with positive margin.
     """
-    z = sphere_quasi_uniform_complex(n_samples, f.k)
+    z = sphere_quasi_uniform_complex(_MISSED_SAMPLES, f.k)
     cols = f.eval_columns(z, [f.p - 1])[:, :, 0]
-    cands = sphere_quasi_uniform_complex(n_candidates, f.p)
+    cands = sphere_quasi_uniform_complex(_MISSED_CANDIDATES, f.p)
     cands = cands[np.abs(cands[:, f.p - 1]) < 0.9]
     overlap = np.max(np.abs(cols @ np.conj(cands).T), axis=0)
     best = int(np.argmin(overlap))
-    if 1.0 - overlap[best] < margin:
+    if 1.0 - overlap[best] < _MISSED_MARGIN:
         raise ValueError(
-            f"no candidate missed point with margin >= {margin} "
+            f"no candidate missed point with margin >= {_MISSED_MARGIN} "
             f"(best {1.0 - overlap[best]:.4f})"
         )
     return cands[best]
 
 
 def compress_to_k_block(
-    f: MatrixSphereMap,
-    seed: int = 0,
-    n_samples: int = 4096,
-    n_candidates: int = 128,
-    margin: float = 0.02,
-    missed_points: Optional[list] = None,
+    f: MatrixSphereMap, missed_points: Optional[list] = None
 ) -> MatrixSphereMap:
     """Homotope a unitary-valued map down to k-by-k size, one column at a time.
 
@@ -622,9 +619,9 @@ def compress_to_k_block(
     asked for through the chain (column 0 alone for the degree formula).
 
     ``missed_points`` lets callers pin the per-step missed points (mainly for
-    tests); by default they are found by seeded quasi-uniform search.  The
-    block structure of each step is verified on samples through the same
-    chain, with all columns.
+    tests); by default they are found by quasi-uniform search, which is
+    deterministic and takes no seed.  The block structure of each step is
+    verified on samples through the same chain, with all columns.
     """
     if f.max_unitarity_defect() > 1e-9:
         raise ValueError("compression requires unitary values on the sphere")
@@ -637,7 +634,7 @@ def compress_to_k_block(
             point = np.asarray(missed_points[step], dtype=complex)
         else:
             cur = _CompressedMap(f, missed)
-            point = _find_missed_point(cur, seed + step, n_samples, n_candidates, margin)
+            point = _find_missed_point(cur)
         missed.append(point)
         # The construction promises block-diagonal form; check it held.
         q = f.p - step
@@ -683,7 +680,7 @@ def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> 
     k = f.k
     if f.p < k:
         raise ValueError(f"matrix size {f.p} is smaller than the block size {k}")
-    reduced = f if f.p == k else compress_to_k_block(f, seed=opts.seed)
+    reduced = f if f.p == k else compress_to_k_block(f)
     psi = first_column_sphere_map(reduced)
     inner = sphere_degree(psi, 2 * k - 1, opts)
     divisor = math.factorial(k - 1)
@@ -693,20 +690,10 @@ def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> 
         )
     kappa = calibration_sign()
     value = (kappa ** (k - 1)) * ((-1) ** (k - 1)) * (inner.value // divisor)
-    return DegreeReport(
+    return replace(
+        inner,
         value=int(value),
         method="unitary_formula",
-        n=2 * k - 1,
-        seed=opts.seed,
-        regular_value=inner.regular_value,
-        preimages=inner.preimages,
-        signs=inner.signs,
-        basin_counts=inner.basin_counts,
-        cross_check_value=inner.cross_check_value,
-        winding_residual=inner.winding_residual,
-        newton_max_residual=inner.newton_max_residual,
-        n_starts=inner.n_starts,
-        redraws=inner.redraws,
         psi_degree=inner.value,
         divisor=divisor,
         calibration_sign=kappa,

@@ -348,10 +348,10 @@ def sphere_tangent_basis_many(points: np.ndarray) -> np.ndarray:
     return frame
 
 
-def sphere_tangent_basis(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def sphere_tangent_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the tangent space at a sphere point, shape (n, n+1)."""
     p = np.asarray(p, dtype=float)
-    if abs(float(p @ p) - 1.0) > max(tol, 1e-10) * 10:
+    if abs(float(p @ p) - 1.0) > 1e-9:
         raise ValueError("point is not on the unit sphere")
     return sphere_tangent_basis_many(p[None])[0]
 

@@ -42,11 +42,15 @@ class AntipodeError(SprayInversionError):
     """The stereographic inverse is undefined at the antipode."""
 
 
+_NEWTON_TOL = 1e-11  # see solve_fiber_many
+_NEWTON_FD_STEP = 1e-7
+
+
 @dataclass
 class NewtonConfig:
-    tol: float = 1e-11
+    """Iteration cap and fiber-ball radius of :func:`solve_fiber_many`."""
+
     max_iter: int = 50
-    fd_step: float = 1e-7
     max_fiber_norm: float = 100.0
 
 
@@ -354,6 +358,20 @@ def constant_spray(spec: VarietySpec, fiber_dim: Optional[int] = None) -> Spray:
     )
 
 
+def fiber_differences(spray: Spray, points: np.ndarray, vs: np.ndarray, h) -> np.ndarray:
+    """s(y, v + h e_i) - s(y, v - h e_i) for every fiber axis i, in one ``eval_many`` call.
+
+    ``h`` is a scalar or one step per row.  Returns (N, fiber_dim, ambient);
+    callers divide by their own 2h.
+    """
+    n, fdim = vs.shape
+    dirs = np.concatenate([np.eye(fdim), -np.eye(fdim)])  # +h e_i, then -h e_i
+    probes = vs[:, None, :] + np.reshape(h, (-1, 1, 1)) * dirs
+    out = spray.eval_many(np.repeat(points, 2 * fdim, axis=0), probes.reshape(-1, fdim))
+    out = out.reshape(n, 2, fdim, -1)
+    return out[:, 0] - out[:, 1]
+
+
 # ---------------------------------------------------------------------------
 # Axiom and dominance verification
 # ---------------------------------------------------------------------------
@@ -441,15 +459,8 @@ def verify_dominating(
     """
     points = sample_variety(spray.base, n_samples, seed)
     steps = fd_step * (1.0 + np.linalg.norm(points, axis=1))
-    cols = []
-    for i in range(spray.fiber_dim):
-        v = np.zeros((n_samples, spray.fiber_dim))
-        v[:, i] = steps
-        plus = spray.eval_many(points, v)
-        v[:, i] = -steps
-        minus = spray.eval_many(points, v)
-        cols.append((plus - minus) / (2.0 * steps[:, None]))
-    jac = np.stack(cols, axis=2)  # (N, ambient, fiber)
+    diff = fiber_differences(spray, points, np.zeros((n_samples, spray.fiber_dim)), steps)
+    jac = np.swapaxes(diff / (2.0 * steps)[:, None, None], 1, 2)  # (N, ambient, fiber)
     frames = spray.vertical_frame(points)  # (N, r, ambient)
     proj = np.einsum("nra,naf->nrf", frames, jac)
     sing = np.linalg.svd(proj, compute_uv=False)
@@ -495,9 +506,9 @@ def solve_fiber_many(
     A spray with an exact inverse uses it, then checks max |xi| against
     ``cfg.max_fiber_norm`` and the max-abs image residual against 1e-8.
     Otherwise one masked, damped Gauss-Newton runs from xi = 0 over all rows:
-    only rows whose residual norm is above ``cfg.tol`` are evaluated and
-    stepped.  Each active row gets central-difference Jacobian columns with
-    step ``fd_step * (1 + |xi_row|)`` (all probes in one ``eval_many`` call),
+    only rows whose residual norm is above 1e-11 are evaluated and stepped.
+    Each active row gets central-difference Jacobian columns with step
+    1e-7 * (1 + |xi_row|) (all probes in one :func:`fiber_differences` call),
     a minimal-norm step through the pseudo-inverse, and its own halving line
     search.  Raises SprayInversionError for the whole batch when any row
     stalls below step 1/1024, leaves the ``max_fiber_norm`` ball, or has not
@@ -519,21 +530,16 @@ def solve_fiber_many(
         if resid > 1e-8:
             raise SprayInversionError(f"exact inverse failed to verify (residual {resid:.3e})")
         return vs
-    fdim = spray.fiber_dim
-    probe_dirs = np.concatenate([np.eye(fdim), -np.eye(fdim)])  # +h e_i, then -h e_i
-    vs = np.zeros((points.shape[0], fdim))
+    vs = np.zeros((points.shape[0], spray.fiber_dim))
     resid = spray.eval_many(points, vs) - targets
     rn = np.linalg.norm(resid, axis=1)
     for _ in range(cfg.max_iter):
-        act = np.flatnonzero(~(rn <= cfg.tol))  # a NaN residual stays active
+        act = np.flatnonzero(~(rn <= _NEWTON_TOL))  # a NaN residual stays active
         if act.size == 0:
             return vs
         y, v, r = points[act], vs[act], resid[act]
-        h = cfg.fd_step * (1.0 + np.linalg.norm(v, axis=1))
-        probes = v[:, None, :] + h[:, None, None] * probe_dirs
-        out = spray.eval_many(np.repeat(y, 2 * fdim, axis=0), probes.reshape(-1, fdim))
-        out = out.reshape(act.size, 2, fdim, -1)
-        jac = np.swapaxes(out[:, 0] - out[:, 1], 1, 2) / (2.0 * h)[:, None, None]
+        h = _NEWTON_FD_STEP * (1.0 + np.linalg.norm(v, axis=1))
+        jac = np.swapaxes(fiber_differences(spray, y, v, h), 1, 2) / (2.0 * h)[:, None, None]
         # rcond cuts the finite-difference noise directions of a
         # rank-deficient fiber Jacobian (fiber_dim can exceed dim Y).
         delta = -(np.linalg.pinv(jac, rcond=1e-6) @ r[:, :, None])[:, :, 0]
@@ -551,20 +557,14 @@ def solve_fiber_many(
                 raise SprayInversionError("damped Gauss-Newton stalled")
         if np.max(np.linalg.norm(vs[act], axis=1)) > cfg.max_fiber_norm:
             raise SprayInversionError("iterate left the local inversion neighborhood")
-    if np.all(rn <= cfg.tol):
+    if np.all(rn <= _NEWTON_TOL):
         return vs
     raise SprayInversionError(
         f"no convergence after {cfg.max_iter} iterations (residual {np.max(rn):.3e})"
     )
 
 
-def probe_injectivity_radius(
-    spray: Spray,
-    seed: int = 0,
-    radii: tuple = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0),
-    n_samples: int = 64,
-    tol: float = 1e-9,
-) -> float:
+def probe_injectivity_radius(spray: Spray, seed: int = 0) -> float:
     """Largest probed fiber radius at which inverse(eval(y, v)) recovers v.
 
     Returns 0.0 when no probed radius round-trips (or the spray has no
@@ -573,10 +573,10 @@ def probe_injectivity_radius(
     """
     if spray.inverse_many is None:
         return 0.0
-    points = sample_variety(spray.base, n_samples, seed)
+    points = sample_variety(spray.base, 64, seed)
     best = 0.0
-    for radius in radii:
-        vs = sample_fiber(spray.fiber_dim, n_samples, rng(seed + 17), radius)
+    for radius in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
+        vs = sample_fiber(spray.fiber_dim, 64, rng(seed + 17), radius)
         if spray.kind == "stereographic" and spray.params.get("fiber") == "ambient":
             # Only the tangential representative is recoverable.
             vs = vs - np.einsum("ni,ni->n", vs, points)[:, None] * points
@@ -584,7 +584,7 @@ def probe_injectivity_radius(
             back = spray.inverse_many(points, spray.eval_many(points, vs))
         except SprayInversionError:
             break
-        if np.max(np.abs(back - vs)) > tol:
+        if np.max(np.abs(back - vs)) > 1e-9:
             break
         best = radius
     return best

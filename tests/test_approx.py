@@ -116,7 +116,7 @@ def test_track_resumes_after_bisection(monkeypatch, max_fiber_norm, intervals):
     )
     assert len(result.partition) - 1 == intervals
     assert len(calls) == 2 * intervals - 1
-    assert result.final_residual <= cfg.tol
+    assert result.final_residual <= approx_mod.TRACK_TOL
 
 
 def test_track_newton_only_spray_so3_on_s2():
@@ -131,8 +131,8 @@ def test_track_newton_only_spray_so3_on_s2():
     h = Homotopy(SPHERE2, SPHERE2, at_time, _identity, {"name": "identity"})
     cfg = TrackConfig()
     result = track_eta(h, spray, sphere_quasi_uniform(128, 2), cfg)
-    assert result.final_residual <= cfg.tol
-    assert max(result.node_residuals) <= cfg.tol
+    assert result.final_residual <= approx_mod.TRACK_TOL
+    assert max(result.node_residuals) <= approx_mod.TRACK_TOL
 
 
 def test_track_interval_budget_error():

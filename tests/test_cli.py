@@ -10,8 +10,8 @@ import spraylab
 from spraylab.approx import ApproxConfig, Homotopy, TrackConfig
 from spraylab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from spraylab.demos import DEMOS, DemoSetup
-from spraylab.geometry import VarietySpec
-from spraylab.sprays import stereographic_spray
+from spraylab.geometry import VarietySpec, matrix_to_point
+from spraylab.sprays import group_action_spray, stereographic_spray
 
 
 def run_cli(tmp_path, command, config, seed=None, name="cfg"):
@@ -194,6 +194,35 @@ def test_approximate_tracking_failure_reports_stage(tmp_path, monkeypatch):
     code, report, _ = run_cli(tmp_path, "approximate", {"demo": "half-turn"})
     assert code == EXIT_FAIL
     assert report["error"]["stage"] == "tracking"
+
+
+def test_approximate_group_target_has_no_sphere_degree_check(tmp_path, monkeypatch):
+    # S1 -> SU(2), z -> R(t) diag(z, conj z) with R(t) a rotation by 0.3 t, on
+    # the self-action spray, which has an exact inverse.
+    circle, su2 = VarietySpec.sphere(1), VarietySpec.group("SU", 2)
+
+    def at_time(x, t):
+        z = x[:, 0] + 1j * x[:, 1]
+        mats = np.zeros((x.shape[0], 2, 2), dtype=complex)
+        mats[:, 0, 0], mats[:, 1, 1] = z, np.conj(z)
+        c, s = np.cos(0.3 * t), np.sin(0.3 * t)
+        return matrix_to_point(np.array([[c, -s], [s, c]]) @ mats, su2)
+
+    def build():
+        return DemoSetup(
+            name="s1-su2-rotation",
+            f_many=lambda x: at_time(x, 1.0),
+            homotopy=Homotopy(circle, su2, at_time, lambda x: at_time(x, 0.0), {}),
+            spray=group_action_spray(su2, su2),
+            cfg=ApproxConfig(),
+            expected_degree=0,
+        )
+
+    monkeypatch.setitem(DEMOS, "s1-su2-rotation", build)
+    code, report, _ = run_cli(tmp_path, "approximate", {"demo": "s1-su2-rotation"})
+    assert code == EXIT_OK
+    assert report["approximation"]["errors"]["membership_max"] <= 1e-12
+    assert "degree" not in report
 
 
 def test_approximate_unknown_demo_usage(tmp_path):

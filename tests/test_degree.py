@@ -246,7 +246,7 @@ def _signs_reference(map_many, preimages, y, fd_step, min_jacobian):
 
 
 def test_preimage_signs_match_per_point_loop():
-    psi = first_column_sphere_map(compress_to_k_block(a_k(3), seed=0))
+    psi = first_column_sphere_map(compress_to_k_block(a_k(3)))
     points = sphere_quasi_uniform(24, 5)
     y = points[0]
     signs, dets = _preimage_signs(psi, points, y, 1e-6, 1e-8)
@@ -345,13 +345,13 @@ def test_compress_a3_closed_form_column():
 
 
 def test_compress_output_is_unitary():
-    reduced = compress_to_k_block(a_k(3), seed=0)
+    reduced = compress_to_k_block(a_k(3))
     assert reduced.p == 3
     assert reduced.max_unitarity_defect() <= 1e-10
 
 
 def test_compressed_column_degree_is_two():
-    reduced = compress_to_k_block(a_k(3), seed=0)
+    reduced = compress_to_k_block(a_k(3))
     psi = first_column_sphere_map(reduced)
     assert sphere_degree(psi, 5).value == 2
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,20 @@ def test_dominance_on_sphere_actions():
 def test_dominance_rank_500_random_points_so3():
     dom = verify_dominating(group_action_spray(SO("SO", 3)), n_samples=500, seed=1)
     assert dom.passed and dom.min_rank == dom.max_rank == 2
+
+
+def test_verify_dominating_is_one_spray_call():
+    # All +-h probes of every fiber axis go into a single eval_many call.
+    spray = group_action_spray(SO("SO", 3))
+    calls = []
+
+    def spy(points, vs):
+        calls.append(points.shape[0])
+        return spray.eval_many(points, vs)
+
+    dom = verify_dominating(dataclasses.replace(spray, eval_many=spy), n_samples=40, seed=0)
+    assert dom.passed
+    assert calls == [40 * 2 * spray.fiber_dim]
 
 
 def test_dominance_iterated_spray():
