@@ -30,11 +30,12 @@ from .geometry import (
     interleave,
     matrix_to_point,
     membership_residual_many,
+    normalize_rows,
     oriented_sphere_frame_many,
     radial_to_fermat,
     sphere_tangent_basis_many,
 )
-from .sampling import normalize_rows, rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
+from .sampling import rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
 
 DEFAULT_AK_CAP = 6
 
@@ -228,8 +229,7 @@ def verify_ak_identities(
 
     def draw():
         raw = gen.standard_normal((n_samples, k)) + 1j * gen.standard_normal((n_samples, k))
-        raw /= np.linalg.norm(raw, axis=1)[:, None]
-        return raw * gen.uniform(0.1, 1.5, n_samples)[:, None]
+        return normalize_rows(raw) * gen.uniform(0.1, 1.5, n_samples)[:, None]
 
     u, v = draw(), draw()
     alpha = gen.uniform(-2.0, 2.0, n_samples)
@@ -416,8 +416,7 @@ def _preimage_signs(map_many, preimages, y, fd_step, min_jacobian):
 def _preimage_count_once(map_many, n, gen, starts, opts):
     redraws = 0
     while True:
-        y = gen.standard_normal(n + 1)
-        y /= np.linalg.norm(y)
+        y = normalize_rows(gen.standard_normal(n + 1))
         try:
             converged, max_resid = _newton_preimages(map_many, y, starts)
             preimages, counts = _dedup_points(converged, _DEDUP_RADIUS)
@@ -514,7 +513,7 @@ def first_column_sphere_map(h: MatrixSphereMap) -> Callable:
 
     def many(x_real: np.ndarray) -> np.ndarray:
         col = h.eval_columns(deinterleave(x_real), [0])[:, :, 0]
-        return interleave(col / np.linalg.norm(col, axis=1)[:, None])
+        return interleave(normalize_rows(col))
 
     return many
 

@@ -136,8 +136,13 @@ class VarietySpec:
 
 
 # ---------------------------------------------------------------------------
-# Realification helpers
+# Row normalization and realification helpers
 # ---------------------------------------------------------------------------
+
+
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Rows (last axis) over their norms; a lone vector over its dot-product norm."""
+    return x / np.linalg.norm(x, axis=-1 if x.ndim > 1 else None, keepdims=True)
 
 
 def interleave(z: np.ndarray) -> np.ndarray:
@@ -343,8 +348,7 @@ def sphere_tangent_basis_many(points: np.ndarray) -> np.ndarray:
         u -= np.einsum("ni,ni->n", u, p)[:, None] * p
         for l in range(j):
             u -= np.einsum("ni,ni->n", u, frame[:, l, :])[:, None] * frame[:, l, :]
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        frame[:, j, :] = u
+        frame[:, j, :] = normalize_rows(u)
     return frame
 
 
@@ -459,7 +463,7 @@ def variety_tangent_frame(points: np.ndarray, spec: VarietySpec) -> np.ndarray:
     if spec.kind == "fermat_sphere":
         # Gradient of the defining polynomial replaces the radial direction.
         grad = spec.exponent * p ** (spec.exponent - 1)
-        return sphere_tangent_basis_many(grad / np.linalg.norm(grad, axis=1, keepdims=True))
+        return sphere_tangent_basis_many(normalize_rows(grad))
     if spec.is_group:
         basis = lie_algebra_basis(spec.kind, spec.m)
         rows = matrix_to_point(basis @ point_to_matrix(p, spec)[:, None], spec)  # (N, d, amb)

@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
 
 from .geometry import (
     VarietySpec,
     cayley_many,
-    lie_algebra_basis,
+    embed_fiber_in_algebra,
     matrix_to_point,
+    normalize_rows,
     radial_to_fermat,
 )
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+_INV_NORMAL_CDF = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
-
-
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def sample_sphere(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -33,10 +33,8 @@ def sample_group(spec: VarietySpec, count: int, gen: np.random.Generator) -> np.
     For O(m) half of the samples are reflected into the second component;
     for SU(m) the unit-determinant phase is divided out.
     """
-    basis = lie_algebra_basis(spec.kind if spec.kind != "O" else "SO", spec.m)
-    coeffs = gen.uniform(-1.0, 1.0, (count, basis.shape[0]))
-    skew = np.tensordot(coeffs, basis, axes=(1, 0))
-    q = cayley_many(skew)
+    coeffs = gen.uniform(-1.0, 1.0, (count, spec.dim))
+    q = cayley_many(embed_fiber_in_algebra(coeffs, spec.kind, spec.m))
     if spec.kind == "O":
         refl = np.eye(spec.m)
         refl[0, 0] = -1.0
@@ -97,7 +95,8 @@ def sphere_quasi_uniform(count: int, n: int) -> np.ndarray:
 
     S1 uses the golden-angle sequence, S2 the classic Fibonacci spiral, and
     higher dimensions a Kronecker lattice pushed through the inverse normal
-    CDF and normalized.
+    CDF (the standard library's ``statistics.NormalDist().inv_cdf``, Wichura's
+    AS241) and normalized.
     """
     if n == 1:
         theta = 2.0 * np.pi * _frac(np.arange(count) * (_GOLDEN - 1.0))
@@ -108,12 +107,10 @@ def sphere_quasi_uniform(count: int, n: int) -> np.ndarray:
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         theta = 2.0 * np.pi * _frac(i / _GOLDEN)
         return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-    from scipy.special import ndtri  # imported here: it dominates `import spraylab`
-
     alphas = _kronecker_alphas(n + 1)
     u = _frac(0.5 + np.outer(np.arange(1, count + 1, dtype=float), alphas))
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return normalize_rows(ndtri(u))
+    return normalize_rows(_INV_NORMAL_CDF(u).astype(float))
 
 
 def sphere_quasi_uniform_complex(count: int, k: int) -> np.ndarray:

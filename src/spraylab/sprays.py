@@ -100,6 +100,11 @@ class Spray:
 def _stereo_forward(points: np.ndarray, w: np.ndarray) -> np.ndarray:
     # Second intersection of the line from -p through p + w with the sphere.
     wn2 = np.einsum("ni,ni->n", w, w)
+    far = np.isinf(wn2)
+    if np.any(far):
+        # |w|^2 overflowed: the intersection is -p to double precision.
+        near = _stereo_forward(points, np.where(far[:, None], 0.0, w))
+        return np.where(far[:, None], -points, near)
     return ((4.0 - wn2)[:, None] * points + 4.0 * w) / (4.0 + wn2)[:, None]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spraylab
+import spraylab.sprays as sprays_mod
 from spraylab.approx import ApproxConfig, Homotopy, TrackConfig
 from spraylab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from spraylab.demos import DEMOS, DemoSetup
@@ -65,8 +66,14 @@ def test_verify_unknown_kind_usage_error(tmp_path):
     assert report is None
 
 
-def test_verify_non_finite_report_fails_naming_the_field(tmp_path, capsys):
-    # A huge fiber radius overflows the spray to NaN, which JSON cannot hold.
+def test_verify_non_finite_report_fails_naming_the_field(tmp_path, capsys, monkeypatch):
+    # A spray that goes NaN at huge fiber vectors gives a report JSON cannot hold.
+    def forward(points, w):
+        huge = np.linalg.norm(w, axis=1)[:, None] > 1e100
+        return np.where(huge, np.nan, stereo_forward(points, w))
+
+    stereo_forward = sprays_mod._stereo_forward
+    monkeypatch.setattr(sprays_mod, "_stereo_forward", forward)
     config = {"kind": "stereographic", "n": 2, "samples": 50, "fiber_radius": 1e200}
     with np.errstate(all="ignore"):
         code, report, out_path = run_cli(tmp_path, "verify-spray", config)
@@ -261,6 +268,12 @@ def test_seed_echoed_and_config_roundtrip(tmp_path):
 
 def test_import_leaves_scipy_special_unloaded():
     src = os.path.dirname(os.path.dirname(spraylab.__file__))
-    code = "import sys, spraylab; sys.exit('scipy.special' in sys.modules)"
+    code = (
+        "import sys, spraylab\n"
+        "from spraylab.sampling import sphere_quasi_uniform\n"
+        "spraylab.calibration_sign()\n"
+        "sphere_quasi_uniform(64, 5)\n"
+        "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

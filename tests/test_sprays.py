@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,22 @@ def test_stereographic_antipode_error():
     p = np.array([0.0, 0.0, 1.0])
     with pytest.raises(AntipodeError):
         spray.inverse(p, -p)
+
+
+@pytest.mark.parametrize("fiber", ["frame", "ambient"])
+def test_stereographic_huge_fiber_lands_on_antipode(fiber):
+    # |w|^2 overflows above |w| ~ 1e154; the image is then -p to double precision.
+    spray = stereographic_spray(2, fiber=fiber)
+    pts = sample_variety(spray.base, 8, 5)
+    vs = sample_fiber(spray.fiber_dim, 8, rng(6), 1.0)
+    vs[::2] *= 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = spray.eval_many(pts, vs)
+        report = verify_spray_axioms(spray, n_samples=200, seed=3, fiber_radius=1e200)
+    np.testing.assert_array_equal(out[::2], -pts[::2])
+    np.testing.assert_array_equal(out[1::2], spray.eval_many(pts[1::2], vs[1::2]))
+    assert report.passed and report.max_violation <= 1e-14
 
 
 # ---------------------------------------------------------------------------
