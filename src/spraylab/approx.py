@@ -15,8 +15,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import VarietySpec, membership_residual_many, sphere_tangent_basis_many
-from .sampling import normalize_rows, sphere_quasi_uniform
+from .geometry import (
+    VarietySpec,
+    membership_residual_many,
+    sphere_tangent_basis_many,
+    tangent_probes,
+)
+from .sampling import sphere_quasi_uniform
 from .serialize import decimal_string, variety_to_json
 from .sprays import (
     NewtonConfig,
@@ -375,15 +380,12 @@ def approximation_error(g_many: Callable, f_many: Callable, grid: np.ndarray) ->
     grid = np.asarray(grid, dtype=float)
     gv, fv = g_many(grid), f_many(grid)
     c0 = float(np.max(np.linalg.norm(gv - fv, axis=1)))
-    frames = sphere_tangent_basis_many(grid)
-    c1 = 0.0
-    for j in range(frames.shape[1]):
-        t = frames[:, j, :]
-        plus = normalize_rows(grid + _FD_STEP * t)
-        minus = normalize_rows(grid - _FD_STEP * t)
-        dg = (g_many(plus) - g_many(minus)) / (2.0 * _FD_STEP)
-        df = (f_many(plus) - f_many(minus)) / (2.0 * _FD_STEP)
-        c1 = max(c1, float(np.max(np.linalg.norm(dg - df, axis=1))))
+    steps = _FD_STEP * sphere_tangent_basis_many(grid)
+
+    def diff(m):
+        return (tangent_probes(m, grid, steps) - tangent_probes(m, grid, -steps)) / (2.0 * _FD_STEP)
+
+    c1 = float(np.max(np.linalg.norm(diff(g_many) - diff(f_many), axis=1)))
     return {"c0": c0, "c1": c1}
 
 

@@ -63,6 +63,11 @@ def _threads_cap() -> int:
         return 1
 
 
+def _header(command: str, config: dict, seed: int) -> dict:
+    """The keys every report starts with."""
+    return {"command": command, "config": config, "seed": seed, "threads_cap": _threads_cap()}
+
+
 def _parse_variety(spec) -> VarietySpec:
     if isinstance(spec, str):
         return parse_variety_label(spec)
@@ -132,10 +137,7 @@ def cmd_verify_spray(config: dict, seed: int, out) -> int:
     )
     passed = axioms.passed and dominance.passed
     report = {
-        "command": "verify-spray",
-        "config": config,
-        "seed": seed,
-        "threads_cap": _threads_cap(),
+        **_header("verify-spray", config, seed),
         "pass": passed,
         "max_violation": axioms.max_violation,
         "per_sample": axioms.per_sample,
@@ -180,16 +182,7 @@ def cmd_degree(config: dict, seed: int, out) -> int:
         report = sphere_degree(antipodal_map, int(config["n"]), opts)
     else:
         raise UsageError(f"unknown map {name!r}")
-    _write_report(
-        {
-            "command": "degree",
-            "config": config,
-            "seed": seed,
-            "threads_cap": _threads_cap(),
-            "report": report,
-        },
-        out,
-    )
+    _write_report({**_header("degree", config, seed), "report": report}, out)
     return EXIT_OK
 
 
@@ -200,10 +193,7 @@ def cmd_make_ak(config: dict, seed: int, out) -> int:
         k, n_samples=int(config.get("samples", 1000)), seed=seed
     )
     report = {
-        "command": "make-ak",
-        "config": config,
-        "seed": seed,
-        "threads_cap": _threads_cap(),
+        **_header("make-ak", config, seed),
         "map": {"name": mapping.name, "k": k, "size": mapping.p},
         "identities": identities,
         "min_abs_det_on_sphere": mapping.min_abs_det(),
@@ -229,24 +219,10 @@ def cmd_approximate(config: dict, seed: int, out) -> int:
     try:
         approx = run_pipeline(demo.f_many, demo.homotopy, demo.spray, cfg)
     except HomotopyTooWildError as exc:
-        _write_report(
-            {
-                "command": "approximate",
-                "config": config,
-                "seed": seed,
-                "threads_cap": _threads_cap(),
-                "error": {"stage": "tracking", "message": str(exc)},
-            },
-            out,
-        )
+        error = {"stage": "tracking", "message": str(exc)}
+        _write_report({**_header("approximate", config, seed), "error": error}, out)
         return EXIT_FAIL
-    report = {
-        "command": "approximate",
-        "config": config,
-        "seed": seed,
-        "threads_cap": _threads_cap(),
-        "approximation": approx.to_jsonable(),
-    }
+    report = {**_header("approximate", config, seed), "approximation": approx.to_jsonable()}
     target, n = demo.homotopy.target, demo.homotopy.domain.n
     # The degree oracles take self-maps of a sphere; other targets have no check.
     if config.get("check_degree", True) and target == VarietySpec.sphere(n):

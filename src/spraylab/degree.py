@@ -34,6 +34,7 @@ from .geometry import (
     oriented_sphere_frame_many,
     radial_to_fermat,
     sphere_tangent_basis_many,
+    tangent_probes,
 )
 from .sampling import rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
 
@@ -326,20 +327,6 @@ def winding_number(map_many: Callable) -> tuple:
     return int(round(total)), residual
 
 
-def _fd_tangent_jacobian(map_many, points, values, frames, h):
-    """One-sided Jacobian along tangent frame directions (Newton inner loop).
-
-    Differentiating only along the tangent frame removes the radial null
-    direction of map-after-normalize, so the Gauss-Newton system below is
-    square in the tangent coordinates and well conditioned at regular points.
-    """
-    cols = []
-    for j in range(frames.shape[1]):
-        stepped = normalize_rows(points + h * frames[:, j, :])
-        cols.append((map_many(stepped) - values) / h)
-    return np.stack(cols, axis=2)
-
-
 def _newton_preimages(map_many, y, starts):
     """All converged solutions of map(x) = y from the given starts.
 
@@ -359,8 +346,11 @@ def _newton_preimages(map_many, y, starts):
         if it == _NEWTON_MAX_ITER or not np.any(active):
             break
         idx, p, values = idx[active], p[active], values[active]
+        # One-sided differences along the tangent frame only: that removes the
+        # radial null direction of map-after-normalize, so the system below is
+        # square in the tangent coordinates and well conditioned at regular points.
         frames = sphere_tangent_basis_many(p)
-        jac = _fd_tangent_jacobian(map_many, p, values, frames, _FD_STEP)
+        jac = (tangent_probes(map_many, p, _FD_STEP * frames) - values[..., None]) / _FD_STEP
         gram = np.swapaxes(jac, 1, 2) @ jac
         gram += 1e-14 * np.eye(n_tan)
         rhs = np.einsum("naj,na->nj", jac, y - values)
@@ -396,24 +386,21 @@ def _dedup_points(points: np.ndarray, radius: float):
 def _preimage_signs(map_many, preimages, y, fd_step, min_jacobian):
     """Orientation signs of the map at each preimage; reject near-singular values.
 
-    Central differences along every preimage's oriented frame, in one map call.
+    Central differences along every preimage's oriented frame.
     """
     if preimages.shape[0] == 0:
         return [], []
     frame_y = oriented_sphere_frame_many(y)
     step = fd_step * oriented_sphere_frame_many(preimages)  # (P, n, n+1)
-    shifted = np.stack([preimages[:, None] + step, preimages[:, None] - step], axis=2)
-    values = map_many(normalize_rows(shifted.reshape(-1, preimages.shape[1])))
-    values = values.reshape(shifted.shape)
-    cols = (values[:, :, 0] - values[:, :, 1]) / (2.0 * fd_step)  # (P, n, n+1)
-    dets = np.linalg.det(frame_y @ np.swapaxes(cols, 1, 2))
+    diff = tangent_probes(map_many, preimages, step) - tangent_probes(map_many, preimages, -step)
+    dets = np.linalg.det(frame_y @ (diff / (2.0 * fd_step)))
     bad = np.flatnonzero(np.abs(dets) < min_jacobian)
     if bad.size:
         raise _RegularValueReject(f"near-singular preimage (|det| = {abs(dets[bad[0]]):.3e})")
     return [1 if d > 0 else -1 for d in dets], [float(d) for d in dets]
 
 
-def _preimage_count_once(map_many, n, gen, starts, opts):
+def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
     redraws = 0
     while True:
         y = normalize_rows(gen.standard_normal(n + 1))
@@ -421,15 +408,19 @@ def _preimage_count_once(map_many, n, gen, starts, opts):
             converged, max_resid = _newton_preimages(map_many, y, starts)
             preimages, counts = _dedup_points(converged, _DEDUP_RADIUS)
             signs, dets = _preimage_signs(map_many, preimages, y, _FD_STEP, opts.min_jacobian)
-            return {
-                "value": int(sum(signs)),
-                "regular_value": [float(v) for v in y],
-                "preimages": [[float(c) for c in p] for p in preimages],
-                "signs": signs,
-                "basin_counts": counts,
-                "newton_max_residual": max_resid,
-                "redraws": redraws,
-            }
+            return DegreeReport(
+                value=int(sum(signs)),
+                method="preimage_count",
+                n=n,
+                seed=opts.seed,
+                regular_value=[float(v) for v in y],
+                preimages=[[float(c) for c in p] for p in preimages],
+                signs=signs,
+                basin_counts=counts,
+                newton_max_residual=max_resid,
+                n_starts=len(starts),
+                redraws=redraws,
+            )
         except _RegularValueReject:
             redraws += 1
             if redraws > opts.max_redraws:
@@ -440,29 +431,16 @@ def _preimage_count_once(map_many, n, gen, starts, opts):
 
 def preimage_count_degree(map_many: Callable, n: int, opts: DegreeOptions) -> DegreeReport:
     """Signed preimage count of a regular value, cross-checked at a second value."""
-    n_starts = opts.n_starts or 200 * n
-    starts = sphere_quasi_uniform(n_starts, n)
+    starts = sphere_quasi_uniform(opts.n_starts or 200 * n, n)
     gen = rng(opts.seed)
     first = _preimage_count_once(map_many, n, gen, starts, opts)
     second = _preimage_count_once(map_many, n, gen, starts, opts)
-    if first["value"] != second["value"]:
+    if first.value != second.value:
         raise InconsistencyError(
-            f"preimage counts disagree across regular values: "
-            f"{first['value']} vs {second['value']}"
+            f"preimage counts disagree across regular values: {first.value} vs {second.value}"
         )
-    return DegreeReport(
-        value=first["value"],
-        method="preimage_count",
-        n=n,
-        seed=opts.seed,
-        regular_value=first["regular_value"],
-        preimages=first["preimages"],
-        signs=first["signs"],
-        basin_counts=first["basin_counts"],
-        cross_check_value=second["value"],
-        newton_max_residual=first["newton_max_residual"],
-        n_starts=n_starts,
-        redraws=first["redraws"] + second["redraws"],
+    return replace(
+        first, cross_check_value=second.value, redraws=first.redraws + second.redraws
     )
 
 
@@ -584,14 +562,13 @@ class _CompressedMap(MatrixSphereMap):
         return _compress_chain(self.base.eval_many(z), self.missed, cols)[:, : self.p]
 
 
-def _find_missed_point(f: MatrixSphereMap) -> np.ndarray:
+def _find_missed_point(f: MatrixSphereMap, z: np.ndarray) -> np.ndarray:
     """A unit vector of C^p whose complex line the last-column map never meets.
 
     The column map S^(2k-1) -> S^(2p-1) has image of dimension at most 2k-1
     < 2p-1, so quasi-uniform candidates scored by their worst overlap with
-    sampled columns find a point with positive margin.
+    the columns at the sphere samples z find a point with positive margin.
     """
-    z = sphere_quasi_uniform_complex(_MISSED_SAMPLES, f.k)
     cols = f.eval_columns(z, [f.p - 1])[:, :, 0]
     cands = sphere_quasi_uniform_complex(_MISSED_CANDIDATES, f.p)
     cands = cands[np.abs(cands[:, f.p - 1]) < 0.9]
@@ -624,8 +601,10 @@ def compress_to_k_block(
     """
     if f.max_unitarity_defect() > 1e-9:
         raise ValueError("compression requires unitary values on the sphere")
-    z = sphere_quasi_uniform_complex(64, f.k)
-    mats = f.eval_many(z)
+    # The quasi-uniform sets are nested, so the block check's 64 samples are
+    # the first rows of the missed-point search's set.
+    z = sphere_quasi_uniform_complex(_MISSED_SAMPLES, f.k)
+    mats = f.eval_many(z[:64])
     missed = []
     while f.p - len(missed) > f.k:
         step = len(missed)
@@ -633,7 +612,7 @@ def compress_to_k_block(
             point = np.asarray(missed_points[step], dtype=complex)
         else:
             cur = _CompressedMap(f, missed)
-            point = _find_missed_point(cur)
+            point = _find_missed_point(cur, z)
         missed.append(point)
         # The construction promises block-diagonal form; check it held.
         q = f.p - step

@@ -378,6 +378,17 @@ def oriented_sphere_frame_many(points: np.ndarray) -> np.ndarray:
     return frames[0] if squeeze else frames
 
 
+def tangent_probes(map_many, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Values of a sphere map at the points stepped along each direction.
+
+    ``steps`` is (N, m, n+1), one tangent step per row and direction; the
+    result is (N, out, m) with column j the map at normalize(points + steps[:, j]),
+    the layout of a Jacobian.  One map call per direction.
+    """
+    cols = [map_many(normalize_rows(points + steps[:, j])) for j in range(steps.shape[1])]
+    return np.stack(cols, axis=2)
+
+
 # ---------------------------------------------------------------------------
 # Lie algebra bases and group tangent frames
 # ---------------------------------------------------------------------------
@@ -391,7 +402,7 @@ def lie_algebra_basis(kind: str, m: int) -> np.ndarray:
     U: the m diagonal generators i*E_jj, then per pair i < j the two
     generators E_ij - E_ji and i*(E_ij + E_ji).
     SU: traceless diagonal generators i*(E_jj - E_(j+1)(j+1)), then the same
-    off-diagonal pairs as U.
+    off-diagonal pairs as U.  O(1), SO(1) and SU(1) get an empty (0, m, m) stack.
     """
     mats = []
     if kind in ("O", "SO"):
@@ -401,7 +412,7 @@ def lie_algebra_basis(kind: str, m: int) -> np.ndarray:
                 b[i, j] = 1.0
                 b[j, i] = -1.0
                 mats.append(b)
-        out = np.array(mats)
+        dtype = float
     elif kind in ("U", "SU"):
         if kind == "U":
             for j in range(m):
@@ -424,9 +435,10 @@ def lie_algebra_basis(kind: str, m: int) -> np.ndarray:
                 b[i, j] = 1j
                 b[j, i] = 1j
                 mats.append(b)
-        out = np.array(mats)
+        dtype = complex
     else:
         raise ValueError(f"no Lie algebra basis for kind {kind!r}")
+    out = np.array(mats, dtype=dtype).reshape(-1, m, m)
     out.setflags(write=False)
     return out
 

@@ -20,8 +20,8 @@ from spraylab.approx import (
 )
 from spraylab.degree import sphere_degree
 from spraylab.demos import DEMOS
-from spraylab.geometry import VarietySpec, membership_residual_many
-from spraylab.sampling import rng, sphere_quasi_uniform
+from spraylab.geometry import VarietySpec, membership_residual_many, sphere_tangent_basis_many
+from spraylab.sampling import normalize_rows, rng, sphere_quasi_uniform
 from spraylab.serialize import dumps_canonical
 from spraylab.sprays import NewtonConfig, group_action_spray, stereographic_spray
 
@@ -307,6 +307,32 @@ def test_error_c1_against_analytic_derivative():
     grid = sphere_quasi_uniform(256, 1)
     errors = approximation_error(lambda x: rot.eval_many(x, 1.0), _identity, grid)
     assert abs(errors["c1"] - 2.0 * np.sin(a / 2.0)) <= 1e-5
+
+
+def _error_reference(g_many, f_many, grid):
+    # One frame direction per loop step: the loop tangent_probes replaces.
+    h = approx_mod._FD_STEP
+    c0 = float(np.max(np.linalg.norm(g_many(grid) - f_many(grid), axis=1)))
+    frames = sphere_tangent_basis_many(grid)
+    c1 = 0.0
+    for j in range(frames.shape[1]):
+        t = frames[:, j, :]
+        plus = normalize_rows(grid + h * t)
+        minus = normalize_rows(grid - h * t)
+        dg = (g_many(plus) - g_many(minus)) / (2.0 * h)
+        df = (f_many(plus) - f_many(minus)) / (2.0 * h)
+        c1 = max(c1, float(np.max(np.linalg.norm(dg - df, axis=1))))
+    return {"c0": c0, "c1": c1}
+
+
+def test_error_matches_per_direction_loop():
+    demo = DEMOS["s2-bump-identity"]()
+    demo.cfg.grid_size = 1 << 10
+    approx = approximate(demo.f_many, demo.homotopy, demo.spray, demo.cfg)
+    grid = sphere_quasi_uniform(1 << 10, 2)
+    errors = approximation_error(approx.eval_many, demo.f_many, grid)
+    assert errors == _error_reference(approx.eval_many, demo.f_many, grid)
+    assert errors["c1"] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from spraylab.degree import (
     DegeneracyError,
     DegreeOptions,
+    DegreeReport,
     InconsistencyError,
     MatrixSphereMap,
     _dedup_points,
@@ -27,7 +28,13 @@ from spraylab.degree import (
     verify_ak_identities,
     winding_number,
 )
-from spraylab.geometry import interleave, oriented_sphere_frame_many
+from spraylab import degree as degree_mod
+from spraylab.geometry import (
+    interleave,
+    oriented_sphere_frame_many,
+    sphere_tangent_basis_many,
+    tangent_probes,
+)
 from spraylab.sampling import (
     normalize_rows,
     rng,
@@ -262,6 +269,37 @@ def test_preimage_signs_match_per_point_loop():
     assert str(err.value) == str(ref_err.value)
 
 
+def _fd_tangent_jacobian_reference(map_many, points, values, frames, h):
+    # One-sided differences, one frame direction per map call: the loop the
+    # Newton search's tangent_probes call replaces.
+    cols = []
+    for j in range(frames.shape[1]):
+        stepped = normalize_rows(points + h * frames[:, j, :])
+        cols.append((map_many(stepped) - values) / h)
+    return np.stack(cols, axis=2)
+
+
+def test_newton_jacobian_matches_per_direction_loop():
+    psi = first_column_sphere_map(compress_to_k_block(a_k(3)))
+    p = sphere_quasi_uniform(64, 5)
+    values = psi(p)
+    frames = sphere_tangent_basis_many(p)
+    h = degree_mod._FD_STEP
+    jac = (tangent_probes(psi, p, h * frames) - values[..., None]) / h
+    assert jac.shape == (64, 6, 5)
+    np.testing.assert_array_equal(jac, _fd_tangent_jacobian_reference(psi, p, values, frames, h))
+
+
+def test_preimage_count_once_returns_a_report():
+    starts = sphere_quasi_uniform(400, 2)
+    report = _preimage_count_once(identity_map, 2, rng(0), starts, DegreeOptions())
+    assert isinstance(report, DegreeReport)
+    assert (report.value, report.method, report.n_starts, report.redraws) == (
+        1, "preimage_count", 400, 0
+    )
+    assert report.signs == [1] and report.basin_counts == [400]
+
+
 # ---------------------------------------------------------------------------
 # the column formula
 # ---------------------------------------------------------------------------
@@ -396,6 +434,20 @@ def test_compress_a4_first_column_matches_dense_reference():
     col = reduced.eval_columns(z, [0])[:, :, 0]
     np.testing.assert_allclose(col, mats[:, :, 0], rtol=0, atol=1e-13)
     np.testing.assert_allclose(reduced.eval_many(z), mats, rtol=0, atol=1e-13)
+
+
+def test_compress_draws_the_missed_point_samples_once(monkeypatch):
+    counts = []
+    draw = degree_mod.sphere_quasi_uniform_complex
+
+    def spy(count, k):
+        counts.append(count)
+        return draw(count, k)
+
+    monkeypatch.setattr(degree_mod, "sphere_quasi_uniform_complex", spy)
+    assert compress_to_k_block(a_k(4)).p == 4
+    assert counts.count(4096) == 1
+    assert len(counts) == 6  # unitarity check, missed-point samples, 4 candidate sets
 
 
 def test_compress_missed_point_on_column_line_raises():
