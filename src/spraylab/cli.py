@@ -223,6 +223,7 @@ def cmd_approximate(config: dict, seed: int, out) -> int:
         _write_report({**_header("approximate", config, seed), "error": error}, out)
         return EXIT_FAIL
     report = {**_header("approximate", config, seed), "approximation": approx.to_jsonable()}
+    passed = approx.status == "ok"
     target, n = demo.homotopy.target, demo.homotopy.domain.n
     # The degree oracles take self-maps of a sphere; other targets have no check.
     if config.get("check_degree", True) and target == VarietySpec.sphere(n):
@@ -232,8 +233,9 @@ def cmd_approximate(config: dict, seed: int, out) -> int:
             "method": deg.method,
             "expected": demo.expected_degree,
         }
+        passed = passed and deg.value == demo.expected_degree
     _write_report(report, out)
-    return EXIT_OK if approx.status == "ok" else EXIT_FAIL
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def main(argv=None) -> int:

@@ -7,12 +7,16 @@ counting on higher spheres, both under the outward-normal-first orientation
 convention with interleaved realification (re, im, re, im, ...).
 
 The column-based degree formula needs a k-by-k representative of the map;
-maps presented with larger matrix size are compressed by rotating the last
-column to a constant, one size step at a time, which preserves the homotopy
-class because each rotation field is built from a contraction of a
-non-surjective column map.  Each rotation is the identity plus a rank-two
-update, so the chain is applied to columns directly and only the columns a
-caller asks for (plus the last columns later steps still rotate) are carried.
+maps presented with larger matrix size are compressed one size step at a
+time, which preserves the homotopy class because each rotation field is
+built from a contraction of a non-surjective column map.  A step rotates the
+last column, per point, to a constant unit vector b and then rotates b, by
+one constant rotation, to the last basis vector e_q.  Both rotations are the
+identity plus a rank-two update, so their product moves every column by
+multiples of the last column, b and e_q alone: one step costs two
+projections and two rank-one updates, applied in place.  The chain runs on
+columns directly and carries only the columns a caller asks for (plus the
+last columns later steps still rotate).
 """
 
 from __future__ import annotations
@@ -158,20 +162,23 @@ def ak_matrix_many(z: np.ndarray, k: int) -> np.ndarray:
 
     Built by the block recursion: size 1 is z_1; each step wraps the previous
     block with -conj(z_k) I on the upper right, z_k I on the lower left, and
-    the conjugate transpose of the previous block on the lower right.
+    the conjugate transpose of the previous block on the lower right.  The
+    levels are filled into one preallocated array, leading block first.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 1:
         z = z[None]
-    cur = z[:, 0][:, None, None].copy()
+    size = 2 ** (k - 1)
+    out = np.zeros((z.shape[0], size, size), dtype=complex)
+    out[:, 0, 0] = z[:, 0]
+    flat = out.reshape(z.shape[0], size * size)
     for j in range(1, k):
-        zj = z[:, j][:, None, None]
-        size = cur.shape[1]
-        eye = np.broadcast_to(np.eye(size, dtype=complex), cur.shape)
-        top = np.concatenate([cur, -np.conj(zj) * eye], axis=2)
-        bot = np.concatenate([zj * eye, np.conj(np.swapaxes(cur, 1, 2))], axis=2)
-        cur = np.concatenate([top, bot], axis=1)
-    return cur
+        s = 2 ** (j - 1)
+        # The diagonals of the off-diagonal blocks, as strided slices of the rows.
+        flat[:, s : s * (size + 2) : size + 1] = -np.conj(z[:, j])[:, None]
+        flat[:, s * size : s * (2 * size + 1) : size + 1] = z[:, j][:, None]
+        out[:, s : 2 * s, s : 2 * s] = np.conj(np.swapaxes(out[:, :s, :s], 1, 2))
+    return out
 
 
 def a_k(k: int, cap: int = DEFAULT_AK_CAP) -> MatrixSphereMap:
@@ -496,37 +503,74 @@ def first_column_sphere_map(h: MatrixSphereMap) -> Callable:
     return many
 
 
-def _rotate_columns(a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple:
-    """Apply the unitary taking unit a to unit b to a stack of columns.
+def _conj_dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i conj(a[i]) * x[i] over the leading axis, broadcasting the rest.
 
-    The unitary is the identity plus a rank-two update: it acts as the 2-by-2
-    rotation [[mu, -s], [s, conj(mu)]] on span{a, n} and as the identity on
-    the orthogonal complement, mu = <a, b>, s = |b - mu a|, n = (b - mu a)/s.
-    Vectors come first and points last: ``a`` and ``b`` are (q, N) or (q, 1),
-    ``cols`` is (q, m, N).  Where s < 1e-12 (b on the complex line of a) only
-    the phase mu is applied.  Returns the rotated columns and s.
+    The rows are added one by one, in order and in place, so a point's
+    result does not depend on how many points share the call (np.sum may
+    pair up a lone column).
     """
-    # The builtin sum adds rows in order, so a point's result does not depend
-    # on how many points share the call (np.sum may pair up a lone column).
-    mu = sum(np.conj(a) * b)
-    v = b - mu * a
-    s = np.sqrt(sum((np.conj(v) * v).real))
-    nvec = np.divide(v, s, out=np.zeros_like(v), where=s >= 1e-12)
-    ax = sum(np.conj(a)[:, None] * cols)
-    nx = sum(np.conj(nvec)[:, None] * cols)
-    rotated = cols + a[:, None] * ((mu - 1.0) * ax - s * nx)
-    rotated += nvec[:, None] * ((np.conj(mu) - 1.0) * nx + s * ax)
-    return rotated, s
+    ca = np.conj(a)
+    acc = ca[0] * x[0]
+    term = np.empty_like(acc)
+    for i in range(1, len(x)):
+        acc += np.multiply(ca[i], x[i], out=term)
+    return acc
+
+
+def _compress_step(x: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
+    """One compression step, applied in place to the columns x, (q, m, N).
+
+    The step is the product of two rotations, each the identity plus a
+    rank-two update: a per-point one taking the unit column c, (q, N), to the
+    constant unit b, (q,), and a constant one taking b to e_q.  A rotation
+    taking a to a' = mu a + s n (mu = <a, a'>, n a unit vector orthogonal to
+    a) acts as [[mu, -s], [s, conj(mu)]] on span{a, n} and as the identity
+    on its complement.  In the vectors a and a' it sends x to x + a P + a' W,
+    with tau = (<a', x> - conj(mu) <a, x>) / s^2, P = (mu - 1) tau - <a, x>
+    and W = <a, x> + (conj(mu) - 1) tau.  The second rotation sees
+    <b, R1 x> = <c, x>, so the product is x + c P + b B + e_q E, with
+    coefficients from the projections <c, x> and <b, x> and the last row of
+    R1 x.  Where b is on the complex line of e_q only the phase of the second
+    rotation is applied.  Where c comes within s < 1e-8 of the complex line
+    of b the rotation field degenerates, and ValueError is raised.
+    """
+    q = x.shape[0]
+    mu = _conj_dot(c, b[:, None])
+    v = b[:, None] - mu * c
+    ss = _conj_dot(v, v).real
+    if np.sqrt(np.min(ss)) < 1e-8:
+        raise ValueError("rotation field degenerates: a column hits the complex line of b")
+    pair = np.stack([c, np.broadcast_to(b[:, None], c.shape)], axis=1)
+    cx, bx = _conj_dot(pair[:, :, None, :], x[:, None])
+    tau = (bx - np.conj(mu) * cx) / ss
+    p_coef = (mu - 1.0) * tau - cx
+    w = cx + (np.conj(mu) - 1.0) * tau
+    # The constant rotation b -> e_q: mu' = conj(b_q), s'^2 = |e_q - mu' b|^2.
+    bq = b[q - 1]
+    v_e = -np.conj(bq) * b
+    v_e[q - 1] += 1.0
+    ss_e = float(np.vdot(v_e, v_e).real)
+    if ss_e < 1e-24:
+        b_coef, e_coef = w + (np.conj(bq) - 1.0) * cx, 0.0
+    else:
+        rho = (x[q - 1] + c[q - 1] * p_coef + bq * (w - cx)) / ss_e
+        b_coef = (np.conj(mu) - 1.0) * tau + (np.conj(bq) - 1.0) * rho
+        e_coef = cx + (bq - 1.0) * rho
+    x += c[:, None, :] * p_coef
+    x += b[:, None, None] * b_coef
+    x[q - 1] += e_coef
 
 
 def _compress_chain(mats: np.ndarray, missed: list, cols) -> np.ndarray:
     """Columns ``cols`` of stacked (N, p, p) values after the compression steps.
 
-    Step t acts on the leading q = p - t rows: a rotation per point takes the
-    last column (index q - 1) to -missed[t], then one constant rotation takes
-    -missed[t] to e_q.  Only the wanted columns and the last columns of later
-    steps are carried.  Returns (N, q, len(cols)) with q the size the last
-    step acted on (p without steps), so that step's block form can be checked.
+    Step t acts on the leading q = p - t rows with one fused update
+    (:func:`_compress_step`): the per-point rotation taking the last column
+    (index q - 1) to -missed[t], then the constant rotation taking -missed[t]
+    to e_q.  Only the wanted columns and the last columns of later steps are
+    carried.  Returns (N, q, len(cols)) with q the size the last step acted
+    on (p without steps), so that step's block form can be checked.
     """
     p = mats.shape[1]
     keep = sorted(set(cols) | {p - 1 - t for t in range(len(missed))})
@@ -534,11 +578,7 @@ def _compress_chain(mats: np.ndarray, missed: list, cols) -> np.ndarray:
     for t, point in enumerate(missed):
         q = p - t
         x = x[:q, : sum(j < q for j in keep)]
-        b = -np.asarray(point, dtype=complex)[:, None]
-        x, s = _rotate_columns(x[:, -1], b, x)
-        if np.min(s) < 1e-8:
-            raise ValueError("rotation field degenerates: a column hits the complex line of b")
-        x, _ = _rotate_columns(b, np.eye(q, dtype=complex)[:, q - 1 :], x)
+        _compress_step(x, x[:, -1].copy(), -np.asarray(point, dtype=complex))
     return np.transpose(x[:, [keep.index(j) for j in cols]], (2, 0, 1))
 
 
@@ -587,8 +627,8 @@ def compress_to_k_block(
 ) -> MatrixSphereMap:
     """Homotope a unitary-valued map down to k-by-k size, one column at a time.
 
-    Step t rotates the last column of the size-(p - t) map to a constant by
-    the identity plus a rank-two update per point, and drops it.  The rotation
+    Step t rotates the last column of the size-(p - t) map to e_q, through
+    the constant -missed[t], and drops it (see :func:`_compress_step`).  The rotation
     field is the endpoint of a contraction of the column through the missed
     point, so it is null-homotopic and the homotopy class is kept.  The result
     evaluates the input map once per call and carries only the columns it is

@@ -44,6 +44,9 @@ class AntipodeError(SprayInversionError):
 
 _NEWTON_TOL = 1e-11  # see solve_fiber_many
 _NEWTON_FD_STEP = 1e-7
+# Smallest accepted ratio of sigma_r, the required-rank singular value of a
+# row's fiber Jacobian, at a Gauss-Newton solution to its value at v = 0.
+_MIN_SIGMA_RATIO = 0.1
 
 
 @dataclass
@@ -516,10 +519,13 @@ def solve_fiber_many(
     1e-7 * (1 + |xi_row|) (all probes in one :func:`fiber_differences` call),
     a minimal-norm step through the pseudo-inverse, and its own halving line
     search.  Raises SprayInversionError for the whole batch when any row
-    stalls below step 1/1024, leaves the ``max_fiber_norm`` ball, or has not
-    converged after ``cfg.max_iter`` iterations; the caller is expected to
-    refine its homotopy partition on that signal.  The result depends only
-    on the arguments, so equal calls return bitwise-equal vectors.
+    stalls below step 1/1024, leaves the ``max_fiber_norm`` ball, has not
+    converged after ``cfg.max_iter`` iterations, or converged where its
+    Jacobian has lost conditioning: sigma_r (r = ``spray.required_rank``) of
+    the row's last Jacobian below 0.1 times its value at xi = 0.  The caller
+    is expected to refine its homotopy partition on that signal.  The result
+    depends only on the arguments, so equal calls return bitwise-equal
+    vectors.
     """
     cfg = cfg or NewtonConfig()
     points = np.asarray(points, dtype=float)
@@ -538,16 +544,18 @@ def solve_fiber_many(
     vs = np.zeros((points.shape[0], spray.fiber_dim))
     resid = spray.eval_many(points, vs) - targets
     rn = np.linalg.norm(resid, axis=1)
+    sigma = np.ones(points.shape[0])  # sigma_r of each row's latest Jacobian
+    sigma0 = None
     for _ in range(cfg.max_iter):
         act = np.flatnonzero(~(rn <= _NEWTON_TOL))  # a NaN residual stays active
         if act.size == 0:
-            return vs
+            break
         y, v, r = points[act], vs[act], resid[act]
         h = _NEWTON_FD_STEP * (1.0 + np.linalg.norm(v, axis=1))
         jac = np.swapaxes(fiber_differences(spray, y, v, h), 1, 2) / (2.0 * h)[:, None, None]
-        # rcond cuts the finite-difference noise directions of a
-        # rank-deficient fiber Jacobian (fiber_dim can exceed dim Y).
-        delta = -(np.linalg.pinv(jac, rcond=1e-6) @ r[:, :, None])[:, :, 0]
+        delta, sigma[act] = _pinv_step(jac, r, spray.required_rank)
+        if sigma0 is None:
+            sigma0 = sigma.copy()
         searching, step = np.arange(act.size), 1.0
         while searching.size:
             v_new = v[searching] + step * delta[searching]
@@ -562,11 +570,32 @@ def solve_fiber_many(
                 raise SprayInversionError("damped Gauss-Newton stalled")
         if np.max(np.linalg.norm(vs[act], axis=1)) > cfg.max_fiber_norm:
             raise SprayInversionError("iterate left the local inversion neighborhood")
-    if np.all(rn <= _NEWTON_TOL):
-        return vs
-    raise SprayInversionError(
-        f"no convergence after {cfg.max_iter} iterations (residual {np.max(rn):.3e})"
-    )
+    if not np.all(rn <= _NEWTON_TOL):
+        raise SprayInversionError(
+            f"no convergence after {cfg.max_iter} iterations (residual {np.max(rn):.3e})"
+        )
+    # Accept only solutions where the spray still submerses about as well as
+    # at the zero section: a row whose last Jacobian lost most of its rank-r
+    # singular value has reached a fold of the spray, past the local
+    # inversion neighborhood, however well its residual converged.
+    ratio = np.min(sigma / sigma0) if sigma0 is not None else 1.0
+    if not ratio >= _MIN_SIGMA_RATIO:
+        raise SprayInversionError(f"fiber Jacobian lost conditioning (sigma_r ratio {ratio:.3e})")
+    return vs
+
+
+def _pinv_step(jac: np.ndarray, r: np.ndarray, rank: int) -> tuple:
+    """The minimal-norm steps -pinv(J) r of stacked Jacobians, and each sigma_rank.
+
+    The pseudo-inverse is formed from one SVD exactly as
+    ``np.linalg.pinv(jac, rcond=1e-6)`` forms it, so the steps are bitwise
+    equal to it; its cut drops the finite-difference noise directions of a
+    rank-deficient fiber Jacobian (fiber_dim can exceed dim Y).
+    """
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    inv = np.divide(1.0, sv, where=sv > 1e-6 * sv[:, :1], out=np.zeros_like(sv))
+    pinv = np.swapaxes(vt, 1, 2) @ (inv[:, :, None] * np.swapaxes(u, 1, 2))
+    return -(pinv @ r[:, :, None])[:, :, 0], sv[:, rank - 1]
 
 
 def probe_injectivity_radius(spray: Spray, seed: int = 0) -> float:

@@ -23,7 +23,14 @@ from spraylab.demos import DEMOS
 from spraylab.geometry import VarietySpec, membership_residual_many, sphere_tangent_basis_many
 from spraylab.sampling import normalize_rows, rng, sphere_quasi_uniform
 from spraylab.serialize import dumps_canonical
-from spraylab.sprays import NewtonConfig, group_action_spray, stereographic_spray
+from spraylab.sprays import (
+    NewtonConfig,
+    SprayInversionError,
+    group_action_spray,
+    product_submersion_spray,
+    solve_fiber_many,
+    stereographic_spray,
+)
 
 CIRCLE = VarietySpec.sphere(1)
 SPHERE2 = VarietySpec.sphere(2)
@@ -133,6 +140,39 @@ def test_track_newton_only_spray_so3_on_s2():
     result = track_eta(h, spray, sphere_quasi_uniform(128, 2), cfg)
     assert result.final_residual <= approx_mod.TRACK_TOL
     assert max(result.node_residuals) <= approx_mod.TRACK_TOL
+
+
+def _z_rotation_homotopy(total_angle):
+    # Rotation of S2 about the z axis by total_angle * t.
+    def at_time(x, t):
+        c, s = np.cos(total_angle * t), np.sin(total_angle * t)
+        return np.asarray(x, dtype=float) @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+
+    return Homotopy(SPHERE2, SPHERE2, at_time, _identity, {"name": "identity"})
+
+
+def test_near_antipodal_rotation_bisects_and_fits():
+    # At angle 3.121 one SO(3)-spray interval over [0, 1] converges to fiber
+    # vectors of norm up to ~98, where the spray's fiber Jacobian has lost
+    # almost all of its rank-two singular value; accepting it left the fit
+    # exhausted at c0 ~ 2.  Refused there, the interval bisects once.
+    h = _z_rotation_homotopy(3.121)
+    spray = group_action_spray(VarietySpec.group("SO", 3))
+    cfg = ApproxConfig(target_c0=1e-3, d_max=12, grid_size=1024)
+    approx = approximate(lambda x: h.eval_many(x, 1.0), h, spray, cfg)
+    assert approx.status == "ok"
+    assert approx.partition == [0.0, 0.5, 1.0]
+    assert approx.c0 <= 1e-3
+
+
+def test_solve_refuses_a_solution_past_the_spray_fold():
+    h = _z_rotation_homotopy(3.121)
+    grid = sphere_quasi_uniform(1024, 2)
+    prod = product_submersion_spray(SPHERE2, group_action_spray(VarietySpec.group("SO", 3)))
+    base = np.hstack([grid, h.f0_many(grid)])
+    target = np.hstack([grid, h.eval_many(grid, 1.0)])
+    with pytest.raises(SprayInversionError, match="lost conditioning"):
+        solve_fiber_many(prod, base, target)
 
 
 def test_track_interval_budget_error():

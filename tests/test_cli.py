@@ -232,6 +232,22 @@ def test_approximate_group_target_has_no_sphere_degree_check(tmp_path, monkeypat
     assert "degree" not in report
 
 
+def test_approximate_wrong_expected_degree_fails(tmp_path, monkeypatch):
+    # The identity demo with a wrong expected degree: the pipeline succeeds,
+    # the checked degree is 1, so the run must fail and still write its report.
+    def build():
+        demo = DEMOS["identity"]()
+        demo.expected_degree = 2
+        return demo
+
+    monkeypatch.setitem(DEMOS, "identity-expecting-2", build)
+    code, report, _ = run_cli(tmp_path, "approximate", {"demo": "identity-expecting-2"})
+    assert code == EXIT_FAIL
+    assert report["approximation"]["status"] == "ok"
+    assert report["degree"]["value"] == 1
+    assert report["degree"]["expected"] == 2
+
+
 def test_approximate_unknown_demo_usage(tmp_path):
     code, _, _ = run_cli(tmp_path, "approximate", {"demo": "missing-demo"})
     assert code == EXIT_USAGE

@@ -436,6 +436,37 @@ def test_compress_a4_first_column_matches_dense_reference():
     np.testing.assert_allclose(reduced.eval_many(z), mats, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_compressed_column_does_not_depend_on_batch_size(k):
+    reduced = compress_to_k_block(a_k(k))
+    z = sphere_quasi_uniform_complex(24, k)
+    batch = reduced.eval_columns(z, [0])
+    for i in range(24):
+        np.testing.assert_array_equal(reduced.eval_columns(z[i : i + 1], [0])[0], batch[i])
+
+
+def _ak_by_concatenation(z, k):
+    # The block recursion built by concatenating broadcast identity blocks.
+    cur = z[:, 0][:, None, None].copy()
+    for j in range(1, k):
+        zj = z[:, j][:, None, None]
+        eye = np.broadcast_to(np.eye(cur.shape[1], dtype=complex), cur.shape)
+        top = np.concatenate([cur, -np.conj(zj) * eye], axis=2)
+        bot = np.concatenate([zj * eye, np.conj(np.swapaxes(cur, 1, 2))], axis=2)
+        cur = np.concatenate([top, bot], axis=1)
+    return cur
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_ak_matrix_matches_concatenated_recursion(k):
+    gen = rng(k)
+    z = gen.standard_normal((40, k)) + 1j * gen.standard_normal((40, k))
+    mats = ak_matrix_many(z, k)
+    ref = _ak_by_concatenation(z, k)
+    assert mats.shape == ref.shape == (40, 2 ** (k - 1), 2 ** (k - 1))
+    assert np.all(mats == ref)
+
+
 def test_compress_draws_the_missed_point_samples_once(monkeypatch):
     counts = []
     draw = degree_mod.sphere_quasi_uniform_complex

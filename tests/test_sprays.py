@@ -402,6 +402,19 @@ def test_batched_newton_matches_single_row_solves():
     assert np.max(np.abs(spray.eval_many(pts, batch) - spray.eval_many(pts, single))) <= 1e-10
 
 
+def test_pinv_step_matches_numpy_pinv_bitwise():
+    gen = rng(22)
+    # Rank-two (the SO(3) spray on S2: 3 fiber axes onto a 2-dimensional
+    # tangent space, plus noise below the cut) and full-rank Jacobians.
+    low = gen.standard_normal((64, 6, 2)) @ gen.standard_normal((64, 2, 3))
+    for jac in (low + 1e-9 * gen.standard_normal((64, 6, 3)), gen.standard_normal((64, 6, 3))):
+        r = gen.standard_normal((64, 6))
+        delta, sigma = sprays_mod._pinv_step(jac, r, 2)
+        ref = -(np.linalg.pinv(jac, rcond=1e-6) @ r[:, :, None])[:, :, 0]
+        np.testing.assert_array_equal(delta, ref)
+        np.testing.assert_array_equal(sigma, np.linalg.svd(jac, full_matrices=False)[1][:, 1])
+
+
 def test_probe_injectivity_radius_reaches_three():
     assert probe_injectivity_radius(stereographic_spray(2)) >= 3.0
     assert probe_injectivity_radius(group_action_spray(SO("SO", 3))) == 0.0  # no inverse
