@@ -163,6 +163,14 @@ def _build_matrix_map(config: dict):
     raise UsageError(f"unknown matrix map {name!r}")
 
 
+# Self-maps of the n-sphere, by name; every other name is a matrix map.
+_SPHERE_SELF_MAPS = {
+    "fermat": lambda config: fermat_power_self_map(int(config["n"]), int(config["k"])),
+    "identity": lambda config: identity_map,
+    "antipodal": lambda config: antipodal_map,
+}
+
+
 def cmd_degree(config: dict, seed: int, out) -> int:
     name = config.get("map")
     opts = DegreeOptions(
@@ -170,18 +178,10 @@ def cmd_degree(config: dict, seed: int, out) -> int:
         n_starts=config.get("n_starts"),
         max_dim=int(config.get("max_dim", 5)),
     )
-    if name in ("a_k", "power", "conj", "sharp"):
-        report = unitary_degree(_build_matrix_map(config), opts)
-    elif name == "fermat":
-        report = sphere_degree(
-            fermat_power_self_map(int(config["n"]), int(config["k"])), int(config["n"]), opts
-        )
-    elif name == "identity":
-        report = sphere_degree(identity_map, int(config["n"]), opts)
-    elif name == "antipodal":
-        report = sphere_degree(antipodal_map, int(config["n"]), opts)
+    if name in _SPHERE_SELF_MAPS:
+        report = sphere_degree(_SPHERE_SELF_MAPS[name](config), int(config["n"]), opts)
     else:
-        raise UsageError(f"unknown map {name!r}")
+        report = unitary_degree(_build_matrix_map(config), opts)
     _write_report({**_header("degree", config, seed), "report": report}, out)
     return EXIT_OK
 

@@ -85,9 +85,6 @@ class MatrixSphereMap:
     eval_many: Callable
     name: str = "f"
 
-    def eval(self, z: np.ndarray) -> np.ndarray:
-        return self.eval_many(np.asarray(z, dtype=complex)[None])[0]
-
     def eval_columns(self, z: np.ndarray, cols) -> np.ndarray:
         """Columns ``cols`` of the values at rows z, shape (N, p, len(cols))."""
         return self.eval_many(z)[:, :, list(cols)]
@@ -485,6 +482,7 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
         signs=counted.signs,
         cross_check_value=counted.value,
         winding_residual=residual,
+        redraws=counted.redraws,
     )
 
 

@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_MEMBERSHIP_TOL = 1e-10
 CAYLEY_CONDITION_LIMIT = 1e12
 
 _GROUP_KINDS = ("O", "SO", "U", "SU")
@@ -202,11 +201,6 @@ def membership_residual(p: np.ndarray, spec: VarietySpec) -> float:
     return float(membership_residual_many(p[None], spec)[0])
 
 
-def is_member(p: np.ndarray, spec: VarietySpec, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """True iff the defining equations of ``spec`` hold at ``p`` within ``tol``."""
-    return membership_residual(p, spec) <= tol
-
-
 def membership_residual_many(points: np.ndarray, spec: VarietySpec) -> np.ndarray:
     """Per-row membership residuals for a batch of points, shape (N,)."""
     p = np.asarray(points, dtype=float)
@@ -306,14 +300,6 @@ def fermat_power_map(x: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"odd positive exponent required, got {k}")
     x = np.asarray(x, dtype=float)
     return x**k
-
-
-def fermat_root_map(y: np.ndarray, k: int) -> np.ndarray:
-    """Coordinatewise real k-th root, inverse of :func:`fermat_power_map` for odd k."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"odd positive exponent required, got {k}")
-    y = np.asarray(y, dtype=float)
-    return np.sign(y) * np.abs(y) ** (1.0 / k)
 
 
 def radial_to_fermat(x: np.ndarray, exponent: int) -> np.ndarray:

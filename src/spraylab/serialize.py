@@ -1,9 +1,6 @@
-"""JSON (de)serialization for points, matrices, variety specs, and reports.
+"""JSON (de)serialization for variety specs and reports.
 
 Schemas:
-  point   {"coords": [x0, x1, ...]}
-  matrix  {"rows": r, "cols": c, "entries": [...]} row-major; complex entries
-          are [re, im] pairs
   variety {"kind": "sphere", "n": 2} / {"kind": "SO", "m": 3} /
           {"kind": "fermat_sphere", "n": 2, "exponent": 6} /
           {"kind": "product", "factors": [...]}
@@ -22,7 +19,7 @@ import re
 
 import numpy as np
 
-from .geometry import ShapeError, VarietySpec
+from .geometry import VarietySpec
 
 
 def variety_to_json(spec: VarietySpec) -> dict:
@@ -61,45 +58,6 @@ def parse_variety_label(label: str) -> VarietySpec:
     if m.group(1):
         return VarietySpec.sphere(int(m.group(2)))
     return VarietySpec.group(m.group(3), int(m.group(4)))
-
-
-def point_to_json(p: np.ndarray) -> dict:
-    return {"coords": [float(x) for x in np.asarray(p, dtype=float)]}
-
-
-def point_from_json(data: dict) -> np.ndarray:
-    coords = np.asarray(data["coords"], dtype=float)
-    if coords.ndim != 1:
-        raise ShapeError("point coords must be a flat list")
-    if not np.all(np.isfinite(coords)):
-        raise ValueError("point has non-finite coordinates")
-    return coords
-
-
-def matrix_to_json(mat: np.ndarray) -> dict:
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise ShapeError("matrix must be 2-d")
-    rows, cols = mat.shape
-    if np.iscomplexobj(mat):
-        entries = [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
-    else:
-        entries = [float(x) for x in mat.reshape(-1)]
-    return {"rows": rows, "cols": cols, "entries": entries}
-
-
-def matrix_from_json(data: dict) -> np.ndarray:
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = data["entries"]
-    if len(entries) != rows * cols:
-        raise ShapeError(f"expected {rows * cols} entries, got {len(entries)}")
-    if any(isinstance(e, (list, tuple)) for e in entries):
-        vals = np.array([complex(e[0], e[1]) for e in entries])
-    else:
-        vals = np.asarray(entries, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("matrix has non-finite entries")
-    return vals.reshape(rows, cols)
 
 
 def decimal_string(x: float) -> str:

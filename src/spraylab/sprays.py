@@ -2,9 +2,10 @@
 and local inversion near the zero section.
 
 Every spray here is trivialized: the total space is base x R^fiber_dim, the
-zero section is (y, 0), and ``eval(y, v)`` is a regular map landing back in
-the base (for product-submersion sprays, in the fiber of the projection
-through (x, y), i.e. the x-block is preserved exactly).
+zero section is (y, 0), and ``eval_many(y, v)`` is a regular map, batched
+over rows, landing back in the base (for product-submersion sprays, in the
+fiber of the projection through (x, y), i.e. the x-block is preserved
+exactly).
 """
 
 from __future__ import annotations
@@ -76,15 +77,6 @@ class Spray:
     inverse_many: Optional[Callable] = None
     vertical_frame: Optional[Callable] = None
     x_dim: int = 0
-
-    def eval(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = self.eval_many(np.asarray(y, float)[None], np.asarray(v, float)[None])
-        return out[0]
-
-    def inverse(self, y: np.ndarray, q: np.ndarray) -> np.ndarray:
-        if self.inverse_many is None:
-            raise SprayInversionError(f"{self.kind} spray has no exact inverse")
-        return self.inverse_many(np.asarray(y, float)[None], np.asarray(q, float)[None])[0]
 
     def descriptor(self) -> dict:
         return {
@@ -325,7 +317,7 @@ def product_submersion_spray(x_spec: VarietySpec, spray_y: Spray) -> Spray:
 def iterated_spray(spray: Spray, k: int) -> Spray:
     """k-fold iterate: blocks are fed left to right through the base spray.
 
-    eval(z, (v_1, ..., v_k)) = s(s(...s(z, v_1)..., v_(k-1)), v_k); with all
+    s_k(z, (v_1, ..., v_k)) = s(s(...s(z, v_1)..., v_(k-1)), v_k); with all
     blocks zero this returns z, and with only the first block nonzero it
     reproduces the base spray.
     """
@@ -351,18 +343,16 @@ def iterated_spray(spray: Spray, k: int) -> Spray:
     )
 
 
-def constant_spray(spec: VarietySpec, fiber_dim: Optional[int] = None) -> Spray:
+def constant_spray(spec: VarietySpec) -> Spray:
     """Degenerate test fixture: s(y, v) = y.  Satisfies the axioms, never dominates."""
-    fd = spec.dim if fiber_dim is None else fiber_dim
-
     return Spray(
         kind="constant",
         base=spec,
-        fiber_dim=fd,
+        fiber_dim=spec.dim,
         required_rank=spec.dim,
         eval_many=lambda points, vs: points.copy(),
         vertical_frame=lambda pts: variety_tangent_frame(pts, spec),
-        params={"fiber_dim": fd},
+        params={"fiber_dim": spec.dim},
     )
 
 
@@ -497,15 +487,6 @@ def verify_dominating(
 # ---------------------------------------------------------------------------
 
 
-def spray_local_inverse(
-    spray: Spray, y: np.ndarray, q: np.ndarray, cfg: Optional[NewtonConfig] = None
-) -> np.ndarray:
-    """Single-point :func:`solve_fiber_many`: the fiber vector xi with s(y, xi) = q."""
-    y = np.asarray(y, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return solve_fiber_many(spray, y[None], q[None], cfg)[0]
-
-
 def solve_fiber_many(
     spray: Spray, points: np.ndarray, targets: np.ndarray, cfg: Optional[NewtonConfig] = None
 ) -> np.ndarray:
@@ -599,7 +580,7 @@ def _pinv_step(jac: np.ndarray, r: np.ndarray, rank: int) -> tuple:
 
 
 def probe_injectivity_radius(spray: Spray, seed: int = 0) -> float:
-    """Largest probed fiber radius at which inverse(eval(y, v)) recovers v.
+    """Largest probed fiber radius at which inverse_many(eval_many(y, v)) recovers v.
 
     Returns 0.0 when no probed radius round-trips (or the spray has no
     inverse).  This is an empirical stand-in for an injectivity bound the

@@ -22,6 +22,7 @@ from spraylab.degree import (
     homogeneous_extension,
     identity_map,
     power_map_matrix,
+    preimage_count_degree,
     sharp_product,
     sphere_degree,
     unitary_degree,
@@ -201,6 +202,33 @@ def test_degeneracy_error_on_pinned_critical_value():
     starts = sphere_quasi_uniform(100, 1)
     with pytest.raises(DegeneracyError):
         _preimage_count_once(folded, 1, PinnedGen(), starts, opts)
+
+
+@pytest.mark.parametrize(
+    "degree_of, expected",
+    [
+        (lambda: preimage_count_degree(circle_power_map(2), 1, DegreeOptions()), 2),
+        (lambda: sphere_degree(circle_power_map(2), 1), 2),
+        (lambda: unitary_degree(power_map_matrix(-2)), -2),
+    ],
+    ids=["preimage_count", "sphere_degree", "unitary_degree"],
+)
+def test_redrawn_regular_value_is_reported(degree_of, expected, monkeypatch):
+    # On S1 the report is rebuilt around the winding number; the preimage
+    # cross-check's redraws must survive that, also through the column formula.
+    calibration_sign()  # cached before any value is rejected
+    rejected = []
+
+    def reject_first(*args):
+        if not rejected:
+            rejected.append(args)
+            raise _RegularValueReject("rejected by the test")
+        return _preimage_signs(*args)
+
+    monkeypatch.setattr(degree_mod, "_preimage_signs", reject_first)
+    report = degree_of()
+    assert rejected
+    assert (report.value, report.redraws) == (expected, 1)
 
 
 def _dedup_reference(points, radius):

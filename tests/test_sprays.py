@@ -18,7 +18,6 @@ from spraylab.sprays import (
     probe_injectivity_radius,
     product_submersion_spray,
     solve_fiber_many,
-    spray_local_inverse,
     stereographic_spray,
     verify_dominating,
     verify_spray_axioms,
@@ -100,7 +99,8 @@ def test_corrupted_spray_fails_with_planted_violation():
 def test_stereographic_circle_hand_case():
     # The line from -e1 through e1 + 2 e2 meets the circle again at e2.
     spray = stereographic_spray(1)
-    np.testing.assert_allclose(spray.eval([1.0, 0.0], [2.0]), [0.0, 1.0], atol=1e-15)
+    out = spray.eval_many(np.array([[1.0, 0.0]]), np.array([[2.0]]))
+    np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-15)
 
 
 def test_stereographic_matches_line_sphere_intersection():
@@ -117,7 +117,7 @@ def test_stereographic_matches_line_sphere_intersection():
         a = 4.0 + w @ w
         s = 4.0 / a  # nonzero root of |l(s)|^2 = 1
         expected = -p + s * (2.0 * p + w)
-        np.testing.assert_allclose(spray.eval(p, v), expected, atol=1e-14)
+        np.testing.assert_allclose(spray.eval_many(p[None], v[None])[0], expected, atol=1e-14)
 
 
 def test_stereographic_roundtrip_radius_three():
@@ -131,18 +131,18 @@ def test_stereographic_roundtrip_radius_three():
 
 def test_stereographic_ambient_projects_normal_component():
     spray = stereographic_spray(2, fiber="ambient")
-    p = np.array([0.0, 0.0, 1.0])
-    v_tangent = np.array([0.4, -0.2, 0.0])
+    p = np.array([[0.0, 0.0, 1.0]])
+    v_tangent = np.array([[0.4, -0.2, 0.0]])
     for radial in (0.0, 1.0, -2.5):
-        out = spray.eval(p, v_tangent + radial * p)
-        np.testing.assert_allclose(out, spray.eval(p, v_tangent), atol=1e-15)
+        out = spray.eval_many(p, v_tangent + radial * p)
+        np.testing.assert_allclose(out, spray.eval_many(p, v_tangent), atol=1e-15)
 
 
 def test_stereographic_antipode_error():
     spray = stereographic_spray(2)
-    p = np.array([0.0, 0.0, 1.0])
+    p = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(AntipodeError):
-        spray.inverse(p, -p)
+        spray.inverse_many(p, -p)
 
 
 @pytest.mark.parametrize("fiber", ["frame", "ambient"])
@@ -168,17 +168,17 @@ def test_stereographic_huge_fiber_lands_on_antipode(fiber):
 
 def test_so2_zero_vector_is_identity_rotation():
     spray = group_action_spray(SO("SO", 2))
-    y = np.array([0.6, 0.8])
-    np.testing.assert_allclose(spray.eval(y, [0.0]), y, atol=0)
+    y = np.array([[0.6, 0.8]])
+    np.testing.assert_allclose(spray.eval_many(y, np.zeros((1, 1))), y, atol=0)
 
 
 def test_so3_rotation_axis_fixed_point():
     # The first basis generator spans the (x, y) rotation plane, so e3 is
     # an axis fixed point for any coefficient on that generator.
     spray = group_action_spray(SO("SO", 3))
-    e3 = np.array([0.0, 0.0, 1.0])
+    e3 = np.array([[0.0, 0.0, 1.0]])
     for t in (0.1, 0.5, 2.0):
-        np.testing.assert_allclose(spray.eval(e3, [t, 0.0, 0.0]), e3, atol=1e-15)
+        np.testing.assert_allclose(spray.eval_many(e3, np.array([[t, 0.0, 0.0]])), e3, atol=1e-15)
 
 
 def test_group_spray_with_shrink_still_a_spray():
@@ -335,8 +335,8 @@ def test_iterated_rejects_zero_count():
 
 def test_local_inverse_zero_section():
     for spray in (stereographic_spray(2), group_action_spray(SO("SO", 3))):
-        y = sample_variety(spray.base, 1, 13)[0]
-        v = spray_local_inverse(spray, y, y)
+        y = sample_variety(spray.base, 1, 13)
+        v = solve_fiber_many(spray, y, y)
         assert np.max(np.abs(v)) <= 1e-9
 
 
@@ -344,45 +344,45 @@ def test_local_inverse_roundtrip_stereographic():
     spray = stereographic_spray(2)
     gen = rng(14)
     for _ in range(25):
-        y = sample_variety(spray.base, 1, int(gen.integers(1 << 30)))[0]
-        v = gen.normal(size=2)
-        q = spray.eval(y, v)
-        np.testing.assert_allclose(spray_local_inverse(spray, y, q), v, atol=1e-10)
+        y = sample_variety(spray.base, 1, int(gen.integers(1 << 30)))
+        v = gen.normal(size=2)[None]
+        q = spray.eval_many(y, v)
+        np.testing.assert_allclose(solve_fiber_many(spray, y, q), v, atol=1e-10)
 
 
 def test_local_inverse_near_antipode_diverges():
     spray = stereographic_spray(2)
-    y = np.array([0.0, 0.6, 0.8])
+    y = np.array([[0.0, 0.6, 0.8]])
     q = -y + 1e-3 * np.array([1.0, 0.0, 0.0])
     q /= np.linalg.norm(q)
     with pytest.raises(SprayInversionError):
-        spray_local_inverse(spray, y, q)
+        solve_fiber_many(spray, y, q)
 
 
 def test_local_inverse_newton_fallback_on_sphere_action():
     spray = group_action_spray(SO("SO", 3))
-    y = sample_variety(spray.base, 1, 15)[0]
-    q = spray.eval(y, np.array([0.2, -0.1, 0.3]))
-    v = spray_local_inverse(spray, y, q)
+    y = sample_variety(spray.base, 1, 15)
+    q = spray.eval_many(y, np.array([[0.2, -0.1, 0.3]]))
+    v = solve_fiber_many(spray, y, q)
     # The fiber is 3-dimensional over a 2-dimensional base, so only the
     # image point is pinned down, not the fiber vector itself.
-    assert np.max(np.abs(spray.eval(y, v) - q)) <= 1e-10
+    assert np.max(np.abs(spray.eval_many(y, v) - q)) <= 1e-10
 
 
 def test_local_inverse_self_action_exact():
     spray = group_action_spray(SO("SU", 2), SO("SU", 2))
-    y = sample_variety(spray.base, 1, 16)[0]
-    v = np.array([0.12, -0.2, 0.31])
-    q = spray.eval(y, v)
-    np.testing.assert_allclose(spray_local_inverse(spray, y, q), v, atol=1e-10)
+    y = sample_variety(spray.base, 1, 16)
+    v = np.array([[0.12, -0.2, 0.31]])
+    q = spray.eval_many(y, v)
+    np.testing.assert_allclose(solve_fiber_many(spray, y, q), v, atol=1e-10)
 
 
 def test_newton_divergence_error():
     spray = group_action_spray(SO("SO", 3))
-    y = np.array([0.0, 0.0, 1.0])
+    y = np.array([[0.0, 0.0, 1.0]])
     cfg = NewtonConfig(max_iter=4)
     with pytest.raises(SprayInversionError):
-        spray_local_inverse(spray, y, -y, cfg)
+        solve_fiber_many(spray, y, -y, cfg)
     # One unreachable row fails the whole batch, even when the others converge.
     pts = sample_variety(spray.base, 8, 18)
     targets = spray.eval_many(pts, sample_fiber(3, 8, rng(19), 0.3))
@@ -397,7 +397,7 @@ def test_batched_newton_matches_single_row_solves():
     pts = sample_variety(spray.base, 64, 20)
     targets = spray.eval_many(pts, sample_fiber(3, 64, rng(21), 1.0))
     batch = solve_fiber_many(spray, pts, targets)
-    single = np.array([spray_local_inverse(spray, p, q) for p, q in zip(pts, targets)])
+    single = np.array([solve_fiber_many(spray, p[None], q[None])[0] for p, q in zip(pts, targets)])
     assert np.max(np.abs(spray.eval_many(pts, batch) - targets)) <= 1e-10
     assert np.max(np.abs(spray.eval_many(pts, batch) - spray.eval_many(pts, single))) <= 1e-10
 
