@@ -7,7 +7,6 @@ from .approx import (
     HomotopyTooWildError,
     PolynomialMapSpec,
     RegularApproximation,
-    TrackConfig,
     approximate,
     approximation_error,
     assemble_regular_map,
@@ -49,7 +48,6 @@ from .geometry import (
 )
 from .sprays import (
     AntipodeError,
-    NewtonConfig,
     Spray,
     SprayInversionError,
     constant_spray,

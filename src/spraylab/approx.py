@@ -24,7 +24,6 @@ from .geometry import (
 from .sampling import sphere_quasi_uniform
 from .serialize import decimal_string, variety_to_json
 from .sprays import (
-    NewtonConfig,
     Spray,
     SprayInversionError,
     fiber_differences,
@@ -34,6 +33,7 @@ from .sprays import (
 )
 
 TRACK_TOL = 1e-10  # max-abs miss of a tracked node from the homotopy section
+_MAX_INTERVALS = 64  # the homotopy partition's interval budget
 _FD_STEP = 1e-5  # central differences of the error stage and the Lipschitz probe
 # The fit's held-out target leaves this factor of slack for the first-order
 # bound c0 <= lipschitz * max|beta - eta| + tracking residual.
@@ -89,12 +89,6 @@ class Homotopy:
 
 
 @dataclass
-class TrackConfig:
-    max_intervals: int = 64
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
-
-
-@dataclass
 class TrackResult:
     eta: np.ndarray
     partition: list
@@ -103,9 +97,7 @@ class TrackResult:
     spray: Spray  # the iterated spray with one block per interval
 
 
-def track_eta(
-    homotopy: Homotopy, spray_y: Spray, grid: np.ndarray, cfg: Optional[TrackConfig] = None
-) -> TrackResult:
+def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResult:
     """Chain per-interval fiber vectors so the iterated spray reproduces F(., 1).
 
     Starts from the single interval [0, 1] and walks the partition left to
@@ -117,9 +109,9 @@ def track_eta(
     chain from t = 0 would, with one solve per accepted interval and one per
     bisection.  The returned eta stacks the interval solutions in order;
     feeding it to the iterated spray from (x, F0(x)) lands on (x, F(x, 1))
-    within TRACK_TOL.
+    within TRACK_TOL.  Raises HomotopyTooWildError when the partition would
+    need more than ``_MAX_INTERVALS`` intervals.
     """
-    cfg = cfg or TrackConfig()
     grid = np.asarray(grid, dtype=float)
     prod = product_submersion_spray(homotopy.domain, spray_y)
     base = np.hstack([grid, homotopy.f0_many(grid)])
@@ -134,7 +126,7 @@ def track_eta(
         i = len(blocks)
         target = section(partition[i + 1])
         try:
-            vs = solve_fiber_many(prod, cur, target, cfg.newton)
+            vs = solve_fiber_many(prod, cur, target)
         except SprayInversionError:
             node_res = np.inf
         else:
@@ -142,10 +134,8 @@ def track_eta(
             node_res = float(np.max(np.abs(node - target)))
         if node_res > TRACK_TOL:
             partition.insert(i + 1, 0.5 * (partition[i] + partition[i + 1]))
-            if len(partition) - 1 > cfg.max_intervals:
-                raise HomotopyTooWildError(
-                    f"partition needs more than {cfg.max_intervals} intervals"
-                )
+            if len(partition) - 1 > _MAX_INTERVALS:
+                raise HomotopyTooWildError(f"partition needs more than {_MAX_INTERVALS} intervals")
             continue
         blocks.append(vs)
         node_residuals.append(node_res)
@@ -397,13 +387,14 @@ def approximation_error(g_many: Callable, f_many: Callable, grid: np.ndarray) ->
 @dataclass
 class ApproxConfig:
     """Pipeline settings.  ``seed`` only labels the report: the grid is
-    quasi-uniform and deterministic, so no stage draws random numbers."""
+    quasi-uniform and deterministic, so no stage draws random numbers.
+    Tracking runs under fixed limits: ``_MAX_INTERVALS`` here, and
+    ``sprays._NEWTON_MAX_ITER`` and ``sprays._MAX_FIBER_NORM`` per solve."""
 
     target_c0: float = 1e-3
     d_max: int = 20
     grid_size: Optional[int] = None
     seed: int = 0
-    track: TrackConfig = field(default_factory=TrackConfig)
 
 
 def _spray_fiber_lipschitz(track: TrackResult, base: np.ndarray) -> float:
@@ -437,7 +428,7 @@ def approximate(
     if dev > 1e-10:
         raise ValueError(f"homotopy endpoint deviates from the input map by {dev:.3e}")
 
-    track = track_eta(homotopy, spray_y, grid, cfg.track)
+    track = track_eta(homotopy, spray_y, grid)
     base = np.hstack([grid, homotopy.f0_many(grid)])
     lip = _spray_fiber_lipschitz(track, base)
     target_resid = max(

@@ -153,7 +153,7 @@ def cmd_verify_spray(config: dict, seed: int, out) -> int:
 def _build_matrix_map(config: dict):
     name = config.get("map")
     if name == "a_k":
-        return a_k(int(config["k"]), cap=int(config.get("cap", 6)))
+        return a_k(int(config["k"]))
     if name == "power":
         return power_map_matrix(int(config["d"]))
     if name == "conj":
@@ -188,7 +188,7 @@ def cmd_degree(config: dict, seed: int, out) -> int:
 
 def cmd_make_ak(config: dict, seed: int, out) -> int:
     k = int(config["k"])
-    mapping = a_k(k, cap=int(config.get("cap", 6)))
+    mapping = a_k(k)
     identities = verify_ak_identities(
         k, n_samples=int(config.get("samples", 1000)), seed=seed
     )

@@ -42,13 +42,14 @@ from .geometry import (
 )
 from .sampling import rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
 
-DEFAULT_AK_CAP = 6
-
+_AK_CAP = 6  # largest k of a_k: its matrices grow as 2^(k-1)
 _CHECK_SAMPLES = 256  # sphere samples of min_abs_det and max_unitarity_defect
 _WINDING_GRID = 1 << 16
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
 _FD_STEP = 1e-6
+_MIN_JACOBIAN = 1e-8  # smallest |det| at a preimage of a regular value
+_MAX_REDRAWS = 5  # regular values redrawn before DegeneracyError
 _DEDUP_RADIUS = 1e-6
 _MISSED_SAMPLES = 4096  # the missed-point search of compress_to_k_block
 _MISSED_CANDIDATES = 128
@@ -178,12 +179,15 @@ def ak_matrix_many(z: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def a_k(k: int, cap: int = DEFAULT_AK_CAP) -> MatrixSphereMap:
-    """The k-th map of the recursive family, S^(2k-1) -> SU(2^(k-1)) for k >= 2."""
+def a_k(k: int) -> MatrixSphereMap:
+    """The k-th map of the recursive family, S^(2k-1) -> SU(2^(k-1)) for k >= 2.
+
+    Raises ValueError for k < 1 or k > ``_AK_CAP``.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > cap:
-        raise ValueError(f"k = {k} exceeds the size cap {cap} (matrices grow as 2^(k-1))")
+    if k > _AK_CAP:
+        raise ValueError(f"k = {k} exceeds the size cap {_AK_CAP} (matrices grow as 2^(k-1))")
     return MatrixSphereMap(
         k=k, p=2 ** (k - 1), eval_many=lambda z: ak_matrix_many(z, k), name=f"a_{k}"
     )
@@ -291,8 +295,6 @@ def verify_ak_identities(
 class DegreeOptions:
     seed: int = 0
     n_starts: Optional[int] = None  # defaults to 200 * n
-    min_jacobian: float = 1e-8
-    max_redraws: int = 5
     max_dim: int = 5
 
 
@@ -387,18 +389,19 @@ def _dedup_points(points: np.ndarray, radius: float):
     return np.array(reps), counts
 
 
-def _preimage_signs(map_many, preimages, y, fd_step, min_jacobian):
+def _preimage_signs(map_many, preimages, y):
     """Orientation signs of the map at each preimage; reject near-singular values.
 
-    Central differences along every preimage's oriented frame.
+    Central differences with step ``_FD_STEP`` along every preimage's oriented
+    frame; a Jacobian determinant below ``_MIN_JACOBIAN`` rejects y.
     """
     if preimages.shape[0] == 0:
         return [], []
     frame_y = oriented_sphere_frame_many(y)
-    step = fd_step * oriented_sphere_frame_many(preimages)  # (P, n, n+1)
+    step = _FD_STEP * oriented_sphere_frame_many(preimages)  # (P, n, n+1)
     diff = tangent_probes(map_many, preimages, step) - tangent_probes(map_many, preimages, -step)
-    dets = np.linalg.det(frame_y @ (diff / (2.0 * fd_step)))
-    bad = np.flatnonzero(np.abs(dets) < min_jacobian)
+    dets = np.linalg.det(frame_y @ (diff / (2.0 * _FD_STEP)))
+    bad = np.flatnonzero(np.abs(dets) < _MIN_JACOBIAN)
     if bad.size:
         raise _RegularValueReject(f"near-singular preimage (|det| = {abs(dets[bad[0]]):.3e})")
     return [1 if d > 0 else -1 for d in dets], [float(d) for d in dets]
@@ -411,7 +414,7 @@ def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
         try:
             converged, max_resid = _newton_preimages(map_many, y, starts)
             preimages, counts = _dedup_points(converged, _DEDUP_RADIUS)
-            signs, dets = _preimage_signs(map_many, preimages, y, _FD_STEP, opts.min_jacobian)
+            signs, dets = _preimage_signs(map_many, preimages, y)
             return DegreeReport(
                 value=int(sum(signs)),
                 method="preimage_count",
@@ -427,10 +430,9 @@ def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
             )
         except _RegularValueReject:
             redraws += 1
-            if redraws > opts.max_redraws:
-                raise DegeneracyError(
-                    f"no regular value found after {opts.max_redraws} redraws"
-                ) from None
+            if redraws > _MAX_REDRAWS:
+                message = f"no regular value found after {_MAX_REDRAWS} redraws"
+                raise DegeneracyError(message) from None
 
 
 def preimage_count_degree(map_many: Callable, n: int, opts: DegreeOptions) -> DegreeReport:
@@ -453,7 +455,8 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
 
     ``map_many`` maps batched ambient rows (N, n+1) of sphere points to
     sphere points.  n = 1 integrates the winding number over a fine grid
-    and cross-checks it against preimage counting; n >= 2 counts signed
+    and cross-checks it against preimage counting, whose report it returns
+    relabelled "winding" with the winding residual; n >= 2 counts signed
     preimages of a regular value, with rejection of near-singular values
     and a second independent regular value as a consistency check.
     """
@@ -472,18 +475,7 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
         raise InconsistencyError(
             f"winding ({value}) and preimage count ({counted.value}) disagree"
         )
-    return DegreeReport(
-        value=value,
-        method="winding",
-        n=1,
-        seed=opts.seed,
-        regular_value=counted.regular_value,
-        preimages=counted.preimages,
-        signs=counted.signs,
-        cross_check_value=counted.value,
-        winding_residual=residual,
-        redraws=counted.redraws,
-    )
+    return replace(counted, method="winding", winding_residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each builder returns the pieces the pipeline needs: the smooth input map,
 a homotopy connecting it to an exact rational map, the spray on the target,
-and default pipeline settings.  New demos can be registered by name through
-:func:`register_demo`.
+and its default ``ApproxConfig`` (target accuracy and degree cap; tracking
+runs under the fixed limits ``approx._MAX_INTERVALS``,
+``sprays._NEWTON_MAX_ITER`` and ``sprays._MAX_FIBER_NORM``).  ``DEMOS`` maps
+each CLI demo name to its builder.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from .approx import ApproxConfig, Homotopy, monomial_exponents
+from .degree import identity_map
 from .geometry import VarietySpec
 from .sampling import normalize_rows
 from .serialize import decimal_string
@@ -50,22 +53,18 @@ def _poly_descriptor(name: str, formula: str, input_dim: int, degree: int, colum
 def s1_identity() -> DemoSetup:
     """Identity on the circle through the constant homotopy; exact output."""
     circle = VarietySpec.sphere(1)
-
-    def ident(x):
-        return np.asarray(x, dtype=float).copy()
-
     homotopy = Homotopy(
         domain=circle,
         target=circle,
-        eval_many=lambda x, t: ident(x),
-        f0_many=ident,
+        eval_many=lambda x, t: identity_map(x),
+        f0_many=identity_map,
         f0_descriptor=_poly_descriptor(
             "identity", "(x, y)", 2, 1, [{(1, 0): 1.0}, {(0, 1): 1.0}]
         ),
     )
     return DemoSetup(
         name="identity",
-        f_many=ident,
+        f_many=identity_map,
         homotopy=homotopy,
         spray=stereographic_spray(1, fiber="ambient"),
         cfg=ApproxConfig(target_c0=1e-3, d_max=8),
@@ -129,14 +128,11 @@ def s2_bump_identity() -> DemoSetup:
         x = np.asarray(x, dtype=float)
         return normalize_rows(x + 0.2 * t * _bump_field(x))
 
-    def ident(x):
-        return np.asarray(x, dtype=float).copy()
-
     homotopy = Homotopy(
         domain=sphere,
         target=sphere,
         eval_many=at_time,
-        f0_many=ident,
+        f0_many=identity_map,
         f0_descriptor=_poly_descriptor(
             "identity",
             "(x, y, z)",
@@ -160,8 +156,3 @@ DEMOS: Dict[str, Callable[[], DemoSetup]] = {
     "s1-power-2-wiggle": s1_power2_wiggle,
     "s2-bump-identity": s2_bump_identity,
 }
-
-
-def register_demo(name: str, builder: Callable[[], DemoSetup]) -> None:
-    """Plugin hook: make a demo available to the CLI under ``name``."""
-    DEMOS[name] = builder

@@ -45,17 +45,11 @@ class AntipodeError(SprayInversionError):
 
 _NEWTON_TOL = 1e-11  # see solve_fiber_many
 _NEWTON_FD_STEP = 1e-7
+_NEWTON_MAX_ITER = 50
+_MAX_FIBER_NORM = 100.0  # radius of the fiber ball solve_fiber_many stays in
 # Smallest accepted ratio of sigma_r, the required-rank singular value of a
 # row's fiber Jacobian, at a Gauss-Newton solution to its value at v = 0.
 _MIN_SIGMA_RATIO = 0.1
-
-
-@dataclass
-class NewtonConfig:
-    """Iteration cap and fiber-ball radius of :func:`solve_fiber_many`."""
-
-    max_iter: int = 50
-    max_fiber_norm: float = 100.0
 
 
 @dataclass
@@ -487,34 +481,31 @@ def verify_dominating(
 # ---------------------------------------------------------------------------
 
 
-def solve_fiber_many(
-    spray: Spray, points: np.ndarray, targets: np.ndarray, cfg: Optional[NewtonConfig] = None
-) -> np.ndarray:
+def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Fiber vectors xi with s(y, xi) = q per row, for q near the image of the zero section.
 
     A spray with an exact inverse uses it, then checks max |xi| against
-    ``cfg.max_fiber_norm`` and the max-abs image residual against 1e-8.
+    ``_MAX_FIBER_NORM`` and the max-abs image residual against 1e-8.
     Otherwise one masked, damped Gauss-Newton runs from xi = 0 over all rows:
     only rows whose residual norm is above 1e-11 are evaluated and stepped.
     Each active row gets central-difference Jacobian columns with step
     1e-7 * (1 + |xi_row|) (all probes in one :func:`fiber_differences` call),
     a minimal-norm step through the pseudo-inverse, and its own halving line
     search.  Raises SprayInversionError for the whole batch when any row
-    stalls below step 1/1024, leaves the ``max_fiber_norm`` ball, has not
-    converged after ``cfg.max_iter`` iterations, or converged where its
+    stalls below step 1/1024, leaves the ``_MAX_FIBER_NORM`` ball, has not
+    converged after ``_NEWTON_MAX_ITER`` iterations, or converged where its
     Jacobian has lost conditioning: sigma_r (r = ``spray.required_rank``) of
     the row's last Jacobian below 0.1 times its value at xi = 0.  The caller
     is expected to refine its homotopy partition on that signal.  The result
     depends only on the arguments, so equal calls return bitwise-equal
     vectors.
     """
-    cfg = cfg or NewtonConfig()
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if spray.inverse_many is not None:
         vs = spray.inverse_many(points, targets)
         norms = np.linalg.norm(vs, axis=1)
-        if np.max(norms) > cfg.max_fiber_norm:
+        if np.max(norms) > _MAX_FIBER_NORM:
             raise SprayInversionError(
                 f"exact inverse outside the local neighborhood (max |v| = {np.max(norms):.3e})"
             )
@@ -527,7 +518,7 @@ def solve_fiber_many(
     rn = np.linalg.norm(resid, axis=1)
     sigma = np.ones(points.shape[0])  # sigma_r of each row's latest Jacobian
     sigma0 = None
-    for _ in range(cfg.max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         act = np.flatnonzero(~(rn <= _NEWTON_TOL))  # a NaN residual stays active
         if act.size == 0:
             break
@@ -549,11 +540,11 @@ def solve_fiber_many(
             step *= 0.5
             if searching.size and step < 1.0 / 1024.0:
                 raise SprayInversionError("damped Gauss-Newton stalled")
-        if np.max(np.linalg.norm(vs[act], axis=1)) > cfg.max_fiber_norm:
+        if np.max(np.linalg.norm(vs[act], axis=1)) > _MAX_FIBER_NORM:
             raise SprayInversionError("iterate left the local inversion neighborhood")
     if not np.all(rn <= _NEWTON_TOL):
         raise SprayInversionError(
-            f"no convergence after {cfg.max_iter} iterations (residual {np.max(rn):.3e})"
+            f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {np.max(rn):.3e})"
         )
     # Accept only solutions where the spray still submerses about as well as
     # at the zero section: a row whose last Jacobian lost most of its rank-r

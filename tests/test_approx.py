@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import spraylab.approx as approx_mod
+import spraylab.sprays as sprays_mod
 from spraylab.approx import (
     ApproxConfig,
     DegreeExhaustedError,
     Homotopy,
     HomotopyTooWildError,
-    TrackConfig,
     approximate,
     approximation_error,
     assemble_regular_map,
@@ -24,7 +24,6 @@ from spraylab.geometry import VarietySpec, membership_residual_many, sphere_tang
 from spraylab.sampling import normalize_rows, rng, sphere_quasi_uniform
 from spraylab.serialize import dumps_canonical
 from spraylab.sprays import (
-    NewtonConfig,
     SprayInversionError,
     group_action_spray,
     product_submersion_spray,
@@ -116,11 +115,9 @@ def test_track_resumes_after_bisection(monkeypatch, max_fiber_norm, intervals):
         return solve(*args)
 
     monkeypatch.setattr(approx_mod, "solve_fiber_many", spy)
-    cfg = TrackConfig(newton=NewtonConfig(max_fiber_norm=max_fiber_norm))
+    monkeypatch.setattr(sprays_mod, "_MAX_FIBER_NORM", max_fiber_norm)
     grid = sphere_quasi_uniform(128, 1)
-    result = track_eta(
-        _rotation_homotopy(np.pi), stereographic_spray(1, fiber="ambient"), grid, cfg
-    )
+    result = track_eta(_rotation_homotopy(np.pi), stereographic_spray(1, fiber="ambient"), grid)
     assert len(result.partition) - 1 == intervals
     assert len(calls) == 2 * intervals - 1
     assert result.final_residual <= approx_mod.TRACK_TOL
@@ -136,8 +133,7 @@ def test_track_newton_only_spray_so3_on_s2():
     spray = group_action_spray(VarietySpec.group("SO", 3))
     assert spray.inverse_many is None
     h = Homotopy(SPHERE2, SPHERE2, at_time, _identity, {"name": "identity"})
-    cfg = TrackConfig()
-    result = track_eta(h, spray, sphere_quasi_uniform(128, 2), cfg)
+    result = track_eta(h, spray, sphere_quasi_uniform(128, 2))
     assert result.final_residual <= approx_mod.TRACK_TOL
     assert max(result.node_residuals) <= approx_mod.TRACK_TOL
 
@@ -175,11 +171,11 @@ def test_solve_refuses_a_solution_past_the_spray_fold():
         solve_fiber_many(prod, base, target)
 
 
-def test_track_interval_budget_error():
+def test_track_interval_budget_error(monkeypatch):
     grid = sphere_quasi_uniform(32, 1)
-    cfg = TrackConfig(max_intervals=1)
+    monkeypatch.setattr(approx_mod, "_MAX_INTERVALS", 1)
     with pytest.raises(HomotopyTooWildError):
-        track_eta(_rotation_homotopy(np.pi), stereographic_spray(1, fiber="ambient"), grid, cfg)
+        track_eta(_rotation_homotopy(np.pi), stereographic_spray(1, fiber="ambient"), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import spraylab
+import spraylab.approx as approx_mod
 import spraylab.sprays as sprays_mod
-from spraylab.approx import ApproxConfig, Homotopy, TrackConfig
+from spraylab.approx import ApproxConfig, Homotopy
 from spraylab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from spraylab.demos import DEMOS, DemoSetup
 from spraylab.geometry import VarietySpec, matrix_to_point
@@ -139,6 +140,12 @@ def test_make_ak_report(tmp_path):
     assert report["min_abs_det_on_sphere"] >= 1.0 - 1e-10
 
 
+def test_make_ak_size_cap_is_not_configurable(tmp_path):
+    code, report, _ = run_cli(tmp_path, "make-ak", {"k": 7, "cap": 8, "samples": 50})
+    assert code == EXIT_USAGE
+    assert report is None
+
+
 # ---------------------------------------------------------------------------
 # approximate
 # ---------------------------------------------------------------------------
@@ -193,10 +200,11 @@ def test_approximate_tracking_failure_reports_stage(tmp_path, monkeypatch):
             f_many=lambda x: half_turn(x, 1.0),
             homotopy=homotopy,
             spray=stereographic_spray(1, fiber="ambient"),
-            cfg=ApproxConfig(track=TrackConfig(max_intervals=1)),
+            cfg=ApproxConfig(),
             expected_degree=1,
         )
 
+    monkeypatch.setattr(approx_mod, "_MAX_INTERVALS", 1)
     monkeypatch.setitem(DEMOS, "half-turn", build)
     code, report, _ = run_cli(tmp_path, "approximate", {"demo": "half-turn"})
     assert code == EXIT_FAIL

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,7 +187,7 @@ def test_dimension_cap_enforced():
         sphere_degree(identity_map, 7)
 
 
-def test_degeneracy_error_on_pinned_critical_value():
+def test_degeneracy_error_on_pinned_critical_value(monkeypatch):
     # theta -> theta + sin(theta) has derivative zero exactly at theta = pi,
     # so a value generator pinned at (-1, 0) only ever proposes a critical
     # value and the redraw loop must give up.
@@ -198,7 +200,9 @@ def test_degeneracy_error_on_pinned_critical_value():
         def standard_normal(self, size):
             return np.array([-1.0, 0.0])
 
-    opts = DegreeOptions(n_starts=100, max_redraws=3, min_jacobian=1e-4)
+    monkeypatch.setattr(degree_mod, "_MAX_REDRAWS", 3)
+    monkeypatch.setattr(degree_mod, "_MIN_JACOBIAN", 1e-4)
+    opts = DegreeOptions(n_starts=100)
     starts = sphere_quasi_uniform(100, 1)
     with pytest.raises(DegeneracyError):
         _preimage_count_once(folded, 1, PinnedGen(), starts, opts)
@@ -214,8 +218,8 @@ def test_degeneracy_error_on_pinned_critical_value():
     ids=["preimage_count", "sphere_degree", "unitary_degree"],
 )
 def test_redrawn_regular_value_is_reported(degree_of, expected, monkeypatch):
-    # On S1 the report is rebuilt around the winding number; the preimage
-    # cross-check's redraws must survive that, also through the column formula.
+    # On S1 the report is the preimage cross-check's, relabelled around the
+    # winding number; its redraws must survive that, also through the column formula.
     calibration_sign()  # cached before any value is rejected
     rejected = []
 
@@ -229,6 +233,34 @@ def test_redrawn_regular_value_is_reported(degree_of, expected, monkeypatch):
     report = degree_of()
     assert rejected
     assert (report.value, report.redraws) == (expected, 1)
+
+
+@pytest.mark.parametrize(
+    "degree_of",
+    [
+        lambda: sphere_degree(circle_power_map(2), 1, DegreeOptions(seed=3)),
+        lambda: unitary_degree(power_map_matrix(-2), DegreeOptions(seed=3)),
+    ],
+    ids=["sphere_degree", "unitary_degree"],
+)
+def test_circle_report_carries_the_preimage_search(degree_of):
+    # The winding report keeps every field of the preimage cross-check it ran,
+    # as reports on higher spheres do: basins, start count, Newton residual.
+    report = degree_of()
+    assert report.method in ("winding", "unitary_formula")
+    assert report.winding_residual is not None and report.winding_residual <= 1e-3
+    assert report.n_starts == 200
+    assert len(report.basin_counts) == len(report.preimages) == abs(report.cross_check_value)
+    assert sum(report.basin_counts) <= report.n_starts
+    assert report.newton_max_residual <= 1e-10
+
+
+def test_circle_report_is_the_relabelled_preimage_count():
+    opts = DegreeOptions(seed=5)
+    counted = preimage_count_degree(circle_power_map(-3), 1, opts)
+    report = sphere_degree(circle_power_map(-3), 1, opts)
+    residual = winding_number(circle_power_map(-3))[1]
+    assert report == replace(counted, method="winding", winding_residual=residual)
 
 
 def _dedup_reference(points, radius):
@@ -280,11 +312,11 @@ def _signs_reference(map_many, preimages, y, fd_step, min_jacobian):
     return signs, dets
 
 
-def test_preimage_signs_match_per_point_loop():
+def test_preimage_signs_match_per_point_loop(monkeypatch):
     psi = first_column_sphere_map(compress_to_k_block(a_k(3)))
     points = sphere_quasi_uniform(24, 5)
     y = points[0]
-    signs, dets = _preimage_signs(psi, points, y, 1e-6, 1e-8)
+    signs, dets = _preimage_signs(psi, points, y)
     ref_signs, ref_dets = _signs_reference(psi, points, y, 1e-6, 1e-8)
     assert signs == ref_signs and len(set(signs)) == 2
     assert dets == ref_dets
@@ -292,8 +324,9 @@ def test_preimage_signs_match_per_point_loop():
     cut = float(np.median(np.abs(ref_dets)))
     with pytest.raises(_RegularValueReject) as ref_err:
         _signs_reference(psi, points, y, 1e-6, cut)
+    monkeypatch.setattr(degree_mod, "_MIN_JACOBIAN", cut)
     with pytest.raises(_RegularValueReject) as err:
-        _preimage_signs(psi, points, y, 1e-6, cut)
+        _preimage_signs(psi, points, y)
     assert str(err.value) == str(ref_err.value)
 
 
