@@ -80,7 +80,7 @@ def build_spray(config: dict) -> Spray:
     """Construct a spray from its JSON description (CLI surface)."""
     kind = config.get("kind")
     if kind == "stereographic":
-        return stereographic_spray(int(config["n"]), config.get("fiber", "frame"))
+        return stereographic_spray(int(config["n"]), config.get("fiber", "ambient"))
     if kind == "group":
         group = _parse_variety(config["group"])
         space_cfg = config.get("space")

@@ -51,6 +51,7 @@ _FD_STEP = 1e-6
 _MIN_JACOBIAN = 1e-8  # smallest |det| at a preimage of a regular value
 _MAX_REDRAWS = 5  # regular values redrawn before DegeneracyError
 _DEDUP_RADIUS = 1e-6
+_MIN_SEPARATION = 1e-4  # closest two distinct preimages of a regular value
 _MISSED_SAMPLES = 4096  # the missed-point search of compress_to_k_block
 _MISSED_CANDIDATES = 128
 _MISSED_MARGIN = 0.02
@@ -228,11 +229,13 @@ def verify_ak_identities(
     """Check R-linearity, the A A* identity, the determinant formula, and
     (S)U-membership of sphere values, over seeded samples.
 
-    Samples are kept at norm <= 1.5 so the determinant comparison is not
-    swamped by the magnitude of |z|^(2^(k-1)).  The size-1 determinant
-    identity |z|^2 refers to the determinant of the realified matrix, which
-    equals the squared modulus of the complex determinant; blocks of size
-    >= 2 use the complex determinant directly.
+    Samples have norms in [0.1, 1.5].  The determinant formula
+    det = |z|^(2^(k-1)) is compared relatively, as |det / |z|^(2^(k-1)) - 1|,
+    since its absolute error grows with the magnitude |z|^(2^(k-1)).  The
+    size-1 identity refers to the determinant of the realified matrix, which
+    equals the squared modulus of the complex determinant, so k = 1 reports
+    ||det|^2 / |z|^2 - 1|; blocks of size >= 2 use the complex determinant
+    directly.
     """
     gen = rng(seed)
 
@@ -255,9 +258,9 @@ def verify_ak_identities(
 
     dets = np.linalg.det(mats)
     if k == 1:
-        det_identity_max = float(np.max(np.abs(np.abs(dets) ** 2 - nrm2)))
+        det_identity_max = float(np.max(np.abs(np.abs(dets) ** 2 / nrm2 - 1.0)))
     else:
-        det_identity_max = float(np.max(np.abs(dets - nrm2 ** (2 ** (k - 2)))))
+        det_identity_max = float(np.max(np.abs(dets / nrm2 ** (2 ** (k - 2)) - 1.0)))
 
     sphere = sphere_quasi_uniform_complex(n_samples, k)
     sphere_mats = ak_matrix_many(sphere, k)
@@ -407,13 +410,32 @@ def _preimage_signs(map_many, preimages, y):
     return [1 if d > 0 else -1 for d in dets], [float(d) for d in dets]
 
 
+def _closest_pair_distance(points: np.ndarray) -> float:
+    """Smallest distance between two of the unit rows; inf for fewer than two."""
+    if points.shape[0] < 2:
+        return np.inf
+    gram = points @ points.T
+    np.fill_diagonal(gram, -1.0)
+    return float(np.sqrt(max(2.0 - 2.0 * np.max(gram), 0.0)))
+
+
 def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
+    """Signed preimage count at one regular value, redrawing rejected values.
+
+    A value is rejected when a preimage's Jacobian is near-singular or when
+    two distinct preimages lie within ``_MIN_SEPARATION``: Newton smears the
+    single preimage of a value near a fold into a cluster of "preimages"
+    whose Jacobians are small but not small enough to be caught.
+    """
     redraws = 0
     while True:
         y = normalize_rows(gen.standard_normal(n + 1))
         try:
             converged, max_resid = _newton_preimages(map_many, y, starts)
             preimages, counts = _dedup_points(converged, _DEDUP_RADIUS)
+            gap = _closest_pair_distance(preimages)
+            if gap < _MIN_SEPARATION:
+                raise _RegularValueReject(f"two preimages {gap:.3e} apart: y is near a fold")
             signs, dets = _preimage_signs(map_many, preimages, y)
             return DegreeReport(
                 value=int(sum(signs)),

@@ -5,7 +5,9 @@ Every spray here is trivialized: the total space is base x R^fiber_dim, the
 zero section is (y, 0), and ``eval_many(y, v)`` is a regular map, batched
 over rows, landing back in the base (for product-submersion sprays, in the
 fiber of the projection through (x, y), i.e. the x-block is preserved
-exactly).
+exactly).  Fiber coordinates never depend on a per-point tangent frame:
+such frames have seams on spheres, and a spray read in one would jump across
+them.  Dominance is checked against the base's own tangent frames.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .geometry import (
     point_to_matrix,
     algebra_coordinates_many,
     shrink_map,
-    sphere_tangent_basis_many,
     unshrink_map,
     variety_tangent_frame,
 )
@@ -69,7 +70,6 @@ class Spray:
     eval_many: Callable
     params: dict = field(default_factory=dict)
     inverse_many: Optional[Callable] = None
-    vertical_frame: Optional[Callable] = None
     x_dim: int = 0
 
     def descriptor(self) -> dict:
@@ -106,56 +106,33 @@ def _stereo_backward(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return 2.0 * (targets - qp[:, None] * points) / denom[:, None]
 
 
-def stereographic_spray(n: int, fiber: str = "frame") -> Spray:
+def stereographic_spray(n: int, fiber: str = "ambient") -> Spray:
     """Spray on the n-sphere via inverse stereographic projection from -p.
 
-    ``fiber="frame"`` (the default) parametrizes the tangent hyperplane by
-    coordinates in the deterministic per-point tangent frame, so fiber_dim
-    equals n.  ``fiber="ambient"`` uses the trivialization of the tangent
-    bundle inside base x R^(n+1): the fiber vector is an ambient vector that
-    gets projected onto the tangent hyperplane first.  The ambient variant
-    has no frame seams, which the approximation pipeline needs; both satisfy
-    the spray axioms and dominate with rank n.
+    The fiber is R^(n+1), the trivialization of the tangent bundle inside
+    base x R^(n+1): a fiber vector is an ambient vector that gets projected
+    onto the tangent hyperplane first, so fiber_dim is n + 1 and the spray
+    dominates with rank n.  ``fiber`` names that trivialization, the only
+    one: coordinates in a per-point tangent frame would make the spray
+    discontinuous across the frame's seams.  The exact inverse returns the
+    tangential representative, the minimal-norm fiber preimage.
     """
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
-    if fiber not in ("frame", "ambient"):
+    if fiber != "ambient":
         raise ValueError(f"unknown fiber mode {fiber!r}")
-    base = VarietySpec.sphere(n)
 
-    if fiber == "frame":
-
-        def eval_many(points, vs):
-            frames = sphere_tangent_basis_many(points)
-            w = np.einsum("nf,nfa->na", vs, frames)
-            return _stereo_forward(points, w)
-
-        def inverse_many(points, targets):
-            w = _stereo_backward(points, targets)
-            frames = sphere_tangent_basis_many(points)
-            return np.einsum("nfa,na->nf", frames, w)
-
-        fiber_dim = n
-    else:
-
-        def eval_many(points, vs):
-            w = vs - np.einsum("ni,ni->n", vs, points)[:, None] * points
-            return _stereo_forward(points, w)
-
-        def inverse_many(points, targets):
-            # The tangential representative: the minimal-norm fiber preimage.
-            return _stereo_backward(points, targets)
-
-        fiber_dim = n + 1
+    def eval_many(points, vs):
+        w = vs - np.einsum("ni,ni->n", vs, points)[:, None] * points
+        return _stereo_forward(points, w)
 
     return Spray(
         kind="stereographic",
-        base=base,
-        fiber_dim=fiber_dim,
+        base=VarietySpec.sphere(n),
+        fiber_dim=n + 1,
         required_rank=n,
         eval_many=eval_many,
-        inverse_many=inverse_many,
-        vertical_frame=lambda pts: sphere_tangent_basis_many(pts),
+        inverse_many=_stereo_backward,
         params={"n": n, "fiber": fiber},
     )
 
@@ -194,14 +171,11 @@ def group_action_spray(
     fiber_dim = lie_algebra_basis(algebra_kind, m).shape[0]
 
     self_action = space == group
-    if not self_action:
-        if space.kind != "sphere":
-            raise ValueError("group sprays act on spheres or on the group itself")
-        expected = m - 1 if group.kind in ("O", "SO") else 2 * m - 1
-        if space.n != expected:
-            raise ValueError(
-                f"{group.label()} acts on S{expected}, not on {space.label()}"
-            )
+    if not self_action and space != _default_space(group):
+        raise ValueError(
+            f"{group.label()} acts on {_default_space(group).label()} or on itself,"
+            f" not on {space.label()}"
+        )
     complex_vec = group.is_complex and not self_action
 
     def _group_elements(vs):
@@ -253,7 +227,6 @@ def group_action_spray(
         required_rank=space.dim,
         eval_many=eval_many,
         inverse_many=inverse_many,
-        vertical_frame=lambda pts: variety_tangent_frame(pts, space),
         params={
             "group": serialize.variety_to_json(group),
             "space": serialize.variety_to_json(space),
@@ -289,12 +262,6 @@ def product_submersion_spray(x_spec: VarietySpec, spray_y: Spray) -> Spray:
                 raise SprayInversionError("target lies in a different fiber of the projection")
             return spray_y.inverse_many(points[:, xd:], targets[:, xd:])
 
-    def vertical_frame(points):
-        inner = spray_y.vertical_frame(np.asarray(points, float)[:, xd:])
-        out = np.zeros((inner.shape[0], inner.shape[1], base.ambient_dim))
-        out[:, :, xd:] = inner
-        return out
-
     return Spray(
         kind="product_submersion",
         base=base,
@@ -302,7 +269,6 @@ def product_submersion_spray(x_spec: VarietySpec, spray_y: Spray) -> Spray:
         required_rank=spray_y.required_rank,
         eval_many=eval_many,
         inverse_many=inverse_many,
-        vertical_frame=vertical_frame,
         x_dim=xd,
         params={"x": serialize.variety_to_json(x_spec), "inner": spray_y.descriptor()},
     )
@@ -331,7 +297,6 @@ def iterated_spray(spray: Spray, k: int) -> Spray:
         fiber_dim=k * m,
         required_rank=spray.required_rank,
         eval_many=eval_many,
-        vertical_frame=spray.vertical_frame,
         x_dim=spray.x_dim,
         params={"k": k, "inner": spray.descriptor()},
     )
@@ -345,7 +310,6 @@ def constant_spray(spec: VarietySpec) -> Spray:
         fiber_dim=spec.dim,
         required_rank=spec.dim,
         eval_many=lambda points, vs: points.copy(),
-        vertical_frame=lambda pts: variety_tangent_frame(pts, spec),
         params={"fiber_dim": spec.dim},
     )
 
@@ -446,14 +410,15 @@ def verify_dominating(
     """Numerical rank of the fiber derivative at the zero section, per sample.
 
     Central finite differences in the fiber argument, rows projected onto
-    the tangent space of the base (the vertical space for submersion
-    sprays), rank from singular values above rank_tol times the largest.
+    the base's tangent frame (a product-submersion spray copies its x-block,
+    so the x rows add no rank), rank from singular values above rank_tol
+    times the largest.
     """
     points = sample_variety(spray.base, n_samples, seed)
     steps = fd_step * (1.0 + np.linalg.norm(points, axis=1))
     diff = fiber_differences(spray, points, np.zeros((n_samples, spray.fiber_dim)), steps)
     jac = np.swapaxes(diff / (2.0 * steps)[:, None, None], 1, 2)  # (N, ambient, fiber)
-    frames = spray.vertical_frame(points)  # (N, r, ambient)
+    frames = variety_tangent_frame(points, spray.base)  # (N, dim, ambient)
     proj = np.einsum("nra,naf->nrf", frames, jac)
     sing = np.linalg.svd(proj, compute_uv=False)
     top = sing[:, 0]
@@ -583,7 +548,7 @@ def probe_injectivity_radius(spray: Spray, seed: int = 0) -> float:
     best = 0.0
     for radius in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
         vs = sample_fiber(spray.fiber_dim, 64, rng(seed + 17), radius)
-        if spray.kind == "stereographic" and spray.params.get("fiber") == "ambient":
+        if spray.kind == "stereographic":
             # Only the tangential representative is recoverable.
             vs = vs - np.einsum("ni,ni->n", vs, points)[:, None] * points
         try:

@@ -61,6 +61,14 @@ def test_verify_constant_spray_fails_with_rank_zero(tmp_path):
     assert report["dominance"]["max_rank"] == 0
 
 
+def test_verify_frame_fiber_is_a_usage_error(tmp_path):
+    # Fiber coordinates in a per-point tangent frame would not give a regular map.
+    config = {"kind": "stereographic", "n": 2, "fiber": "frame", "samples": 50}
+    code, report, _ = run_cli(tmp_path, "verify-spray", config)
+    assert code == EXIT_USAGE
+    assert report is None
+
+
 def test_verify_unknown_kind_usage_error(tmp_path):
     code, report, _ = run_cli(tmp_path, "verify-spray", {"kind": "nonsense"})
     assert code == EXIT_USAGE
@@ -138,6 +146,16 @@ def test_make_ak_report(tmp_path):
     assert report["map"] == {"name": "a_3", "k": 3, "size": 4}
     assert report["identities"]["gram_identity_max"] <= 1e-10
     assert report["min_abs_det_on_sphere"] >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_make_ak_k6_passes_the_relative_determinant_identity(tmp_path, seed):
+    # |det| = |z|^32 at k = 6 reaches 1.5^32 ~ 4e5, where an absolute
+    # comparison at 1e-10 fails on rounding alone.
+    code, report, _ = run_cli(tmp_path, "make-ak", {"k": 6, "samples": 300}, seed=seed)
+    assert code == EXIT_OK
+    assert report["pass"] is True
+    assert report["identities"]["det_identity_max"] <= 1e-12
 
 
 def test_make_ak_size_cap_is_not_configurable(tmp_path):

@@ -208,6 +208,25 @@ def test_degeneracy_error_on_pinned_critical_value(monkeypatch):
         _preimage_count_once(folded, 1, PinnedGen(), starts, opts)
 
 
+def test_fold_value_is_rejected_by_preimage_separation():
+    # At the fold value (-1, 0) of theta -> theta + sin(theta), Newton stops
+    # 3e-4 to 4e-4 short of theta = pi, at dozens of points about 1e-6 apart.
+    # Their Jacobians (~6e-8) clear the default floor, so only their spacing
+    # shows that the value is critical.
+    def folded(x):
+        theta = np.arctan2(x[:, 1], x[:, 0])
+        a = theta + np.sin(theta)
+        return np.column_stack([np.cos(a), np.sin(a)])
+
+    class PinnedGen:
+        def standard_normal(self, size):
+            return np.array([-1.0, 0.0])
+
+    starts = sphere_quasi_uniform(100, 1)
+    with pytest.raises(DegeneracyError):
+        _preimage_count_once(folded, 1, PinnedGen(), starts, DegreeOptions(n_starts=100))
+
+
 @pytest.mark.parametrize(
     "degree_of, expected",
     [

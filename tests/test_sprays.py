@@ -6,7 +6,7 @@ import pytest
 
 import spraylab.sprays as sprays_mod
 from spraylab.geometry import VarietySpec, membership_residual_many, variety_tangent_frame
-from spraylab.sampling import rng, sample_fiber, sample_variety
+from spraylab.sampling import normalize_rows, rng, sample_fiber, sample_variety
 from spraylab.sprays import (
     AntipodeError,
     Spray,
@@ -75,7 +75,7 @@ def test_corrupted_spray_fails_with_planted_violation():
 
     def corrupted(points, vs):
         out = base.eval_many(points, vs)
-        return out + 1e-3 * np.pad(vs, ((0, 0), (0, 1)))
+        return out + 1e-3 * vs
 
     bad = Spray(
         kind="stereographic",
@@ -83,11 +83,39 @@ def test_corrupted_spray_fails_with_planted_violation():
         fiber_dim=base.fiber_dim,
         required_rank=base.required_rank,
         eval_many=corrupted,
-        vertical_frame=base.vertical_frame,
     )
     report = verify_spray_axioms(bad, n_samples=200, seed=0, fiber_radius=1.0)
     assert not report.passed
     assert 1e-5 <= report.max_violation <= 1e-2
+
+
+def _seam_points(spec):
+    """Two points of a sphere, or of a product of spheres, 2e-12 apart on
+    either side of a tangent-frame seam: their two largest coordinates swap."""
+    if spec.kind == "product":
+        sides = [_seam_points(f) for f in spec.factors]
+        return tuple(np.hstack(side) for side in zip(*sides))
+    head = np.array([0.6, 0.6, 0.529, 0.3, 0.2][: spec.ambient_dim])
+    shift = np.zeros(spec.ambient_dim)
+    shift[:2] = [1e-12, -1e-12]
+    return normalize_rows((head + shift)[None]), normalize_rows((head - shift)[None])
+
+
+def test_sphere_sprays_are_continuous_across_frame_seams():
+    # A spray is a regular map, so it cannot jump where the deterministic
+    # per-point tangent frame (discontinuous on every sphere) changes its axes.
+    for spray in all_test_sprays():
+        factors = spray.base.factors if spray.base.kind == "product" else [spray.base]
+        if any(f.kind != "sphere" for f in factors):
+            continue
+        below, above = _seam_points(spray.base)
+        vs = sample_fiber(spray.fiber_dim, 1, rng(23), 1.0)
+        jump = np.max(np.abs(spray.eval_many(below, vs) - spray.eval_many(above, vs)))
+        assert jump <= 1e-9, (spray.descriptor(), jump)
+
+
+def _tangential(vs, points):
+    return vs - np.einsum("ni,ni->n", vs, points)[:, None] * points
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +126,7 @@ def test_corrupted_spray_fails_with_planted_violation():
 def test_stereographic_circle_hand_case():
     # The line from -e1 through e1 + 2 e2 meets the circle again at e2.
     spray = stereographic_spray(1)
-    out = spray.eval_many(np.array([[1.0, 0.0]]), np.array([[2.0]]))
+    out = spray.eval_many(np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]]))
     np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-15)
 
 
@@ -110,9 +138,8 @@ def test_stereographic_matches_line_sphere_intersection():
     for _ in range(50):
         p = gen.normal(size=4)
         p /= np.linalg.norm(p)
-        v = gen.normal(size=3)
-        frames = np.asarray(spray.vertical_frame(p[None]))[0]
-        w = v @ frames
+        v = gen.normal(size=4)
+        w = v - (v @ p) * p
         a = 4.0 + w @ w
         s = 4.0 / a  # nonzero root of |l(s)|^2 = 1
         expected = -p + s * (2.0 * p + w)
@@ -123,7 +150,7 @@ def test_stereographic_roundtrip_radius_three():
     for n in (1, 2, 3):
         spray = stereographic_spray(n)
         pts = sample_variety(spray.base, 1000, 3)
-        vs = sample_fiber(n, 1000, rng(4), 3.0)
+        vs = _tangential(sample_fiber(n + 1, 1000, rng(4), 3.0), pts)
         back = spray.inverse_many(pts, spray.eval_many(pts, vs))
         assert np.max(np.abs(back - vs)) <= 1e-10
 
@@ -144,7 +171,7 @@ def test_stereographic_antipode_error():
         spray.inverse_many(p, -p)
 
 
-@pytest.mark.parametrize("fiber", ["frame", "ambient"])
+@pytest.mark.parametrize("fiber", ["ambient"])
 def test_stereographic_huge_fiber_lands_on_antipode(fiber):
     # |w|^2 overflows above |w| ~ 1e154; the image is then -p to double precision.
     spray = stereographic_spray(2, fiber=fiber)
@@ -262,19 +289,21 @@ def test_product_spray_dominance_and_exact_x_block():
     ],
     ids=lambda spray: spray.kind,
 )
-def test_vertical_frame_is_one_batched_call(spray, monkeypatch):
+def test_dominance_tangent_frame_is_one_batched_call(spray, monkeypatch):
     # The lookup goes through the sprays module at call time, so a wrapper
     # installed there sees every call.
-    calls = []
+    calls, shapes = [], []
 
     def counting(points, spec):
         calls.append(points.shape)
-        return variety_tangent_frame(points, spec)
+        frames = variety_tangent_frame(points, spec)
+        shapes.append(frames.shape)
+        return frames
 
     monkeypatch.setattr(sprays_mod, "variety_tangent_frame", counting)
-    frames = spray.vertical_frame(sample_variety(spray.base, 25, seed=2))
+    verify_dominating(spray, n_samples=25, seed=2)
     assert calls == [(25, spray.base.ambient_dim)]
-    assert frames.shape == (25, spray.base.dim, spray.base.ambient_dim)
+    assert shapes == [(25, spray.base.dim, spray.base.ambient_dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +315,7 @@ def test_iterated_k1_matches_base():
     base = stereographic_spray(2)
     it = iterated_spray(base, 1)
     pts = sample_variety(base.base, 100, 5)
-    vs = sample_fiber(2, 100, rng(6), 2.0)
+    vs = sample_fiber(base.fiber_dim, 100, rng(6), 2.0)
     np.testing.assert_array_equal(it.eval_many(pts, vs), base.eval_many(pts, vs))
 
 
@@ -294,7 +323,7 @@ def test_iterated_last_block_zero_reduces():
     base = stereographic_spray(2)
     it = iterated_spray(base, 2)
     pts = sample_variety(base.base, 100, 7)
-    v1 = sample_fiber(2, 100, rng(8), 2.0)
+    v1 = sample_fiber(base.fiber_dim, 100, rng(8), 2.0)
     stacked = np.hstack([v1, np.zeros_like(v1)])
     np.testing.assert_array_equal(it.eval_many(pts, stacked), base.eval_many(pts, v1))
 
@@ -303,7 +332,7 @@ def test_iterated_single_block_from_zero_section():
     base = stereographic_spray(2)
     it = iterated_spray(base, 3)
     pts = sample_variety(base.base, 100, 9)
-    v = sample_fiber(2, 100, rng(10), 2.0)
+    v = sample_fiber(base.fiber_dim, 100, rng(10), 2.0)
     z = np.zeros_like(v)
     np.testing.assert_array_equal(
         it.eval_many(pts, np.hstack([z, z, v])), base.eval_many(pts, v)
@@ -344,7 +373,7 @@ def test_local_inverse_roundtrip_stereographic():
     gen = rng(14)
     for _ in range(25):
         y = sample_variety(spray.base, 1, int(gen.integers(1 << 30)))
-        v = gen.normal(size=2)[None]
+        v = _tangential(gen.normal(size=3)[None], y)
         q = spray.eval_many(y, v)
         np.testing.assert_allclose(solve_fiber_many(spray, y, q), v, atol=1e-10)
 
@@ -427,7 +456,7 @@ def test_probe_injectivity_radius_reaches_three():
 def test_descriptor_shapes():
     desc = iterated_spray(product_submersion_spray(S(1), stereographic_spray(1)), 2).descriptor()
     assert desc["kind"] == "iterated"
-    assert desc["fiber_dim"] == 2
+    assert desc["fiber_dim"] == 4  # two blocks of the S1 spray's ambient fiber R^2
     assert desc["params"]["inner"]["kind"] == "product_submersion"
     import json
 
