@@ -38,13 +38,8 @@ from .degree import (
 )
 from .geometry import (
     ShapeError,
-    SingularMatrixError,
     VarietySpec,
-    cayley,
-    fermat_power_map,
-    membership_residual,
     shrink_map,
-    sphere_tangent_basis,
 )
 from .sprays import (
     AntipodeError,

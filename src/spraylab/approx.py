@@ -28,7 +28,6 @@ from .sprays import (
     SprayInversionError,
     fiber_differences,
     iterated_spray,
-    product_submersion_spray,
     solve_fiber_many,
 )
 
@@ -108,29 +107,24 @@ def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResu
     pure function, so this gives the partition and eta that rebuilding the
     chain from t = 0 would, with one solve per accepted interval and one per
     bisection.  The returned eta stacks the interval solutions in order;
-    feeding it to the iterated spray from (x, F0(x)) lands on (x, F(x, 1))
+    feeding it to the iterated target spray from F0(x) lands on F(x, 1)
     within TRACK_TOL.  Raises HomotopyTooWildError when the partition would
     need more than ``_MAX_INTERVALS`` intervals.
     """
     grid = np.asarray(grid, dtype=float)
-    prod = product_submersion_spray(homotopy.domain, spray_y)
-    base = np.hstack([grid, homotopy.f0_many(grid)])
-
-    def section(t: float) -> np.ndarray:
-        return np.hstack([grid, homotopy.eval_many(grid, t)])
-
+    base = homotopy.f0_many(grid)
     partition = [0.0, 1.0]
     cur = base
     blocks, node_residuals = [], []
     while len(blocks) < len(partition) - 1:
         i = len(blocks)
-        target = section(partition[i + 1])
+        target = homotopy.eval_many(grid, partition[i + 1])
         try:
-            vs = solve_fiber_many(prod, cur, target)
+            vs = solve_fiber_many(spray_y, cur, target)
         except SprayInversionError:
             node_res = np.inf
         else:
-            node = prod.eval_many(cur, vs)
+            node = spray_y.eval_many(cur, vs)
             node_res = float(np.max(np.abs(node - target)))
         if node_res > TRACK_TOL:
             partition.insert(i + 1, 0.5 * (partition[i] + partition[i + 1]))
@@ -142,8 +136,8 @@ def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResu
         cur = node
 
     eta = np.hstack(blocks)
-    spray = iterated_spray(prod, len(partition) - 1)
-    final = float(np.max(np.abs(spray.eval_many(base, eta) - section(1.0))))
+    spray = iterated_spray(spray_y, len(partition) - 1)
+    final = float(np.max(np.abs(spray.eval_many(base, eta) - homotopy.eval_many(grid, 1.0))))
     return TrackResult(
         eta=eta,
         partition=partition,
@@ -294,7 +288,11 @@ def fit_polynomial(
 
 @dataclass
 class RegularApproximation:
-    """The assembled approximation g(x) = s(F0(x), beta(x)) plus diagnostics."""
+    """The assembled approximation g(x) = s(F0(x), beta(x)) plus diagnostics.
+
+    ``spray`` is the iterated target spray s^k on Y, one fiber block per
+    interval of ``partition``.
+    """
 
     spray: Spray
     homotopy: Homotopy
@@ -313,9 +311,7 @@ class RegularApproximation:
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        base = np.hstack([points, self.homotopy.f0_many(points)])
-        out = self.spray.eval_many(base, self.beta.eval_many(points))
-        return out[:, self.homotopy.domain.ambient_dim :]
+        return self.spray.eval_many(self.homotopy.f0_many(points), self.beta.eval_many(points))
 
     def to_jsonable(self) -> dict:
         return {
@@ -412,9 +408,12 @@ def approximate(
 ) -> RegularApproximation:
     """Run tracking, fitting, and assembly; measure errors against ``f_many``.
 
-    Returns a RegularApproximation whose status is "ok" when the fit met its
-    residual target and "degree_exhausted" otherwise (carrying the best
-    effort).  The logged residual chain records the empirical inequality
+    Every stage works on the target: the tracker transports F0(x) through
+    ``spray_y``, and the result is g(x) = s^k(F0(x), beta(x)) with s^k the
+    k-fold iterate of ``spray_y`` over the partition.  Returns a
+    RegularApproximation whose status is "ok" when the fit met its residual
+    target and "degree_exhausted" otherwise (carrying the best effort).  The
+    logged residual chain records the empirical inequality
     c0 <= lipschitz * max|beta - eta| + tracking residual on the grid.
     """
     cfg = cfg or ApproxConfig()
@@ -429,7 +428,7 @@ def approximate(
         raise ValueError(f"homotopy endpoint deviates from the input map by {dev:.3e}")
 
     track = track_eta(homotopy, spray_y, grid)
-    base = np.hstack([grid, homotopy.f0_many(grid)])
+    base = homotopy.f0_many(grid)
     lip = _spray_fiber_lipschitz(track, base)
     target_resid = max(
         (cfg.target_c0 - track.final_residual) / (_FIT_MARGIN * max(lip, 1e-12)), 1e-15
@@ -446,10 +445,10 @@ def approximate(
     errors = approximation_error(approx.eval_many, f_many, grid)
     approx.c0 = errors["c0"]
     approx.c1 = errors["c1"]
-    approx.membership_max = float(
-        np.max(membership_residual_many(approx.eval_many(grid), homotopy.target))
-    )
-    beta_dev = float(np.max(np.linalg.norm(beta.eval_many(grid) - track.eta, axis=1)))
+    beta_grid = beta.eval_many(grid)
+    g_grid = track.spray.eval_many(base, beta_grid)
+    approx.membership_max = float(np.max(membership_residual_many(g_grid, homotopy.target)))
+    beta_dev = float(np.max(np.linalg.norm(beta_grid - track.eta, axis=1)))
     approx.lipschitz = lip
     approx.beta_vs_eta_max = beta_dev
     approx.chain_bound = lip * beta_dev + track.final_residual

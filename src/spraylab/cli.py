@@ -7,8 +7,7 @@
 
 Exit codes: 0 pass, 1 verification or pipeline failure, 2 usage error.
 Reports are canonical JSON (sorted keys, shortest round-trip floats) and are
-byte-identical across reruns with the same seed.  SPRAYLAB_THREADS caps
-worker parallelism; execution is sequential, so any cap >= 1 is honored.
+byte-identical across reruns with the same seed.
 """
 
 from __future__ import annotations
@@ -55,17 +54,9 @@ class UsageError(ValueError):
     pass
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("SPRAYLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _header(command: str, config: dict, seed: int) -> dict:
     """The keys every report starts with."""
-    return {"command": command, "config": config, "seed": seed, "threads_cap": _threads_cap()}
+    return {"command": command, "config": config, "seed": seed}
 
 
 def _parse_variety(spec) -> VarietySpec:

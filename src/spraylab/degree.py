@@ -400,7 +400,7 @@ def _preimage_signs(map_many, preimages, y):
     """
     if preimages.shape[0] == 0:
         return [], []
-    frame_y = oriented_sphere_frame_many(y)
+    frame_y = oriented_sphere_frame_many(y[None])[0]
     step = _FD_STEP * oriented_sphere_frame_many(preimages)  # (P, n, n+1)
     diff = tangent_probes(map_many, preimages, step) - tangent_probes(map_many, preimages, -step)
     dets = np.linalg.det(frame_y @ (diff / (2.0 * _FD_STEP)))

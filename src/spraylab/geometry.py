@@ -1,7 +1,8 @@
 """Points, matrices, variety membership, and explicit rational building blocks.
 
-Everything downstream works on plain numpy arrays: a point of an ambient
-space is a 1-d float array, a matrix is a 2-d float or complex array.
+Everything downstream works on plain numpy arrays, batched over rows: a
+batch of points is an (N, ambient_dim) float array, a stack of matrices an
+(N, m, m) float or complex array.
 Complex coordinates are realified by interleaving, so a point of a unitary
 group or of a sphere inside C^k is stored as [re z0, im z0, re z1, ...].
 """
@@ -13,17 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
-CAYLEY_CONDITION_LIMIT = 1e12
-
 _GROUP_KINDS = ("O", "SO", "U", "SU")
 
 
 class ShapeError(ValueError):
     """A point or matrix does not have the dimensions the operation expects."""
-
-
-class SingularMatrixError(ValueError):
-    """A matrix inversion exceeded the conditioning limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +184,6 @@ def matrix_to_point(q: np.ndarray, spec: VarietySpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def membership_residual(p: np.ndarray, spec: VarietySpec) -> float:
-    """Largest violation of the defining equations of ``spec`` at ``p``."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] != spec.ambient_dim:
-        raise ShapeError(
-            f"point has {p.shape} coordinates, {spec.label()} needs {spec.ambient_dim}"
-        )
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point has non-finite coordinates")
-    return float(membership_residual_many(p[None], spec)[0])
-
-
 def membership_residual_many(points: np.ndarray, spec: VarietySpec) -> np.ndarray:
     """Per-row membership residuals for a batch of points, shape (N,)."""
     p = np.asarray(points, dtype=float)
@@ -232,27 +215,13 @@ def membership_residual_many(points: np.ndarray, spec: VarietySpec) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def cayley(a: np.ndarray) -> np.ndarray:
-    """Cayley transform (I - A)(I + A)^(-1).
+def cayley_many(a: np.ndarray) -> np.ndarray:
+    """Cayley transform (I - A)(I + A)^(-1) of stacked (..., m, m) matrices.
 
     Maps skew-symmetric matrices to special-orthogonal ones and
     skew-Hermitian matrices to unitary ones, fixing I at A = 0, and is an
-    involution: applying it twice returns the input.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"square matrix required, got shape {a.shape}")
-    if not np.issubdtype(a.dtype, np.complexfloating):
-        a = a.astype(float)
-    if np.linalg.cond(np.eye(a.shape[0]) + a) > CAYLEY_CONDITION_LIMIT:
-        raise SingularMatrixError("I + A is numerically singular")
-    return cayley_many(a)
-
-
-def cayley_many(a: np.ndarray) -> np.ndarray:
-    """Batched Cayley transform for stacked (..., m, m) skew inputs.
-
-    Skips the conditioning check: skew inputs keep I + A invertible.
+    involution: applying it twice returns the input.  Skew inputs keep
+    I + A invertible, so there is no conditioning check.
     """
     a = np.asarray(a)
     eye = np.eye(a.shape[-1], dtype=a.dtype)
@@ -263,7 +232,7 @@ def cayley_many(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Shrink map and Fermat power maps
+# Shrink map and Fermat scaling
 # ---------------------------------------------------------------------------
 
 
@@ -292,14 +261,6 @@ def unshrink_map(w: np.ndarray, c: float) -> np.ndarray:
     r = np.where(r == 0.0, 1.0, r)  # w = 0 maps to itself; t below is then 0
     t = (c - np.sqrt(disc)) / (2.0 * r)
     return w * (t / r)
-
-
-def fermat_power_map(x: np.ndarray, k: int) -> np.ndarray:
-    """Coordinatewise odd power, carrying the degree-2k Fermat sphere to the round one."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"odd positive exponent required, got {k}")
-    x = np.asarray(x, dtype=float)
-    return x**k
 
 
 def radial_to_fermat(x: np.ndarray, exponent: int) -> np.ndarray:
@@ -338,14 +299,6 @@ def sphere_tangent_basis_many(points: np.ndarray) -> np.ndarray:
     return frame
 
 
-def sphere_tangent_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space at a sphere point, shape (n, n+1)."""
-    p = np.asarray(p, dtype=float)
-    if abs(float(p @ p) - 1.0) > 1e-9:
-        raise ValueError("point is not on the unit sphere")
-    return sphere_tangent_basis_many(p[None])[0]
-
-
 def oriented_sphere_frame_many(points: np.ndarray) -> np.ndarray:
     """Tangent frames with the outward-normal-first orientation.
 
@@ -354,14 +307,11 @@ def oriented_sphere_frame_many(points: np.ndarray) -> np.ndarray:
     space.  Degree computations rely on this convention.
     """
     p = np.asarray(points, dtype=float)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p[None, :]
     frames = sphere_tangent_basis_many(p)
     stacked = np.concatenate([p[:, None, :], frames], axis=1)
     flip = np.linalg.det(stacked) < 0
     frames[flip, -1, :] *= -1.0
-    return frames[0] if squeeze else frames
+    return frames
 
 
 def tangent_probes(map_many, points: np.ndarray, steps: np.ndarray) -> np.ndarray:

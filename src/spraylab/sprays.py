@@ -172,9 +172,10 @@ def group_action_spray(
 
     self_action = space == group
     if not self_action and space != _default_space(group):
+        given = space.label() if isinstance(space, VarietySpec) else repr(space)
         raise ValueError(
-            f"{group.label()} acts on {_default_space(group).label()} or on itself,"
-            f" not on {space.label()}"
+            f"{group.label()} acts on {_default_space(group).label()} or on itself: space must"
+            f" be None, the group's VarietySpec or {_default_space(group).label()}, not {given}"
         )
     complex_vec = group.is_complex and not self_action
 

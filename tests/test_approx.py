@@ -26,7 +26,7 @@ from spraylab.serialize import dumps_canonical
 from spraylab.sprays import (
     SprayInversionError,
     group_action_spray,
-    product_submersion_spray,
+    iterated_spray,
     solve_fiber_many,
     stereographic_spray,
 )
@@ -164,11 +164,9 @@ def test_near_antipodal_rotation_bisects_and_fits():
 def test_solve_refuses_a_solution_past_the_spray_fold():
     h = _z_rotation_homotopy(3.121)
     grid = sphere_quasi_uniform(1024, 2)
-    prod = product_submersion_spray(SPHERE2, group_action_spray(VarietySpec.group("SO", 3)))
-    base = np.hstack([grid, h.f0_many(grid)])
-    target = np.hstack([grid, h.eval_many(grid, 1.0)])
+    spray = group_action_spray(VarietySpec.group("SO", 3))
     with pytest.raises(SprayInversionError, match="lost conditioning"):
-        solve_fiber_many(prod, base, target)
+        solve_fiber_many(spray, h.f0_many(grid), h.eval_many(grid, 1.0))
 
 
 def test_track_interval_budget_error(monkeypatch):
@@ -403,6 +401,24 @@ def test_pipeline_s2_demo_smoke():
     assert approx.c0 <= 1e-2
     assert approx.membership_max <= 1e-12
     assert sphere_degree(approx.eval_many, 2).value == 1
+
+
+@pytest.mark.parametrize("name", ["s1-power-2-wiggle", "s2-bump-identity"])
+def test_pipeline_assembles_on_the_target(name):
+    # g(x) = s^k(F0(x), beta(x)) with s^k the iterate of the target's own spray.
+    demo = DEMOS[name]()
+    demo.cfg.grid_size = 1 << 10
+    approx = approximate(demo.f_many, demo.homotopy, demo.spray, demo.cfg)
+    k = len(approx.partition) - 1
+    assert approx.spray.base == demo.homotopy.target
+    desc = approx.to_jsonable()["spray"]
+    assert desc == iterated_spray(demo.spray, k).descriptor()
+    assert desc["params"]["inner"] == demo.spray.descriptor()
+    x = sphere_quasi_uniform(300, demo.homotopy.domain.n)
+    expected = iterated_spray(demo.spray, k).eval_many(
+        demo.homotopy.f0_many(x), approx.beta.eval_many(x)
+    )
+    np.testing.assert_array_equal(approx.eval_many(x), expected)
 
 
 def test_pipeline_unattainable_target_reports_exhaustion():

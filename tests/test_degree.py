@@ -315,11 +315,11 @@ def test_dedup_matches_pointwise_greedy_loop():
 def _signs_reference(map_many, preimages, y, fd_step, min_jacobian):
     # One preimage and one frame direction per map call: the loop the batched
     # version replaces.
-    frame_y = oriented_sphere_frame_many(y)
+    frame_y = oriented_sphere_frame_many(y[None])[0]
     signs, dets = [], []
     for x in preimages:
         cols = []
-        for t in oriented_sphere_frame_many(x):
+        for t in oriented_sphere_frame_many(x[None])[0]:
             plus = map_many(normalize_rows((x + fd_step * t)[None]))[0]
             minus = map_many(normalize_rows((x - fd_step * t)[None]))[0]
             cols.append((plus - minus) / (2.0 * fd_step))

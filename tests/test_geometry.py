@@ -3,23 +3,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spraylab.degree import fermat_power_self_map
 from spraylab.geometry import (
     ShapeError,
-    SingularMatrixError,
     VarietySpec,
-    cayley,
+    cayley_many,
     deinterleave,
-    fermat_power_map,
     interleave,
     lie_algebra_basis,
     matrix_to_point,
-    membership_residual,
     membership_residual_many,
     point_to_matrix,
     oriented_sphere_frame_many,
     radial_to_fermat,
     shrink_map,
-    sphere_tangent_basis,
+    sphere_tangent_basis_many,
     unshrink_map,
     variety_tangent_frame,
 )
@@ -54,8 +52,8 @@ def test_is_member_shape_error():
 
 def test_membership_product():
     spec = VarietySpec.product(VarietySpec.sphere(1), VarietySpec.sphere(2))
-    p = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
-    assert membership_residual(p, spec) < 1e-15
+    p = np.array([[1.0, 0.0, 0.0, 0.0, 1.0]])
+    assert membership_residual_many(p, spec)[0] < 1e-15
 
 
 def test_sampled_points_pass_membership_everywhere():
@@ -87,7 +85,7 @@ def test_su_membership_checks_determinant():
 
 
 def test_cayley_at_zero_is_identity():
-    np.testing.assert_allclose(cayley(np.zeros((2, 2))), np.eye(2), atol=0)
+    np.testing.assert_allclose(cayley_many(np.zeros((2, 2))), np.eye(2), atol=0)
 
 
 def test_cayley_2x2_hand_value():
@@ -95,33 +93,30 @@ def test_cayley_2x2_hand_value():
     # I+A = [[1,1],[-1,1]], inverse = 0.5*[[1,-1],[1,1]],
     # product = 0.5*[[0,-2],[2,0]] = [[0,-1],[1,0]].
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(cayley(a), np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-15)
+    np.testing.assert_allclose(cayley_many(a), np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-15)
 
 
 def test_cayley_skew_4x4_orthogonal_and_involutive():
     gen = np.random.default_rng(3)
     raw = gen.uniform(-1.0, 1.0, (4, 4))
     a = raw - raw.T
-    q = cayley(a)
+    q = cayley_many(a)
     np.testing.assert_allclose(q @ q.T, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(cayley(q), a, atol=1e-10)
+    np.testing.assert_allclose(cayley_many(q), a, atol=1e-10)
 
 
 def test_cayley_involution_many_trials():
     gen = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(1000):
-        raw = gen.uniform(-1.0, 1.0, (4, 4))
-        a = raw - raw.T
-        worst = max(worst, float(np.max(np.abs(cayley(cayley(a)) - a))))
-    assert worst <= 1e-10
+    raw = gen.uniform(-1.0, 1.0, (1000, 4, 4))
+    a = raw - np.swapaxes(raw, 1, 2)
+    assert np.max(np.abs(cayley_many(cayley_many(a)) - a)) <= 1e-10
 
 
 def test_cayley_skew_input_lands_in_so():
     gen = np.random.default_rng(5)
     for m in (2, 3, 5):
         raw = gen.uniform(-1.0, 1.0, (m, m))
-        q = cayley(raw - raw.T)
+        q = cayley_many(raw - raw.T)
         assert abs(np.linalg.det(q) - 1.0) <= 1e-10
 
 
@@ -129,18 +124,8 @@ def test_cayley_skew_hermitian_unitary():
     gen = np.random.default_rng(7)
     raw = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
     a = raw - raw.conj().T
-    q = cayley(a)
+    q = cayley_many(a)
     np.testing.assert_allclose(q @ q.conj().T, np.eye(3), atol=1e-12)
-
-
-def test_cayley_singular_error():
-    with pytest.raises(SingularMatrixError):
-        cayley(np.diag([-1.0, 0.0]))
-
-
-def test_cayley_shape_error():
-    with pytest.raises(ShapeError):
-        cayley(np.ones((2, 3)))
 
 
 @given(st.integers(0, 10_000))
@@ -148,7 +133,7 @@ def test_cayley_involution_hypothesis(seed):
     gen = np.random.default_rng(seed)
     raw = gen.uniform(-1.0, 1.0, (3, 3))
     a = raw - raw.T
-    assert np.max(np.abs(cayley(cayley(a)) - a)) <= 1e-10
+    assert np.max(np.abs(cayley_many(cayley_many(a)) - a)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +182,27 @@ def test_shrink_rejects_bad_input():
 
 
 def test_fermat_identity_for_k_one():
-    x = np.array([0.3, -0.9, 0.1])
-    np.testing.assert_array_equal(fermat_power_map(x, 1), x)
+    x = np.array([[0.3, -0.9, 0.1]])
+    x /= np.linalg.norm(x)
+    np.testing.assert_allclose(fermat_power_self_map(2, 1)(x), x, rtol=0, atol=1e-15)
 
 
 def test_fermat_fixes_basis_vector():
-    e1 = np.zeros(4)
-    e1[0] = 1.0
-    np.testing.assert_array_equal(fermat_power_map(e1, 3), e1)
+    e1 = np.zeros((1, 4))
+    e1[0, 0] = 1.0
+    np.testing.assert_array_equal(fermat_power_self_map(3, 3)(e1), e1)
 
 
 def test_fermat_cubes_land_on_circle():
-    # Points (a, b) with a^6 + b^6 = 1 map to (a^3, b^3) of unit norm.
-    for a in np.linspace(-0.99, 0.99, 17):
-        b = (1.0 - a**6) ** (1.0 / 6.0)
-        out = fermat_power_map(np.array([a, b]), 3)
-        assert abs(out @ out - 1.0) <= 1e-12
+    # Round-circle points scale onto a^6 + b^6 = 1, whose cubes (a^3, b^3) have unit norm.
+    theta = np.linspace(-3.0, 3.0, 17)
+    out = fermat_power_self_map(1, 3)(np.column_stack([np.cos(theta), np.sin(theta)]))
+    assert np.max(np.abs(np.einsum("ni,ni->n", out, out) - 1.0)) <= 1e-12
 
 
 def test_fermat_rejects_even_exponent():
     with pytest.raises(ValueError):
-        fermat_power_map(np.array([1.0, 0.0]), 2)
+        fermat_power_self_map(1, 2)
 
 
 def test_radial_to_fermat_membership():
@@ -226,8 +211,7 @@ def test_radial_to_fermat_membership():
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     spec = VarietySpec.fermat_sphere(3, 6)
     pts = radial_to_fermat(x, 6)
-    for p in pts:
-        assert membership_residual(p, spec) <= 1e-12
+    assert np.max(membership_residual_many(pts, spec)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +221,24 @@ def test_radial_to_fermat_membership():
 
 def test_tangent_basis_circle_axis():
     np.testing.assert_allclose(
-        sphere_tangent_basis(np.array([1.0, 0.0])), [[0.0, 1.0]], atol=0
+        sphere_tangent_basis_many(np.array([[1.0, 0.0]])), [[[0.0, 1.0]]], atol=0
     )
 
 
 def test_tangent_basis_sphere_axis():
-    t = sphere_tangent_basis(np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(t, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], atol=0)
+    t = sphere_tangent_basis_many(np.array([[1.0, 0.0, 0.0]]))
+    np.testing.assert_allclose(t, [[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]], atol=0)
 
 
 def test_tangent_basis_orthonormal_s4():
     gen = np.random.default_rng(9)
-    for _ in range(20):
-        p = gen.normal(size=5)
-        p /= np.linalg.norm(p)
-        t = sphere_tangent_basis(p)
-        assert t.shape == (4, 5)
-        np.testing.assert_allclose(t @ t.T, np.eye(4), atol=1e-12)
-        assert np.max(np.abs(t @ p)) <= 1e-12
+    p = gen.normal(size=(20, 5))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    t = sphere_tangent_basis_many(p)
+    assert t.shape == (20, 4, 5)
+    np.testing.assert_allclose(t @ np.swapaxes(t, 1, 2), np.broadcast_to(np.eye(4), (20, 4, 4)),
+                               atol=1e-12)
+    assert np.max(np.abs(np.einsum("nri,ni->nr", t, p))) <= 1e-12
 
 
 def test_oriented_frames_positive():
@@ -268,26 +252,30 @@ def test_oriented_frames_positive():
 
 
 def test_tangent_basis_deterministic():
-    p = np.array([0.1, -0.7, 0.7, 0.1])
+    p = np.array([[0.1, -0.7, 0.7, 0.1]])
     p /= np.linalg.norm(p)
-    np.testing.assert_array_equal(sphere_tangent_basis(p), sphere_tangent_basis(p))
+    np.testing.assert_array_equal(sphere_tangent_basis_many(p), sphere_tangent_basis_many(p))
+
+
+def _gram_schmidt_frame(normal):
+    # Drop the axis of largest |normal_i|, Gram-Schmidt the other axes against normal.
+    drop = int(np.argmax(np.abs(normal)))
+    rows = []
+    for seed in np.delete(np.eye(normal.shape[0]), drop, axis=0):
+        u = seed - (seed @ normal) * normal
+        for r in rows:
+            u -= (u @ r) * r
+        rows.append(u / np.linalg.norm(u))
+    return np.array(rows)
 
 
 def _frame_reference(p, spec):
     # One point at a time: the per-point frames the batched version replaces.
     if spec.kind == "sphere":
-        return sphere_tangent_basis(p)
+        return _gram_schmidt_frame(p)
     if spec.kind == "fermat_sphere":
         grad = spec.exponent * p ** (spec.exponent - 1)
-        grad /= np.linalg.norm(grad)
-        drop = int(np.argmax(np.abs(grad)))
-        rows = []
-        for seed in np.delete(np.eye(spec.ambient_dim), drop, axis=0):
-            u = seed - (seed @ grad) * grad
-            for r in rows:
-                u -= (u @ r) * r
-            rows.append(u / np.linalg.norm(u))
-        return np.array(rows)
+        return _gram_schmidt_frame(grad / np.linalg.norm(grad))
     if spec.is_group:
         tangents = lie_algebra_basis(spec.kind, spec.m) @ point_to_matrix(p, spec)
         qmat, rmat = np.linalg.qr(matrix_to_point(tangents, spec).T)

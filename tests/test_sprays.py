@@ -220,6 +220,12 @@ def test_group_spray_dimension_mismatch():
         group_action_spray(SO("SO", 3), S(3))
 
 
+def test_group_spray_rejects_a_label_for_a_space():
+    # "self" is the CLI's word; the library takes the group's VarietySpec.
+    with pytest.raises(ValueError, match="None, the group's VarietySpec or S2, not 'self'"):
+        group_action_spray(SO("SO", 3), "self")
+
+
 # ---------------------------------------------------------------------------
 # dominance
 # ---------------------------------------------------------------------------
