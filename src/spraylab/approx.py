@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -166,19 +167,41 @@ def sphere_exponents(n_vars: int, degree: int) -> list:
     return [e for e in monomial_exponents(n_vars, degree) if e[-1] <= 1]
 
 
+@lru_cache(maxsize=64)
+def _vandermonde_plan(exponents: tuple) -> list:
+    """Runs (columns, parent columns, variable i) with column x**e = parent column * x_i.
+
+    The parent lowers the first nonzero entry of e.  A run is consecutive
+    columns whose parents are consecutive columns listed before the run and
+    whose variable is the same, so it is one multiplication of slices.  In
+    both monomial orders a run is a (total degree, first nonzero entry) block.
+    """
+    index = {e: k for k, e in enumerate(exponents)}
+    runs = []
+    for k, e in enumerate(exponents):
+        i = next((i for i, ei in enumerate(e) if ei), None)
+        if i is None:
+            continue
+        parent = index[e[:i] + (e[i] - 1,) + e[i + 1 :]]
+        if runs:
+            cols, parents, var = runs[-1]
+            if (var, cols.stop, parents.stop) == (i, k, parent) and parent < cols.start:
+                runs[-1] = (slice(cols.start, k + 1), slice(parents.start, parent + 1), i)
+                continue
+        runs.append((slice(k, k + 1), slice(parent, parent + 1), i))
+    return runs
+
+
 def _vandermonde(points: np.ndarray, exponents: list) -> np.ndarray:
     """Columns x**e, each its parent column (first nonzero entry of e lowered) times x_i.
 
     Parents must be listed before their children, as both monomial orders are.
     """
-    index = {e: k for k, e in enumerate(exponents)}
-    out = np.ones((points.shape[0], len(exponents)), order="F")
-    for k, e in enumerate(exponents):
-        i = next((i for i, ei in enumerate(e) if ei), None)
-        if i is not None:
-            parent = index[e[:i] + (e[i] - 1,) + e[i + 1 :]]
-            np.multiply(out[:, parent], points[:, i], out=out[:, k])
-    return out
+    out = np.ones((len(exponents), points.shape[0]))  # row k holds column k
+    coords = points.T.copy()
+    for cols, parents, i in _vandermonde_plan(tuple(exponents)):
+        np.multiply(out[parents], coords[i], out=out[cols])
+    return out.T
 
 
 @dataclass

@@ -215,16 +215,59 @@ def membership_residual_many(points: np.ndarray, spec: VarietySpec) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+_SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_EYE2 = np.eye(2)
+# Rolled indices for 3x3 cofactors: E[j, l] = (I + A)[R[l], R[j]] with R = (1, 2, 0, 1),
+# so adj(I + A)[i, k] = E[i, k] E[i+1, k+1] - E[i+1, k] E[i, k+1] for i, k in 0..2.
+_R3 = np.array([1, 2, 0, 1])
+_R3_DIAG = (np.array([0, 1, 2, 3, 0, 3]), np.array([0, 1, 2, 3, 3, 0]))  # where R[j] == R[l]
+
+
+def _adjugate_and_det(a: np.ndarray) -> tuple:
+    """adj(I + A), written out as cofactors in a fresh array, and det(I + A), for m = 2, 3."""
+    if a.shape[-1] == 2:
+        # adj is linear on 2x2 matrices: swap the diagonal, negate the off-diagonal.
+        # Adding all of I also turns a negated zero into +0.
+        adj = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _SIGN2
+        adj += _EYE2
+        return adj, adj[..., 1, 1] * adj[..., 0, 0] - a[..., 0, 1] * a[..., 1, 0]
+    e = np.swapaxes(a, -1, -2)[..., _R3[:, None], _R3]
+    e[..., _R3_DIAG[0], _R3_DIAG[1]] += 1.0
+    adj = e[..., :3, :3] * e[..., 1:, 1:]
+    adj -= e[..., 1:, :3] * e[..., :3, 1:]
+    # Row 0 of I + A against column 0 of its adjugate.
+    det = e[..., 2, 2] * adj[..., 0, 0]
+    det += e[..., 0, 2] * adj[..., 1, 0]
+    det += e[..., 1, 2] * adj[..., 2, 0]
+    return adj, det
+
+
 def cayley_many(a: np.ndarray) -> np.ndarray:
     """Cayley transform (I - A)(I + A)^(-1) of stacked (..., m, m) matrices.
 
     Maps skew-symmetric matrices to special-orthogonal ones and
     skew-Hermitian matrices to unitary ones, fixing I at A = 0, and is an
-    involution: applying it twice returns the input.  Skew inputs keep
-    I + A invertible, so there is no conditioning check.
+    involution: applying it twice returns the input.  The formula holds for
+    any real or complex A with I + A invertible, not only skew ones.
+
+    For m = 2 and 3 (every SO(2), SO(3), O(3), U(2), SU(2) and SU(3)
+    spray) it is evaluated as 2 adj(I + A) / det(I + A) - I, with the
+    adjugate written out as cofactors, elementwise, so row i of a batch is
+    bitwise equal to the transform of row i alone.  Other m use one batched
+    LAPACK solve.  When I + A is singular, m = 2, 3 give non-finite entries
+    in that matrix (without a warning) and other m raise
+    ``np.linalg.LinAlgError``.
     """
     a = np.asarray(a)
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    a = a.astype(np.result_type(a, 1.0), copy=False)
+    m = a.shape[-1]
+    if m in (2, 3):
+        out, det = _adjugate_and_det(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out *= (2.0 / det)[..., None, None]
+        out[..., range(m), range(m)] -= 1.0
+        return out
+    eye = np.eye(m, dtype=a.dtype)
     ipa = eye + a
     return np.swapaxes(
         np.linalg.solve(np.swapaxes(ipa, -1, -2), np.swapaxes(eye - a, -1, -2)), -1, -2

@@ -200,9 +200,17 @@ def group_action_spray(
                 -1,
                 -2,
             )
-            a = cayley_many(g)
+            # I + g is singular when g has eigenvalue -1 (a half-turn in SO(3)):
+            # cayley_many then gives non-finite entries (m = 2, 3) or raises.
+            try:
+                a = cayley_many(g)
+                finite = np.all(np.isfinite(a))
+            except np.linalg.LinAlgError:
+                finite = False
+            if not finite:
+                raise SprayInversionError("I + g is singular: the target is not Cayley-reachable")
             coords, resid = algebra_coordinates_many(a, algebra_kind, m)
-            if np.max(resid) > 1e-8:
+            if not np.max(resid) <= 1e-8:
                 raise SprayInversionError(
                     "target group element is not in the Cayley-reachable neighborhood"
                 )
@@ -471,12 +479,13 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
     if spray.inverse_many is not None:
         vs = spray.inverse_many(points, targets)
         norms = np.linalg.norm(vs, axis=1)
-        if np.max(norms) > _MAX_FIBER_NORM:
+        # Written as not (x <= bound) so that a NaN fails too.
+        if not np.max(norms) <= _MAX_FIBER_NORM:
             raise SprayInversionError(
                 f"exact inverse outside the local neighborhood (max |v| = {np.max(norms):.3e})"
             )
         resid = np.max(np.abs(spray.eval_many(points, vs) - targets))
-        if resid > 1e-8:
+        if not resid <= 1e-8:
             raise SprayInversionError(f"exact inverse failed to verify (residual {resid:.3e})")
         return vs
     vs = np.zeros((points.shape[0], spray.fiber_dim))

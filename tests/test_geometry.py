@@ -136,6 +136,68 @@ def test_cayley_involution_hypothesis(seed):
     assert np.max(np.abs(cayley_many(cayley_many(a)) - a)) <= 1e-10
 
 
+def _cayley_by_solve(a):
+    eye = np.eye(a.shape[-1])
+    lhs, rhs = np.swapaxes(eye + a, -1, -2), np.swapaxes(eye - a, -1, -2)
+    return np.swapaxes(np.linalg.solve(lhs, rhs), -1, -2)
+
+
+def _skew_batch(seed, n, m, complex_):
+    gen = np.random.default_rng(seed)
+    raw = gen.normal(size=(n, m, m))
+    if complex_:
+        raw = raw + 1j * gen.normal(size=(n, m, m))
+    return raw - np.conj(np.swapaxes(raw, -1, -2))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m", [2, 3])
+def test_cayley_cofactor_form_matches_a_solve(m, complex_):
+    a = _skew_batch(31, 64, m, complex_)
+    q = _cayley_by_solve(a)  # orthogonal / unitary: the self-action inverse's input
+    assert np.max(np.abs(cayley_many(a) - q)) <= 1e-14
+    assert np.max(np.abs(cayley_many(q) - _cayley_by_solve(q))) <= 1e-14
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cayley_batch_rows_equal_lone_rows_bitwise(m, complex_):
+    a = _skew_batch(32, 64, m, complex_)
+    batch = cayley_many(a)
+    for i in range(64):
+        assert np.array_equal(batch[i], cayley_many(a[i : i + 1])[0])
+
+
+def test_cayley_2x2_unitary_involution():
+    a = _skew_batch(33, 200, 2, True)
+    q = cayley_many(a)
+    gram = q @ np.conj(np.swapaxes(q, 1, 2))
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), q.shape), atol=1e-13)
+    assert np.max(np.abs(cayley_many(q) - a)) <= 1e-10
+
+
+@pytest.mark.parametrize("m,solves", [(1, 1), (2, 0), (3, 0), (4, 1)])
+def test_cayley_solves_only_outside_2x2_and_3x3(m, solves, monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def spy(lhs, rhs):
+        calls.append(lhs.shape)
+        return solve(lhs, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    a = _skew_batch(34, 8, m, False)
+    np.testing.assert_allclose(cayley_many(a), _cayley_by_solve(a), rtol=0, atol=1e-14)
+    assert len(calls) == solves + 1  # the reference makes one
+
+
+def test_cayley_singular_identity_plus_a_is_non_finite_for_3x3():
+    # A = diag(0, -1, -1) makes I + A singular.
+    with np.errstate(all="raise"):
+        q = cayley_many(np.diag([0.0, -1.0, -1.0])[None])
+    assert not np.any(np.isfinite(q))
+
+
 # ---------------------------------------------------------------------------
 # shrink map
 # ---------------------------------------------------------------------------

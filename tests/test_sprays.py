@@ -411,6 +411,25 @@ def test_local_inverse_self_action_exact():
     np.testing.assert_allclose(solve_fiber_many(spray, y, q), v, atol=1e-10)
 
 
+@pytest.mark.parametrize("m", [3, 4])
+def test_self_action_half_turn_target_is_an_inversion_error(m):
+    # g = diag(1, ..., 1, -1, -1) is a half-turn: I + g is singular, so no
+    # Cayley fiber vector reaches it from the identity.
+    group = SO("SO", m)
+    spray = group_action_spray(group, group)
+    target = np.diag([1.0] * (m - 2) + [-1.0, -1.0]).reshape(1, -1)
+    with pytest.raises(SprayInversionError):
+        solve_fiber_many(spray, np.eye(m).reshape(1, -1), target)
+
+
+def test_exact_inverse_nan_fails_its_checks():
+    spray = group_action_spray(SO("SU", 2), SO("SU", 2))
+    broken = dataclasses.replace(spray, inverse_many=lambda p, q: np.full((p.shape[0], 3), np.nan))
+    y = sample_variety(spray.base, 2, 17)
+    with pytest.raises(SprayInversionError):
+        solve_fiber_many(broken, y, y)
+
+
 def test_newton_divergence_error(monkeypatch):
     spray = group_action_spray(SO("SO", 3))
     y = np.array([[0.0, 0.0, 1.0]])
