@@ -49,7 +49,6 @@ from .sprays import (
     group_action_spray,
     iterated_spray,
     probe_injectivity_radius,
-    product_submersion_spray,
     stereographic_spray,
     verify_dominating,
     verify_spray_axioms,

@@ -41,7 +41,6 @@ from .sprays import (
     group_action_spray,
     iterated_spray,
     probe_injectivity_radius,
-    product_submersion_spray,
     stereographic_spray,
     verify_dominating,
     verify_spray_axioms,
@@ -67,30 +66,35 @@ def _parse_variety(spec) -> VarietySpec:
     raise UsageError(f"cannot parse variety {spec!r}")
 
 
+def _group_spray(config: dict) -> Spray:
+    group = _parse_variety(config["group"])
+    space_cfg = config.get("space")
+    if space_cfg in (None, "default"):
+        space = None
+    elif space_cfg == "self":
+        space = group
+    else:
+        space = _parse_variety(space_cfg)
+    return group_action_spray(group, space, config.get("shrink_c"))
+
+
+# Spray builders, by the config's "kind".
+_SPRAY_KINDS = {
+    "stereographic": lambda config: stereographic_spray(
+        int(config["n"]), config.get("fiber", "ambient")
+    ),
+    "group": _group_spray,
+    "iterated": lambda config: iterated_spray(build_spray(config["inner"]), int(config["k"])),
+    "constant": lambda config: constant_spray(VarietySpec.sphere(int(config.get("n", 2)))),
+}
+
+
 def build_spray(config: dict) -> Spray:
     """Construct a spray from its JSON description (CLI surface)."""
     kind = config.get("kind")
-    if kind == "stereographic":
-        return stereographic_spray(int(config["n"]), config.get("fiber", "ambient"))
-    if kind == "group":
-        group = _parse_variety(config["group"])
-        space_cfg = config.get("space")
-        if space_cfg in (None, "default"):
-            space = None
-        elif space_cfg == "self":
-            space = group
-        else:
-            space = _parse_variety(space_cfg)
-        return group_action_spray(group, space, config.get("shrink_c"))
-    if kind == "product":
-        return product_submersion_spray(
-            _parse_variety(config["x"]), build_spray(config["inner"])
-        )
-    if kind == "iterated":
-        return iterated_spray(build_spray(config["inner"]), int(config["k"]))
-    if kind == "constant":
-        return constant_spray(VarietySpec.sphere(int(config.get("n", 2))))
-    raise UsageError(f"unknown spray kind {kind!r}")
+    if kind not in _SPRAY_KINDS:
+        raise UsageError(f"unknown spray kind {kind!r} (available: {sorted(_SPRAY_KINDS)})")
+    return _SPRAY_KINDS[kind](config)
 
 
 def _write_report(report: dict, out_path) -> None:
@@ -164,11 +168,12 @@ _SPHERE_SELF_MAPS = {
 
 def cmd_degree(config: dict, seed: int, out) -> int:
     name = config.get("map")
-    opts = DegreeOptions(
-        seed=seed,
-        n_starts=config.get("n_starts"),
-        max_dim=int(config.get("max_dim", 5)),
-    )
+    n_starts = config.get("n_starts")
+    if n_starts is not None:
+        n_starts = int(n_starts)
+        if n_starts < 1:
+            raise UsageError(f"n_starts must be >= 1, got {n_starts}")
+    opts = DegreeOptions(seed=seed, n_starts=n_starts, max_dim=int(config.get("max_dim", 5)))
     if name in _SPHERE_SELF_MAPS:
         report = sphere_degree(_SPHERE_SELF_MAPS[name](config), int(config["n"]), opts)
     else:
@@ -265,7 +270,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"spraylab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"spraylab: bad config: {exc!r}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # pipeline failures, degree-oracle errors, non-finite reports

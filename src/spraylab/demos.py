@@ -17,8 +17,7 @@ import numpy as np
 
 from .approx import ApproxConfig, Homotopy, monomial_exponents
 from .degree import identity_map
-from .geometry import VarietySpec
-from .sampling import normalize_rows
+from .geometry import VarietySpec, normalize_rows
 from .serialize import decimal_string
 from .sprays import Spray, stereographic_spray
 

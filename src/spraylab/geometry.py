@@ -9,7 +9,7 @@ group or of a sphere inside C^k is stored as [re z0, im z0, re z1, ...].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,19 +28,16 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class VarietySpec:
-    """A supported variety: sphere, Fermat sphere, classical group, or product.
+    """A supported variety: a round sphere or a classical group.
 
-    ``kind`` is one of ``"sphere"``, ``"fermat_sphere"``, ``"O"``, ``"SO"``,
-    ``"U"``, ``"SU"``, ``"product"``.  Sphere kinds use ``n`` (the manifold
-    dimension), group kinds use ``m`` (the matrix size), ``fermat_sphere``
-    additionally carries the even defining exponent.
+    ``kind`` is one of ``"sphere"``, ``"O"``, ``"SO"``, ``"U"``, ``"SU"``.
+    Spheres use ``n`` (the manifold dimension), groups use ``m`` (the
+    matrix size).
     """
 
     kind: str
     n: int = 0
     m: int = 0
-    exponent: int = 2
-    factors: tuple = field(default_factory=tuple)
 
     # -- constructors -------------------------------------------------------
 
@@ -51,26 +48,12 @@ class VarietySpec:
         return VarietySpec(kind="sphere", n=int(n))
 
     @staticmethod
-    def fermat_sphere(n: int, exponent: int) -> "VarietySpec":
-        if n < 1:
-            raise ValueError(f"sphere dimension must be >= 1, got {n}")
-        if exponent < 2 or exponent % 2:
-            raise ValueError(f"defining exponent must be even and >= 2, got {exponent}")
-        return VarietySpec(kind="fermat_sphere", n=int(n), exponent=int(exponent))
-
-    @staticmethod
     def group(name: str, m: int) -> "VarietySpec":
         if name not in _GROUP_KINDS:
             raise ValueError(f"unknown group kind {name!r}")
         if m < 1:
             raise ValueError(f"matrix size must be >= 1, got {m}")
         return VarietySpec(kind=name, m=int(m))
-
-    @staticmethod
-    def product(*factors: "VarietySpec") -> "VarietySpec":
-        if not factors:
-            raise ValueError("product needs at least one factor")
-        return VarietySpec(kind="product", factors=tuple(factors))
 
     # -- derived data --------------------------------------------------------
 
@@ -84,20 +67,18 @@ class VarietySpec:
 
     @property
     def ambient_dim(self) -> int:
-        if self.kind in ("sphere", "fermat_sphere"):
+        if self.kind == "sphere":
             return self.n + 1
         if self.kind in ("O", "SO"):
             return self.m * self.m
         if self.kind in ("U", "SU"):
             return 2 * self.m * self.m
-        if self.kind == "product":
-            return sum(f.ambient_dim for f in self.factors)
         raise ValueError(f"unknown variety kind {self.kind!r}")
 
     @property
     def dim(self) -> int:
         """Manifold dimension (the rank a dominating spray must reach)."""
-        if self.kind in ("sphere", "fermat_sphere"):
+        if self.kind == "sphere":
             return self.n
         if self.kind in ("O", "SO"):
             return self.m * (self.m - 1) // 2
@@ -105,28 +86,12 @@ class VarietySpec:
             return self.m * self.m
         if self.kind == "SU":
             return self.m * self.m - 1
-        if self.kind == "product":
-            return sum(f.dim for f in self.factors)
         raise ValueError(f"unknown variety kind {self.kind!r}")
 
     def label(self) -> str:
         if self.kind == "sphere":
             return f"S{self.n}"
-        if self.kind == "fermat_sphere":
-            return f"S{self.n}_{self.exponent}"
-        if self.kind == "product":
-            return " x ".join(f.label() for f in self.factors)
         return f"{self.kind}({self.m})"
-
-    def slices(self) -> list:
-        """Coordinate slices of the factors (identity slice for non-products)."""
-        if self.kind != "product":
-            return [slice(0, self.ambient_dim)]
-        out, start = [], 0
-        for f in self.factors:
-            out.append(slice(start, start + f.ambient_dim))
-            start += f.ambient_dim
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +158,6 @@ def membership_residual_many(points: np.ndarray, spec: VarietySpec) -> np.ndarra
         )
     if spec.kind == "sphere":
         return np.abs(np.einsum("ni,ni->n", p, p) - 1.0)
-    if spec.kind == "fermat_sphere":
-        return np.abs(np.sum(p**spec.exponent, axis=1) - 1.0)
     if spec.is_group:
         q = point_to_matrix(p, spec)
         gram = q @ np.conj(np.swapaxes(q, -1, -2)) - np.eye(spec.m)
@@ -202,11 +165,6 @@ def membership_residual_many(points: np.ndarray, spec: VarietySpec) -> np.ndarra
         if spec.kind in ("SO", "SU"):
             resid = np.maximum(resid, np.abs(np.linalg.det(q) - 1.0))
         return resid
-    if spec.kind == "product":
-        return np.max(
-            [membership_residual_many(p[:, s], f) for s, f in zip(spec.slices(), spec.factors)],
-            axis=0,
-        )
     raise ValueError(f"unknown variety kind {spec.kind!r}")
 
 
@@ -307,7 +265,7 @@ def unshrink_map(w: np.ndarray, c: float) -> np.ndarray:
 
 
 def radial_to_fermat(x: np.ndarray, exponent: int) -> np.ndarray:
-    """Scale points of the round sphere onto the Fermat sphere of the given exponent."""
+    """Scale points of the round sphere radially onto sum x_i**exponent = 1."""
     x = np.asarray(x, dtype=float)
     scale = np.sum(x**exponent, axis=-1) ** (1.0 / exponent)
     return x / scale[..., None]
@@ -451,10 +409,6 @@ def variety_tangent_frame(points: np.ndarray, spec: VarietySpec) -> np.ndarray:
     p = np.asarray(points, dtype=float)
     if spec.kind == "sphere":
         return sphere_tangent_basis_many(p)
-    if spec.kind == "fermat_sphere":
-        # Gradient of the defining polynomial replaces the radial direction.
-        grad = spec.exponent * p ** (spec.exponent - 1)
-        return sphere_tangent_basis_many(normalize_rows(grad))
     if spec.is_group:
         basis = lie_algebra_basis(spec.kind, spec.m)
         rows = matrix_to_point(basis @ point_to_matrix(p, spec)[:, None], spec)  # (N, d, amb)
@@ -462,11 +416,4 @@ def variety_tangent_frame(points: np.ndarray, spec: VarietySpec) -> np.ndarray:
         qmat, rmat = np.linalg.qr(np.swapaxes(rows, 1, 2))
         signs = np.where(np.diagonal(rmat, axis1=1, axis2=2) < 0, -1.0, 1.0)
         return np.swapaxes(qmat * signs[:, None, :], 1, 2)
-    if spec.kind == "product":
-        out = np.zeros((p.shape[0], spec.dim, spec.ambient_dim))
-        row = 0
-        for s, f in zip(spec.slices(), spec.factors):
-            out[:, row : row + f.dim, s] = variety_tangent_frame(p[:, s], f)
-            row += f.dim
-        return out
     raise ValueError(f"unknown variety kind {spec.kind!r}")

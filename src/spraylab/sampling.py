@@ -12,7 +12,6 @@ from .geometry import (
     embed_fiber_in_algebra,
     matrix_to_point,
     normalize_rows,
-    radial_to_fermat,
 )
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -53,19 +52,9 @@ def sample_group(spec: VarietySpec, count: int, gen: np.random.Generator) -> np.
 
 def sample_variety(spec: VarietySpec, count: int, seed: int) -> np.ndarray:
     """Deterministic batch of points on ``spec``, shape (count, ambient_dim)."""
-    return _sample_variety(spec, count, rng(seed))
-
-
-def _sample_variety(spec: VarietySpec, count: int, gen: np.random.Generator) -> np.ndarray:
     if spec.kind == "sphere":
-        return sample_sphere(spec.n, count, gen)
-    if spec.kind == "fermat_sphere":
-        return radial_to_fermat(sample_sphere(spec.n, count, gen), spec.exponent)
-    if spec.is_group:
-        return sample_group(spec, count, gen)
-    if spec.kind == "product":
-        return np.hstack([_sample_variety(f, count, gen) for f in spec.factors])
-    raise ValueError(f"cannot sample variety kind {spec.kind!r}")
+        return sample_sphere(spec.n, count, rng(seed))
+    return sample_group(spec, count, rng(seed))
 
 
 def sample_fiber(dim: int, count: int, gen: np.random.Generator, radius: float) -> np.ndarray:

@@ -1,9 +1,8 @@
 """JSON (de)serialization for variety specs and reports.
 
 Schemas:
-  variety {"kind": "sphere", "n": 2} / {"kind": "SO", "m": 3} /
-          {"kind": "fermat_sphere", "n": 2, "exponent": 6} /
-          {"kind": "product", "factors": [...]}
+  variety {"kind": "sphere", "n": 2} (the n-sphere) /
+          {"kind": "SO", "m": 3} (a group: "O", "SO", "U" or "SU", matrix size m)
 
 Floats are emitted as shortest round-trip decimals (the json module uses
 repr), which keeps reports byte-stable across reruns.  NaN and infinities
@@ -25,12 +24,8 @@ from .geometry import VarietySpec
 def variety_to_json(spec: VarietySpec) -> dict:
     if spec.kind == "sphere":
         return {"kind": "sphere", "n": spec.n}
-    if spec.kind == "fermat_sphere":
-        return {"kind": "fermat_sphere", "n": spec.n, "exponent": spec.exponent}
     if spec.is_group:
         return {"kind": spec.kind, "m": spec.m}
-    if spec.kind == "product":
-        return {"kind": "product", "factors": [variety_to_json(f) for f in spec.factors]}
     raise ValueError(f"unknown variety kind {spec.kind!r}")
 
 
@@ -38,12 +33,8 @@ def variety_from_json(data: dict) -> VarietySpec:
     kind = data["kind"]
     if kind == "sphere":
         return VarietySpec.sphere(data["n"])
-    if kind == "fermat_sphere":
-        return VarietySpec.fermat_sphere(data["n"], data["exponent"])
     if kind in ("O", "SO", "U", "SU"):
         return VarietySpec.group(kind, data["m"])
-    if kind == "product":
-        return VarietySpec.product(*(variety_from_json(f) for f in data["factors"]))
     raise ValueError(f"unknown variety kind {kind!r}")
 
 

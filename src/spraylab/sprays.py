@@ -1,11 +1,10 @@
 """Explicit dominating sprays, numerical verification of the spray axioms,
 and local inversion near the zero section.
 
-Every spray here is trivialized: the total space is base x R^fiber_dim, the
-zero section is (y, 0), and ``eval_many(y, v)`` is a regular map, batched
-over rows, landing back in the base (for product-submersion sprays, in the
-fiber of the projection through (x, y), i.e. the x-block is preserved
-exactly).  Fiber coordinates never depend on a per-point tangent frame:
+Every spray here lives on a sphere or a classical group and is trivialized:
+the total space is base x R^fiber_dim, the zero section is (y, 0), and
+``eval_many(y, v)`` is a regular map, batched over rows, landing back in the
+base.  Fiber coordinates never depend on a per-point tangent frame:
 such frames have seams on spheres, and a spray read in one would jump across
 them.  Dominance is checked against the base's own tangent frames.
 """
@@ -57,20 +56,22 @@ _MIN_SIGMA_RATIO = 0.1
 class Spray:
     """A trivialized spray: ``eval_many`` maps (base points, fiber vectors) to base points.
 
-    ``required_rank`` is the tangent-space dimension the fiber derivative at
-    the zero section must reach for the spray to dominate (the vertical
-    dimension for product-submersion sprays).  ``x_dim > 0`` marks the
-    leading coordinate block a product-submersion spray must preserve.
+    ``base`` is a sphere or a classical group.  The spray dominates when its
+    fiber derivative at the zero section reaches ``required_rank``, the
+    dimension of the base, at every point.
     """
 
     kind: str
     base: VarietySpec
     fiber_dim: int
-    required_rank: int
     eval_many: Callable
     params: dict = field(default_factory=dict)
     inverse_many: Optional[Callable] = None
-    x_dim: int = 0
+
+    @property
+    def required_rank(self) -> int:
+        """Tangent-space dimension of the base."""
+        return self.base.dim
 
     def descriptor(self) -> dict:
         return {
@@ -130,7 +131,6 @@ def stereographic_spray(n: int, fiber: str = "ambient") -> Spray:
         kind="stereographic",
         base=VarietySpec.sphere(n),
         fiber_dim=n + 1,
-        required_rank=n,
         eval_many=eval_many,
         inverse_many=_stereo_backward,
         params={"n": n, "fiber": fiber},
@@ -194,12 +194,8 @@ def group_action_spray(
         def inverse_many(points, targets):
             ymat = point_to_matrix(points, group)
             qmat = point_to_matrix(targets, group)
-            # g y = q  =>  y^T g^T = q^T
-            g = np.swapaxes(
-                np.linalg.solve(np.swapaxes(ymat, -1, -2), np.swapaxes(qmat, -1, -2)),
-                -1,
-                -2,
-            )
+            # g y = q, and y is orthogonal or unitary, so g = q y^H.
+            g = qmat @ np.conj(np.swapaxes(ymat, -1, -2))
             # I + g is singular when g has eigenvalue -1 (a half-turn in SO(3)):
             # cayley_many then gives non-finite entries (m = 2, 3) or raises.
             try:
@@ -233,7 +229,6 @@ def group_action_spray(
         kind="group_action",
         base=space,
         fiber_dim=fiber_dim,
-        required_rank=space.dim,
         eval_many=eval_many,
         inverse_many=inverse_many,
         params={
@@ -245,42 +240,8 @@ def group_action_spray(
 
 
 # ---------------------------------------------------------------------------
-# Product-submersion and iterated sprays
+# Iterated and constant sprays
 # ---------------------------------------------------------------------------
-
-
-def product_submersion_spray(x_spec: VarietySpec, spray_y: Spray) -> Spray:
-    """Spray for the projection X x Y -> X: ((x, y), v) -> (x, s_Y(y, v)).
-
-    The x-block of the output is the x-block of the input, bit for bit.
-    """
-    base = VarietySpec.product(x_spec, spray_y.base)
-    xd = x_spec.ambient_dim
-
-    def eval_many(points, vs):
-        out = np.empty((points.shape[0], base.ambient_dim))
-        out[:, :xd] = points[:, :xd]
-        out[:, xd:] = spray_y.eval_many(points[:, xd:], vs)
-        return out
-
-    inverse_many = None
-    if spray_y.inverse_many is not None:
-
-        def inverse_many(points, targets):
-            if np.max(np.abs(points[:, :xd] - targets[:, :xd])) > 1e-8:
-                raise SprayInversionError("target lies in a different fiber of the projection")
-            return spray_y.inverse_many(points[:, xd:], targets[:, xd:])
-
-    return Spray(
-        kind="product_submersion",
-        base=base,
-        fiber_dim=spray_y.fiber_dim,
-        required_rank=spray_y.required_rank,
-        eval_many=eval_many,
-        inverse_many=inverse_many,
-        x_dim=xd,
-        params={"x": serialize.variety_to_json(x_spec), "inner": spray_y.descriptor()},
-    )
 
 
 def iterated_spray(spray: Spray, k: int) -> Spray:
@@ -304,9 +265,7 @@ def iterated_spray(spray: Spray, k: int) -> Spray:
         kind="iterated",
         base=spray.base,
         fiber_dim=k * m,
-        required_rank=spray.required_rank,
         eval_many=eval_many,
-        x_dim=spray.x_dim,
         params={"k": k, "inner": spray.descriptor()},
     )
 
@@ -317,7 +276,6 @@ def constant_spray(spec: VarietySpec) -> Spray:
         kind="constant",
         base=spec,
         fiber_dim=spec.dim,
-        required_rank=spec.dim,
         eval_many=lambda points, vs: points.copy(),
         params={"fiber_dim": spec.dim},
     )
@@ -352,7 +310,6 @@ class SprayAxiomReport:
     fiber_radius: float
     zero_section_max: float
     membership_max: float
-    fiber_block_max: float
     max_violation: float
     passed: bool
     per_sample: list
@@ -372,11 +329,7 @@ def verify_spray_axioms(
     vs = sample_fiber(spray.fiber_dim, n_samples, rng(seed + 1), fiber_radius)
     out = spray.eval_many(points, vs)
     member = membership_residual_many(out, spray.base)
-    if spray.x_dim > 0:
-        fiber_dev = np.max(np.abs(out[:, : spray.x_dim] - points[:, : spray.x_dim]), axis=1)
-    else:
-        fiber_dev = np.zeros(n_samples)
-    per_sample = np.maximum(np.maximum(zero_dev, member), fiber_dev)
+    per_sample = np.maximum(zero_dev, member)
     max_violation = float(np.max(per_sample))
     return SprayAxiomReport(
         kind=spray.kind,
@@ -387,7 +340,6 @@ def verify_spray_axioms(
         fiber_radius=fiber_radius,
         zero_section_max=float(np.max(zero_dev)),
         membership_max=float(np.max(member)),
-        fiber_block_max=float(np.max(fiber_dev)),
         max_violation=max_violation,
         passed=bool(max_violation <= tol),
         per_sample=[float(x) for x in per_sample],
@@ -419,9 +371,9 @@ def verify_dominating(
     """Numerical rank of the fiber derivative at the zero section, per sample.
 
     Central finite differences in the fiber argument, rows projected onto
-    the base's tangent frame (a product-submersion spray copies its x-block,
-    so the x rows add no rank), rank from singular values above rank_tol
-    times the largest.
+    the base's tangent frame (:func:`variety_tangent_frame` of the sphere or
+    group), rank from singular values above rank_tol times the largest.  The
+    spray passes when every sample reaches rank dim(base).
     """
     points = sample_variety(spray.base, n_samples, seed)
     steps = fd_step * (1.0 + np.linalg.norm(points, axis=1))

@@ -69,10 +69,14 @@ def test_verify_frame_fiber_is_a_usage_error(tmp_path):
     assert report is None
 
 
-def test_verify_unknown_kind_usage_error(tmp_path):
-    code, report, _ = run_cli(tmp_path, "verify-spray", {"kind": "nonsense"})
-    assert code == EXIT_USAGE
-    assert report is None
+def test_verify_unknown_kind_usage_error(tmp_path, capsys):
+    # Product-submersion sprays are not a spray kind: the pipeline runs on the target.
+    product = {"kind": "product", "x": "S1", "inner": {"kind": "stereographic", "n": 1}}
+    for config in ({"kind": "nonsense"}, product):
+        code, report, _ = run_cli(tmp_path, "verify-spray", config)
+        assert code == EXIT_USAGE
+        assert report is None
+        assert "['constant', 'group', 'iterated', 'stereographic']" in capsys.readouterr().err
 
 
 def test_verify_non_finite_report_fails_naming_the_field(tmp_path, capsys, monkeypatch):
@@ -132,6 +136,20 @@ def test_degree_sharp_product(tmp_path):
 def test_degree_unknown_map_usage(tmp_path):
     code, _, _ = run_cli(tmp_path, "degree", {"map": "mystery"})
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("degree", {"map": "a_k", "k": 2, "n_starts": "many"}),
+        ("degree", {"map": "a_k", "k": 2, "n_starts": 0}),
+        ("verify-spray", {"kind": "stereographic", "n": None}),
+    ],
+)
+def test_bad_config_numbers_are_usage_errors(tmp_path, command, config):
+    code, report, _ = run_cli(tmp_path, command, config)
+    assert code == EXIT_USAGE
+    assert report is None
 
 
 # ---------------------------------------------------------------------------

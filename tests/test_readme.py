@@ -65,3 +65,8 @@ def test_readme_config_examples_build():
     assert all(isinstance(spray, Spray) for spray in built["kind"])
     assert all(isinstance(f, MatrixSphereMap) or callable(f) for f in built["map"])
     assert all(isinstance(demo, DemoSetup) for demo in built["demo"])
+
+
+def test_readme_has_a_config_example_for_every_spray_kind():
+    kinds = {config["kind"] for config in config_examples() if "kind" in config}
+    assert kinds == set(cli._SPRAY_KINDS)

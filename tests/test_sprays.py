@@ -15,7 +15,6 @@ from spraylab.sprays import (
     group_action_spray,
     iterated_spray,
     probe_injectivity_radius,
-    product_submersion_spray,
     solve_fiber_many,
     stereographic_spray,
     verify_dominating,
@@ -38,7 +37,6 @@ def all_test_sprays():
         group_action_spray(SO("U", 2)),
         group_action_spray(SO("SU", 2)),
         group_action_spray(SO("SO", 3), SO("SO", 3)),
-        product_submersion_spray(S(1), stereographic_spray(1)),
         iterated_spray(stereographic_spray(2), 3),
     ]
 
@@ -81,7 +79,6 @@ def test_corrupted_spray_fails_with_planted_violation():
         kind="stereographic",
         base=base.base,
         fiber_dim=base.fiber_dim,
-        required_rank=base.required_rank,
         eval_many=corrupted,
     )
     report = verify_spray_axioms(bad, n_samples=200, seed=0, fiber_radius=1.0)
@@ -90,11 +87,8 @@ def test_corrupted_spray_fails_with_planted_violation():
 
 
 def _seam_points(spec):
-    """Two points of a sphere, or of a product of spheres, 2e-12 apart on
-    either side of a tangent-frame seam: their two largest coordinates swap."""
-    if spec.kind == "product":
-        sides = [_seam_points(f) for f in spec.factors]
-        return tuple(np.hstack(side) for side in zip(*sides))
+    """Two points of a sphere 2e-12 apart on either side of a tangent-frame
+    seam: their two largest coordinates swap."""
     head = np.array([0.6, 0.6, 0.529, 0.3, 0.2][: spec.ambient_dim])
     shift = np.zeros(spec.ambient_dim)
     shift[:2] = [1e-12, -1e-12]
@@ -105,8 +99,7 @@ def test_sphere_sprays_are_continuous_across_frame_seams():
     # A spray is a regular map, so it cannot jump where the deterministic
     # per-point tangent frame (discontinuous on every sphere) changes its axes.
     for spray in all_test_sprays():
-        factors = spray.base.factors if spray.base.kind == "product" else [spray.base]
-        if any(f.kind != "sphere" for f in factors):
+        if spray.base.kind != "sphere":
             continue
         below, above = _seam_points(spray.base)
         vs = sample_fiber(spray.fiber_dim, 1, rng(23), 1.0)
@@ -273,17 +266,6 @@ def test_constant_spray_fails_dominance_with_rank_zero():
     dom = verify_dominating(constant_spray(S(2)), n_samples=50, seed=0)
     assert not dom.passed
     assert dom.max_rank == 0
-
-
-def test_product_spray_dominance_and_exact_x_block():
-    spray = product_submersion_spray(S(2), stereographic_spray(1))
-    pts = sample_variety(spray.base, 200, 0)
-    vs = sample_fiber(spray.fiber_dim, 200, rng(1), 2.0)
-    out = spray.eval_many(pts, vs)
-    # bit-for-bit equality of the preserved block
-    assert np.array_equal(out[:, :3], pts[:, :3])
-    dom = verify_dominating(spray, n_samples=200, seed=0)
-    assert dom.passed and dom.required_rank == 1
 
 
 @pytest.mark.parametrize(
@@ -479,10 +461,10 @@ def test_probe_injectivity_radius_reaches_three():
 
 
 def test_descriptor_shapes():
-    desc = iterated_spray(product_submersion_spray(S(1), stereographic_spray(1)), 2).descriptor()
+    desc = iterated_spray(stereographic_spray(1), 2).descriptor()
     assert desc["kind"] == "iterated"
     assert desc["fiber_dim"] == 4  # two blocks of the S1 spray's ambient fiber R^2
-    assert desc["params"]["inner"]["kind"] == "product_submersion"
+    assert desc["params"]["inner"]["kind"] == "stereographic"
     import json
 
     json.dumps(desc)  # must be JSON-clean
