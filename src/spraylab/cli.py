@@ -53,6 +53,12 @@ class UsageError(ValueError):
     pass
 
 
+def _json_object(config, what: str) -> dict:
+    if isinstance(config, dict):
+        return config
+    raise UsageError(f"{what} must be a JSON object, got {config!r}")
+
+
 def _header(command: str, config: dict, seed: int) -> dict:
     """The keys every report starts with."""
     return {"command": command, "config": config, "seed": seed}
@@ -91,7 +97,7 @@ _SPRAY_KINDS = {
 
 def build_spray(config: dict) -> Spray:
     """Construct a spray from its JSON description (CLI surface)."""
-    kind = config.get("kind")
+    kind = _json_object(config, "spray config").get("kind")
     if kind not in _SPRAY_KINDS:
         raise UsageError(f"unknown spray kind {kind!r} (available: {sorted(_SPRAY_KINDS)})")
     return _SPRAY_KINDS[kind](config)
@@ -146,7 +152,7 @@ def cmd_verify_spray(config: dict, seed: int, out) -> int:
 
 
 def _build_matrix_map(config: dict):
-    name = config.get("map")
+    name = _json_object(config, "matrix map config").get("map")
     if name == "a_k":
         return a_k(int(config["k"]))
     if name == "power":
@@ -253,12 +259,11 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = _json_object(json.load(fh), "config")
+    except (OSError, json.JSONDecodeError, UsageError) as exc:
         print(f"spraylab: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     handlers = {
         "verify-spray": cmd_verify_spray,
         "degree": cmd_degree,
@@ -266,6 +271,7 @@ def main(argv=None) -> int:
         "approximate": cmd_approximate,
     }
     try:
+        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         return handlers[args.command](config, seed, args.out)
     except UsageError as exc:
         print(f"spraylab: {exc}", file=sys.stderr)

@@ -14,9 +14,9 @@ last column, per point, to a constant unit vector b and then rotates b, by
 one constant rotation, to the last basis vector e_q.  Both rotations are the
 identity plus a rank-two update, so their product moves every column by
 multiples of the last column, b and e_q alone: one step costs two
-projections and two rank-one updates, applied in place.  The chain runs on
-columns directly and carries only the columns a caller asks for (plus the
-last columns later steps still rotate).
+projections and two rank-one updates, applied in place.  The chain carries
+only the columns a caller asks for and the last columns later steps rotate;
+a step updates those that outlive it, and its own last one only if asked.
 """
 
 from __future__ import annotations
@@ -108,19 +108,15 @@ def homogeneous_extension(f: MatrixSphereMap) -> Callable:
     def extended(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         norms = np.linalg.norm(x, axis=1)
-        out = np.zeros((x.shape[0], f.p, f.p), dtype=complex)
         mask = norms > 0
+        if np.all(mask):
+            return norms[:, None, None] * f.eval_many(x / norms[:, None])
+        out = np.zeros((x.shape[0], f.p, f.p), dtype=complex)
         if np.any(mask):
             out[mask] = norms[mask, None, None] * f.eval_many(x[mask] / norms[mask, None])
         return out
 
     return extended
-
-
-def _kron_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker product of (N, r, r) with (N, s, s) stacks."""
-    n, r, s = a.shape[0], a.shape[1], b.shape[1]
-    return np.einsum("nij,nkl->nikjl", a, b).reshape(n, r * s, r * s)
 
 
 def sharp_product(f: MatrixSphereMap, g: MatrixSphereMap) -> MatrixSphereMap:
@@ -132,7 +128,7 @@ def sharp_product(f: MatrixSphereMap, g: MatrixSphereMap) -> MatrixSphereMap:
                    [I_p (x) G(y),   F(x)* (x) I_q]]
 
     giving a map of size 2pq.  Unitary-valued factors give a unitary-valued
-    product.
+    product.  The blocks are written into one array, one strided diagonal at a time.
     """
     big_f = homogeneous_extension(f)
     big_g = homogeneous_extension(g)
@@ -142,14 +138,17 @@ def sharp_product(f: MatrixSphereMap, g: MatrixSphereMap) -> MatrixSphereMap:
         z = np.asarray(z, dtype=complex)
         fx = big_f(z[:, :k])
         gy = big_g(z[:, k:])
-        n = z.shape[0]
-        eye_p = np.broadcast_to(np.eye(p, dtype=complex), (n, p, p))
-        eye_q = np.broadcast_to(np.eye(q, dtype=complex), (n, q, q))
-        fx_star = np.conj(np.swapaxes(fx, 1, 2))
-        gy_star = np.conj(np.swapaxes(gy, 1, 2))
-        top = np.concatenate([_kron_many(fx, eye_q), -_kron_many(eye_p, gy_star)], axis=2)
-        bot = np.concatenate([_kron_many(eye_p, gy), _kron_many(fx_star, eye_q)], axis=2)
-        return np.concatenate([top, bot], axis=1)
+        fx_star, gy_star = np.conj(np.swapaxes(fx, 1, 2)), np.conj(np.swapaxes(gy, 1, 2))
+        n, pq = z.shape[0], p * q
+        out = np.zeros((n, 2 * pq, 2 * pq), dtype=complex)
+        blocks = out.reshape(n, 2, p, q, 2, p, q)  # (half, i, a) is row half * pq + i * q + a
+        for a in range(q):
+            blocks[:, 0, :, a, 0, :, a], blocks[:, 1, :, a, 1, :, a] = fx, fx_star
+        for i in range(p):
+            blocks[:, 1, i, :, 0, i, :], blocks[:, 0, i, :, 1, i, :] = gy, gy_star
+        out += 0.0  # -0 to +0, as a product with I gives; so -I (x) G* holds -0 off its diagonal
+        np.negative(out[:, :pq, pq:], out=out[:, :pq, pq:])
+        return out
 
     return MatrixSphereMap(
         k=f.k + g.k, p=2 * p * q, eval_many=eval_many, name=f"({f.name}#{g.name})"
@@ -518,20 +517,19 @@ def first_column_sphere_map(h: MatrixSphereMap) -> Callable:
 def _conj_dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_i conj(a[i]) * x[i] over the leading axis, broadcasting the rest.
 
-    The rows are added one by one, in order and in place, so a point's
-    result does not depend on how many points share the call (np.sum may
-    pair up a lone column).
+    The products come from one multiply; the rows are then added one by one,
+    in order and in place, so a point's result does not depend on how many
+    points share the call (np.sum may pair up a lone column).
     """
-    ca = np.conj(a)
-    acc = ca[0] * x[0]
-    term = np.empty_like(acc)
-    for i in range(1, len(x)):
-        acc += np.multiply(ca[i], x[i], out=term)
+    terms = np.conj(a) * x
+    acc = terms[0]
+    for i in range(1, len(terms)):
+        acc += terms[i]
     return acc
 
 
-def _compress_step(x: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
-    """One compression step, applied in place to the columns x, (q, m, N).
+def _compress_step(x: np.ndarray, c: np.ndarray, b: np.ndarray, m: int) -> None:
+    """One compression step on the carried columns x, (q, m', N), applied to the first m.
 
     The step is the product of two rotations, each the identity plus a
     rank-two update: a per-point one taking the unit column c, (q, N), to the
@@ -546,32 +544,43 @@ def _compress_step(x: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
     R1 x.  Where b is on the complex line of e_q only the phase of the second
     rotation is applied.  Where c comes within s < 1e-8 of the complex line
     of b the rotation field degenerates, and ValueError is raised.
+
+    The per-point factors mu and c's last row are kept (1, N): with one column
+    at N = 1 a (1,) factor would meet (1, 1) coefficients, a product numpy
+    rounds without the fused multiply-add of its batched loops, and a lone
+    point would no longer match its row of a batch.
     """
     q = x.shape[0]
-    mu = _conj_dot(c, b[:, None])
+    mu = _conj_dot(c[:, None], b[:, None, None])
     v = b[:, None] - mu * c
     ss = _conj_dot(v, v).real
-    if np.sqrt(np.min(ss)) < 1e-8:
+    if np.sqrt(ss.min()) < 1e-8:
         raise ValueError("rotation field degenerates: a column hits the complex line of b")
-    pair = np.stack([c, np.broadcast_to(b[:, None], c.shape)], axis=1)
-    cx, bx = _conj_dot(pair[:, :, None, :], x[:, None])
+    conj_c, conj_b = np.conj(c)[:, None], np.conj(b)
+    cx, bx = conj_c[0] * x[0, :m], conj_b[0] * x[0, :m]
+    term = np.empty_like(cx)
+    for i in range(1, q):
+        cx += np.multiply(conj_c[i], x[i, :m], out=term)
+        bx += np.multiply(conj_b[i], x[i, :m], out=term)
     tau = (bx - np.conj(mu) * cx) / ss
     p_coef = (mu - 1.0) * tau - cx
-    w = cx + (np.conj(mu) - 1.0) * tau
+    mu_tau = (np.conj(mu) - 1.0) * tau
+    w = cx + mu_tau
     # The constant rotation b -> e_q: mu' = conj(b_q), s'^2 = |e_q - mu' b|^2.
     bq = b[q - 1]
     v_e = -np.conj(bq) * b
     v_e[q - 1] += 1.0
     ss_e = float(np.vdot(v_e, v_e).real)
     if ss_e < 1e-24:
-        b_coef, e_coef = w + (np.conj(bq) - 1.0) * cx, 0.0
+        b_coef, e_coef = w + (np.conj(bq) - 1.0) * cx, np.zeros_like(cx)
     else:
-        rho = (x[q - 1] + c[q - 1] * p_coef + bq * (w - cx)) / ss_e
-        b_coef = (np.conj(mu) - 1.0) * tau + (np.conj(bq) - 1.0) * rho
+        rho = (x[q - 1, :m] + c[q - 1 :] * p_coef + bq * (w - cx)) / ss_e
+        b_coef = mu_tau + (np.conj(bq) - 1.0) * rho
         e_coef = cx + (bq - 1.0) * rho
-    x += c[:, None, :] * p_coef
-    x += b[:, None, None] * b_coef
-    x[q - 1] += e_coef
+    update = np.multiply(c[:, None, :], p_coef)
+    x[:, :m] += update
+    x[:, :m] += np.multiply(b[:, None, None], b_coef, out=update)
+    x[q - 1, :m] += e_coef
 
 
 def _compress_chain(mats: np.ndarray, missed: list, cols) -> np.ndarray:
@@ -581,16 +590,21 @@ def _compress_chain(mats: np.ndarray, missed: list, cols) -> np.ndarray:
     (:func:`_compress_step`): the per-point rotation taking the last column
     (index q - 1) to -missed[t], then the constant rotation taking -missed[t]
     to e_q.  Only the wanted columns and the last columns of later steps are
-    carried.  Returns (N, q, len(cols)) with q the size the last step acted
-    on (p without steps), so that step's block form can be checked.
+    carried, as (rows, columns, N); a step's last column becomes e_q, which
+    the next step slices away, so it is updated only if the last step's is
+    in ``cols``.  Returns (N, q, len(cols)) with q the size the last step
+    acted on (p without steps), so that step's block form can be checked.
     """
-    p = mats.shape[1]
+    n, p = mats.shape[:2]
     keep = sorted(set(cols) | {p - 1 - t for t in range(len(missed))})
-    x = np.ascontiguousarray(np.transpose(mats[:, :, keep], (1, 2, 0)))
+    x = np.empty((p, len(keep), n), dtype=complex)
+    for i, j in enumerate(keep):
+        x[:, i] = mats[:, :, j].T
     for t, point in enumerate(missed):
         q = p - t
         x = x[:q, : sum(j < q for j in keep)]
-        _compress_step(x, x[:, -1].copy(), -np.asarray(point, dtype=complex))
+        updated = x.shape[1] if t == len(missed) - 1 and q - 1 in cols else x.shape[1] - 1
+        _compress_step(x, x[:, -1].copy(), -np.asarray(point, dtype=complex), updated)
     return np.transpose(x[:, [keep.index(j) for j in cols]], (2, 0, 1))
 
 

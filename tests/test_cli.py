@@ -144,12 +144,44 @@ def test_degree_unknown_map_usage(tmp_path):
         ("degree", {"map": "a_k", "k": 2, "n_starts": "many"}),
         ("degree", {"map": "a_k", "k": 2, "n_starts": 0}),
         ("verify-spray", {"kind": "stereographic", "n": None}),
+        ("degree", {"map": "a_k", "k": 2, "seed": "abc"}),
+        ("make-ak", {"k": 2, "seed": [1]}),
     ],
 )
 def test_bad_config_numbers_are_usage_errors(tmp_path, command, config):
     code, report, _ = run_cli(tmp_path, command, config)
     assert code == EXIT_USAGE
     assert report is None
+
+
+@pytest.mark.parametrize(
+    "command,config,seed,message",
+    [
+        ("verify-spray", [1, 2], None, "config must be a JSON object, got [1, 2]"),
+        ("verify-spray", [1, 2], 3, "config must be a JSON object, got [1, 2]"),
+        ("degree", "a_k", None, "config must be a JSON object, got 'a_k'"),
+        ("make-ak", 4, None, "config must be a JSON object, got 4"),
+        ("approximate", None, None, "config must be a JSON object, got None"),
+        ("verify-spray", {"kind": "iterated", "k": 2, "inner": 5}, None,
+         "spray config must be a JSON object, got 5"),
+        ("verify-spray", {"kind": "iterated", "k": 2, "inner": {"kind": "iterated", "k": 2,
+                                                                "inner": ["stereographic"]}},
+         None, "spray config must be a JSON object, got ['stereographic']"),
+        ("degree", {"map": "sharp", "f": 5, "g": {"map": "a_k", "k": 2}}, None,
+         "matrix map config must be a JSON object, got 5"),
+        ("degree", {"map": "sharp", "f": {"map": "a_k", "k": 2}, "g": [1]}, None,
+         "matrix map config must be a JSON object, got [1]"),
+    ],
+    ids=["list", "list-seeded", "degree-string", "make-ak-number", "approximate-null",
+         "inner-number", "nested-inner-list", "sharp-f-number", "sharp-g-list"],
+)
+def test_non_object_configs_are_usage_errors(tmp_path, capsys, command, config, seed, message):
+    # A config, or a nested "inner", "f" or "g", that is not a JSON object is a
+    # usage error with a message, not an AttributeError traceback.
+    code, report, _ = run_cli(tmp_path, command, config, seed=seed)
+    assert code == EXIT_USAGE
+    assert report is None
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -516,13 +516,28 @@ def test_compress_a4_first_column_matches_dense_reference():
     np.testing.assert_allclose(reduced.eval_many(z), mats, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_compressed_column_does_not_depend_on_batch_size(k):
-    reduced = compress_to_k_block(a_k(k))
-    z = sphere_quasi_uniform_complex(24, k)
-    batch = reduced.eval_columns(z, [0])
-    for i in range(24):
-        np.testing.assert_array_equal(reduced.eval_columns(z[i : i + 1], [0])[0], batch[i])
+@pytest.mark.parametrize(
+    "f",
+    [a_k(3), a_k(4), sharp_product(power_map_matrix(2), a_k(2))],
+    ids=["3", "4", "z^2#a_2"],
+)
+def test_compressed_column_does_not_depend_on_batch_size(f):
+    reduced = compress_to_k_block(f)
+    z = sphere_quasi_uniform_complex(24, f.k)
+    if f.p == 4 and f.k == 3:
+        z[5] = [0, 0, 1]  # the x-block of z^2 # a_2 is zero: the extension's masked path
+    q = reduced.p + 1  # the size the last step acts on; the block check takes all its columns
+    chain = lambda rows, cols: degree_mod._compress_chain(f.eval_many(rows), reduced.missed, cols)
+    evaluations = [
+        lambda rows: reduced.eval_columns(rows, [0]),
+        reduced.eval_many,
+        lambda rows: chain(rows, range(q)),
+        lambda rows: chain(rows, [q - 1]),  # one column: no (1, 1) by (1,) products at N = 1
+    ]
+    for evaluate in evaluations:
+        batch = evaluate(z)
+        for i in range(24):
+            np.testing.assert_array_equal(evaluate(z[i : i + 1])[0], batch[i])
 
 
 def _ak_by_concatenation(z, k):
@@ -545,6 +560,131 @@ def test_ak_matrix_matches_concatenated_recursion(k):
     ref = _ak_by_concatenation(z, k)
     assert mats.shape == ref.shape == (40, 2 ** (k - 1), 2 ** (k - 1))
     assert np.all(mats == ref)
+
+
+def _assert_bitwise_equal(actual, expected):
+    # Equal values with equal signs, so -0 and +0 count as different.
+    np.testing.assert_array_equal(actual, expected)
+    for part in (np.real, np.imag):
+        np.testing.assert_array_equal(np.signbit(part(actual)), np.signbit(part(expected)))
+
+
+def _sharp_by_concatenation(f, g):
+    # The # product built from einsum Kronecker products and concatenated
+    # blocks, with the masked homogeneous extension at every call.
+    def kron(a, b):
+        n, r, s = a.shape[0], a.shape[1], b.shape[1]
+        return np.einsum("nij,nkl->nikjl", a, b).reshape(n, r * s, r * s)
+
+    def extension(h, x):
+        norms = np.linalg.norm(x, axis=1)
+        out = np.zeros((x.shape[0], h.p, h.p), dtype=complex)
+        mask = norms > 0
+        if np.any(mask):
+            out[mask] = norms[mask, None, None] * h.eval_many(x[mask] / norms[mask, None])
+        return out
+
+    def eval_many(z):
+        fx, gy = extension(f, z[:, : f.k]), extension(g, z[:, f.k :])
+        n = z.shape[0]
+        eye_p = np.broadcast_to(np.eye(f.p, dtype=complex), (n, f.p, f.p))
+        eye_q = np.broadcast_to(np.eye(g.p, dtype=complex), (n, g.p, g.p))
+        fx_star = np.conj(np.swapaxes(fx, 1, 2))
+        gy_star = np.conj(np.swapaxes(gy, 1, 2))
+        top = np.concatenate([kron(fx, eye_q), -kron(eye_p, gy_star)], axis=2)
+        bot = np.concatenate([kron(eye_p, gy), kron(fx_star, eye_q)], axis=2)
+        return np.concatenate([top, bot], axis=1)
+
+    return MatrixSphereMap(k=f.k + g.k, p=2 * f.p * g.p, eval_many=eval_many)
+
+
+@pytest.mark.parametrize(
+    "build, x_dim",
+    [
+        (lambda sharp: sharp(power_map_matrix(-2), a_k(2)), 1),
+        (lambda sharp: sharp(power_map_matrix(2), a_k(2)), 1),
+        (lambda sharp: sharp(a_k(2), a_k(1)), 2),
+        (lambda sharp: sharp(sharp(a_k(2), a_k(1)), a_k(1)), 3),
+    ],
+    ids=["z^-2#a_2", "z^2#a_2", "a_2#a_1", "(a_2#a_1)#a_1"],
+)
+def test_sharp_product_matches_concatenated_blocks_bitwise(build, x_dim):
+    new, ref = build(sharp_product), build(_sharp_by_concatenation)
+    gen = rng(new.k)
+    z = normalize_rows(gen.standard_normal((50, new.k)) + 1j * gen.standard_normal((50, new.k)))
+    z[0, :x_dim] = 0  # zero x-block
+    z[1, x_dim:] = 0  # zero y-block
+    z[2] = -0.0  # the origin, with signed zeros
+    z[3] = np.eye(new.k)[0]  # real and imaginary axis points: exact zeros in the values
+    z[4] = 1j * np.eye(new.k)[-1]
+    for rows in (z, z[5:6], z[:1]):
+        _assert_bitwise_equal(new.eval_many(rows), ref.eval_many(rows))
+
+
+def _reference_conj_dot(a, x):
+    ca = np.conj(a)
+    acc = ca[0] * x[0]
+    term = np.empty_like(acc)
+    for i in range(1, len(x)):
+        acc += np.multiply(ca[i], x[i], out=term)
+    return acc
+
+
+def _reference_compress_step(x, c, b):
+    # The fused step as first written: projections from one stacked pair and
+    # both rank-one updates applied to every carried column.
+    q = x.shape[0]
+    mu = _reference_conj_dot(c, b[:, None])
+    v = b[:, None] - mu * c
+    ss = _reference_conj_dot(v, v).real
+    if np.sqrt(np.min(ss)) < 1e-8:
+        raise ValueError("rotation field degenerates: a column hits the complex line of b")
+    pair = np.stack([c, np.broadcast_to(b[:, None], c.shape)], axis=1)
+    cx, bx = _reference_conj_dot(pair[:, :, None, :], x[:, None])
+    tau = (bx - np.conj(mu) * cx) / ss
+    p_coef = (mu - 1.0) * tau - cx
+    w = cx + (np.conj(mu) - 1.0) * tau
+    bq = b[q - 1]
+    v_e = -np.conj(bq) * b
+    v_e[q - 1] += 1.0
+    ss_e = float(np.vdot(v_e, v_e).real)
+    if ss_e < 1e-24:
+        b_coef, e_coef = w + (np.conj(bq) - 1.0) * cx, 0.0
+    else:
+        rho = (x[q - 1] + c[q - 1] * p_coef + bq * (w - cx)) / ss_e
+        b_coef = (np.conj(mu) - 1.0) * tau + (np.conj(bq) - 1.0) * rho
+        e_coef = cx + (bq - 1.0) * rho
+    x += c[:, None, :] * p_coef
+    x += b[:, None, None] * b_coef
+    x[q - 1] += e_coef
+
+
+def _reference_compress_chain(mats, missed, cols):
+    p = mats.shape[1]
+    keep = sorted(set(cols) | {p - 1 - t for t in range(len(missed))})
+    x = np.ascontiguousarray(np.transpose(mats[:, :, keep], (1, 2, 0)))
+    for t, point in enumerate(missed):
+        q = p - t
+        x = x[:q, : sum(j < q for j in keep)]
+        _reference_compress_step(x, x[:, -1].copy(), -np.asarray(point, dtype=complex))
+    return np.transpose(x[:, [keep.index(j) for j in cols]], (2, 0, 1))
+
+
+@pytest.mark.parametrize("rows", [1, 24, 1600])
+@pytest.mark.parametrize("k", [3, 4])
+def test_compress_chain_matches_reference_bitwise(k, rows):
+    # Skipping the columns a step drops and gathering column by column must
+    # not change one bit of what the chain returns, after any number of steps.
+    f = a_k(k)
+    missed = compress_to_k_block(f).missed
+    mats = f.eval_many(sphere_quasi_uniform_complex(rows, k))
+    for steps in range(1, len(missed) + 1):
+        q = f.p - steps + 1
+        for cols in ([0], range(q)):
+            _assert_bitwise_equal(
+                degree_mod._compress_chain(mats, missed[:steps], cols),
+                _reference_compress_chain(mats, missed[:steps], cols),
+            )
 
 
 def test_compress_draws_the_missed_point_samples_once(monkeypatch):
