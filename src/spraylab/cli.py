@@ -13,6 +13,7 @@ byte-identical across reruns with the same seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from .degree import (
 )
 from .demos import DEMOS
 from .geometry import VarietySpec
-from .serialize import dumps_canonical, parse_variety_label, variety_from_json
+from .serialize import dumps_canonical, parse_variety_label
 from .sprays import (
     Spray,
     constant_spray,
@@ -59,23 +60,52 @@ def _json_object(config, what: str) -> dict:
     raise UsageError(f"{what} must be a JSON object, got {config!r}")
 
 
+# The config keys each command, spray kind and map reads.
+_KEYS = {
+    "verify-spray": ("seed", "samples", "tol", "fiber_radius", "dominance_samples"),
+    "degree": ("seed", "n_starts", "max_dim"),
+    "make-ak": ("seed", "k", "samples"),
+    "approximate": ("seed", "demo", "target_c0", "d_max", "grid_size", "check_degree"),
+    "stereographic": ("kind", "n", "fiber"),
+    "group": ("kind", "group", "space", "shrink_c"),
+    "iterated": ("kind", "k", "inner"),
+    "constant": ("kind", "n"),
+    "a_k": ("map", "k"),
+    "power": ("map", "d"),
+    "sharp": ("map", "f", "g"),
+    "fermat": ("map", "n", "k"),
+    "identity": ("map", "n"),
+    "antipodal": ("map", "n"),
+}
+
+
+def _check_keys(config: dict, accepted: tuple, what: str) -> None:
+    unknown = sorted(set(config) - set(accepted))
+    if unknown:
+        raise UsageError(f"{what} has unknown keys {unknown} (accepted: {sorted(accepted)})")
+
+
+def _options(config: dict, **table) -> dict:
+    """parameter=kind(config[key]) for each parameter=(key, kind) whose key the
+    config holds: for a key it leaves out, the library's default stands."""
+    return {name: kind(config[key]) for name, (key, kind) in table.items() if key in config}
+
+
 def _header(command: str, config: dict, seed: int) -> dict:
     """The keys every report starts with."""
     return {"command": command, "config": config, "seed": seed}
 
 
-def _parse_variety(spec) -> VarietySpec:
-    if isinstance(spec, str):
-        return parse_variety_label(spec)
-    if isinstance(spec, dict):
-        return variety_from_json(spec)
-    raise UsageError(f"cannot parse variety {spec!r}")
+def _parse_variety(label) -> VarietySpec:
+    if isinstance(label, str):
+        return parse_variety_label(label)
+    raise UsageError(f'a variety is a label such as "S2" or "SO(3)", not {label!r}')
 
 
 def _group_spray(config: dict) -> Spray:
     group = _parse_variety(config["group"])
     space_cfg = config.get("space")
-    if space_cfg in (None, "default"):
+    if space_cfg is None:
         space = None
     elif space_cfg == "self":
         space = group
@@ -95,11 +125,12 @@ _SPRAY_KINDS = {
 }
 
 
-def build_spray(config: dict) -> Spray:
+def build_spray(config: dict, command_keys: tuple = ()) -> Spray:
     """Construct a spray from its JSON description (CLI surface)."""
     kind = _json_object(config, "spray config").get("kind")
     if kind not in _SPRAY_KINDS:
         raise UsageError(f"unknown spray kind {kind!r} (available: {sorted(_SPRAY_KINDS)})")
+    _check_keys(config, _KEYS[kind] + command_keys, "spray config")
     return _SPRAY_KINDS[kind](config)
 
 
@@ -121,21 +152,12 @@ def _write_report(report: dict, out_path) -> None:
 
 
 def cmd_verify_spray(config: dict, seed: int, out) -> int:
-    spray = build_spray(config)
-    axioms = verify_spray_axioms(
-        spray,
-        n_samples=int(config.get("samples", 1000)),
-        seed=seed,
-        tol=float(config.get("tol", 1e-10)),
-        fiber_radius=float(config.get("fiber_radius", 10.0)),
-    )
-    dominance = verify_dominating(
-        spray,
-        n_samples=int(config.get("dominance_samples", min(int(config.get("samples", 1000)), 500))),
-        seed=seed,
-        fd_step=float(config.get("fd_step", 1e-5)),
-        rank_tol=float(config.get("rank_tol", 1e-6)),
-    )
+    spray = build_spray(config, _KEYS["verify-spray"])
+    axioms = verify_spray_axioms(spray, seed=seed, **_options(
+        config, n_samples=("samples", int), tol=("tol", float), fiber_radius=("fiber_radius", float)
+    ))
+    n_dominance = int(config.get("dominance_samples", min(axioms.n_samples, 500)))
+    dominance = verify_dominating(spray, n_samples=n_dominance, seed=seed)
     passed = axioms.passed and dominance.passed
     report = {
         **_header("verify-spray", config, seed),
@@ -151,17 +173,16 @@ def cmd_verify_spray(config: dict, seed: int, out) -> int:
     return EXIT_OK if passed else EXIT_FAIL
 
 
-def _build_matrix_map(config: dict):
+def _build_matrix_map(config: dict, command_keys: tuple = ()):
     name = _json_object(config, "matrix map config").get("map")
+    if name not in ("a_k", "power", "sharp"):
+        raise UsageError(f"unknown matrix map {name!r}")
+    _check_keys(config, _KEYS[name] + command_keys, "matrix map config")
     if name == "a_k":
         return a_k(int(config["k"]))
     if name == "power":
         return power_map_matrix(int(config["d"]))
-    if name == "conj":
-        return power_map_matrix(-1)
-    if name == "sharp":
-        return sharp_product(_build_matrix_map(config["f"]), _build_matrix_map(config["g"]))
-    raise UsageError(f"unknown matrix map {name!r}")
+    return sharp_product(_build_matrix_map(config["f"]), _build_matrix_map(config["g"]))
 
 
 # Self-maps of the n-sphere, by name; every other name is a matrix map.
@@ -174,26 +195,25 @@ _SPHERE_SELF_MAPS = {
 
 def cmd_degree(config: dict, seed: int, out) -> int:
     name = config.get("map")
-    n_starts = config.get("n_starts")
-    if n_starts is not None:
-        n_starts = int(n_starts)
-        if n_starts < 1:
-            raise UsageError(f"n_starts must be >= 1, got {n_starts}")
-    opts = DegreeOptions(seed=seed, n_starts=n_starts, max_dim=int(config.get("max_dim", 5)))
+    opts = DegreeOptions(
+        seed=seed, **_options(config, n_starts=("n_starts", int), max_dim=("max_dim", int))
+    )
+    if opts.n_starts is not None and opts.n_starts < 1:
+        raise UsageError(f"n_starts must be >= 1, got {opts.n_starts}")
     if name in _SPHERE_SELF_MAPS:
+        _check_keys(config, _KEYS[name] + _KEYS["degree"], "degree config")
         report = sphere_degree(_SPHERE_SELF_MAPS[name](config), int(config["n"]), opts)
     else:
-        report = unitary_degree(_build_matrix_map(config), opts)
+        report = unitary_degree(_build_matrix_map(config, _KEYS["degree"]), opts)
     _write_report({**_header("degree", config, seed), "report": report}, out)
     return EXIT_OK
 
 
 def cmd_make_ak(config: dict, seed: int, out) -> int:
+    _check_keys(config, _KEYS["make-ak"], "make-ak config")
     k = int(config["k"])
     mapping = a_k(k)
-    identities = verify_ak_identities(
-        k, n_samples=int(config.get("samples", 1000)), seed=seed
-    )
+    identities = verify_ak_identities(k, seed=seed, **_options(config, n_samples=("samples", int)))
     report = {
         **_header("make-ak", config, seed),
         "map": {"name": mapping.name, "k": k, "size": mapping.p},
@@ -206,18 +226,14 @@ def cmd_make_ak(config: dict, seed: int, out) -> int:
 
 
 def cmd_approximate(config: dict, seed: int, out) -> int:
+    _check_keys(config, _KEYS["approximate"], "approximate config")
     name = config.get("demo")
     if name not in DEMOS:
         raise UsageError(f"unknown demo {name!r} (available: {sorted(DEMOS)})")
     demo = DEMOS[name]()
-    cfg = demo.cfg
-    cfg.seed = seed
-    if "target_c0" in config:
-        cfg.target_c0 = float(config["target_c0"])
-    if "d_max" in config:
-        cfg.d_max = int(config["d_max"])
-    if "grid_size" in config:
-        cfg.grid_size = int(config["grid_size"])
+    given = _options(config, target_c0=("target_c0", float), d_max=("d_max", int),
+                     grid_size=("grid_size", int))
+    cfg = dataclasses.replace(demo.cfg, seed=seed, **given)
     try:
         approx = run_pipeline(demo.f_many, demo.homotopy, demo.spray, cfg)
     except HomotopyTooWildError as exc:

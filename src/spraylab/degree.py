@@ -4,11 +4,12 @@ The matrix side: homogeneous extensions, the block ``#`` product, and the
 recursive family of unitary-valued maps a_k on S^(2k-1) with values in
 SU(2^(k-1)).  The oracle side: winding numbers on S1 and signed preimage
 counting on higher spheres, both under the outward-normal-first orientation
-convention with interleaved realification (re, im, re, im, ...).
+convention with interleaved realification (re, im, re, im, ...).  In that
+convention a unitary-valued map f on S^(2k-1) has deg f = deg psi / (k-1)!,
+with psi the normalized first column of a k-by-k representative of f.
 
-The column-based degree formula needs a k-by-k representative of the map;
-maps presented with larger matrix size are compressed one size step at a
-time, which preserves the homotopy class because each rotation field is
+Maps presented with larger matrix size are compressed to one, one size step
+at a time, which preserves the homotopy class because each rotation field is
 built from a contraction of a non-surjective column map.  A step rotates the
 last column, per point, to a constant unit vector b and then rotates b, by
 one constant rotation, to the last basis vector e_q.  Both rotations are the
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,6 +55,7 @@ _MIN_SEPARATION = 1e-4  # closest two distinct preimages of a regular value
 _MISSED_SAMPLES = 4096  # the missed-point search of compress_to_k_block
 _MISSED_CANDIDATES = 128
 _MISSED_MARGIN = 0.02
+_CALIBRATION_SIGN = -1
 
 
 class DegeneracyError(RuntimeError):
@@ -692,22 +693,13 @@ def compress_to_k_block(
     return _CompressedMap(f, missed) if missed else f
 
 
-@lru_cache(maxsize=None)
 def calibration_sign() -> int:
-    """Global orientation calibration for the column degree formula.
+    """The constant -1 that every unitary report records as ``calibration_sign``.
 
-    The sign convention linking the column degree to the matrix-map degree
-    depends on an orientation choice; it is fixed once by requiring the
-    k = 2 map of the recursive unitary family to have degree +1, which pins
-    every other value.  The oracle runs under the outward-normal-first
-    convention with interleaved realification.
+    The column formula takes no sign: psi of a_2 is the identity of S^3, of
+    degree +1 in this module's orientation (tests/test_degree.py pins both).
     """
-    psi = first_column_sphere_map(a_k(2))
-    opts = DegreeOptions(seed=20_230_117, n_starts=600)
-    d = preimage_count_degree(psi, 3, opts).value
-    if abs(d) != 1:
-        raise InconsistencyError(f"calibration map must have column degree +-1, got {d}")
-    return -d
+    return _CALIBRATION_SIGN
 
 
 def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> DegreeReport:
@@ -715,10 +707,10 @@ def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> 
 
     The map is first reduced to a k-by-k representative when p > k (this
     requires unitary values; see :func:`compress_to_k_block`).  The degree of
-    the normalized first column psi must be divisible by (k-1)!; the result
-    is the calibrated quotient.  A divisibility failure signals either an
-    orientation bug or a map outside the method's hypotheses and raises
-    InconsistencyError.
+    the normalized first column psi must be divisible by (k-1)!, and the
+    result is the quotient deg psi / (k-1)!.  A divisibility failure signals
+    either an orientation bug or a map outside the method's hypotheses and
+    raises InconsistencyError.
     """
     opts = opts or DegreeOptions()
     k = f.k
@@ -732,15 +724,13 @@ def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> 
         raise InconsistencyError(
             f"column degree {inner.value} is not divisible by (k-1)! = {divisor}"
         )
-    kappa = calibration_sign()
-    value = (kappa ** (k - 1)) * ((-1) ** (k - 1)) * (inner.value // divisor)
     return replace(
         inner,
-        value=int(value),
+        value=inner.value // divisor,
         method="unitary_formula",
         psi_degree=inner.value,
         divisor=divisor,
-        calibration_sign=kappa,
+        calibration_sign=_CALIBRATION_SIGN,
     )
 
 

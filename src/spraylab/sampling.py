@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -79,27 +80,32 @@ def _kronecker_alphas(d: int) -> np.ndarray:
     return phi ** -(np.arange(1, d + 1, dtype=float))
 
 
+@lru_cache(maxsize=16)
 def sphere_quasi_uniform(count: int, n: int) -> np.ndarray:
     """Fibonacci-type quasi-uniform point set on the n-sphere, shape (count, n+1).
 
     S1 uses the golden-angle sequence, S2 the classic Fibonacci spiral, and
     higher dimensions a Kronecker lattice pushed through the inverse normal
     CDF (the standard library's ``statistics.NormalDist().inv_cdf``, Wichura's
-    AS241) and normalized.
+    AS241) and normalized.  The 16 sets last asked for are kept and shared:
+    the arrays are read-only.
     """
     if n == 1:
         theta = 2.0 * np.pi * _frac(np.arange(count) * (_GOLDEN - 1.0))
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if n == 2:
+        points = np.column_stack([np.cos(theta), np.sin(theta)])
+    elif n == 2:
         i = np.arange(count, dtype=float)
         z = 1.0 - 2.0 * (i + 0.5) / count
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         theta = 2.0 * np.pi * _frac(i / _GOLDEN)
-        return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-    alphas = _kronecker_alphas(n + 1)
-    u = _frac(0.5 + np.outer(np.arange(1, count + 1, dtype=float), alphas))
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return normalize_rows(_INV_NORMAL_CDF(u).astype(float))
+        points = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+    else:
+        alphas = _kronecker_alphas(n + 1)
+        u = _frac(0.5 + np.outer(np.arange(1, count + 1, dtype=float), alphas))
+        u = np.clip(u, 1e-12, 1.0 - 1e-12)
+        points = normalize_rows(_INV_NORMAL_CDF(u).astype(float))
+    points.setflags(write=False)
+    return points
 
 
 def sphere_quasi_uniform_complex(count: int, k: int) -> np.ndarray:

@@ -50,6 +50,8 @@ _MAX_FIBER_NORM = 100.0  # radius of the fiber ball solve_fiber_many stays in
 # Smallest accepted ratio of sigma_r, the required-rank singular value of a
 # row's fiber Jacobian, at a Gauss-Newton solution to its value at v = 0.
 _MIN_SIGMA_RATIO = 0.1
+_DOMINANCE_FD_STEP = 1e-5  # see verify_dominating
+_RANK_TOL = 1e-6
 
 
 @dataclass
@@ -361,22 +363,17 @@ class DominanceReport:
     ranks: list
 
 
-def verify_dominating(
-    spray: Spray,
-    n_samples: int = 500,
-    seed: int = 0,
-    fd_step: float = 1e-5,
-    rank_tol: float = 1e-6,
-) -> DominanceReport:
+def verify_dominating(spray: Spray, n_samples: int = 500, seed: int = 0) -> DominanceReport:
     """Numerical rank of the fiber derivative at the zero section, per sample.
 
-    Central finite differences in the fiber argument, rows projected onto
-    the base's tangent frame (:func:`variety_tangent_frame` of the sphere or
-    group), rank from singular values above rank_tol times the largest.  The
-    spray passes when every sample reaches rank dim(base).
+    Central finite differences in the fiber argument (step
+    ``_DOMINANCE_FD_STEP`` * (1 + |y|)), rows projected onto the base's tangent
+    frame (:func:`variety_tangent_frame` of the sphere or group), rank from
+    singular values above ``_RANK_TOL`` times the largest.  The spray passes
+    when every sample reaches rank dim(base).
     """
     points = sample_variety(spray.base, n_samples, seed)
-    steps = fd_step * (1.0 + np.linalg.norm(points, axis=1))
+    steps = _DOMINANCE_FD_STEP * (1.0 + np.linalg.norm(points, axis=1))
     diff = fiber_differences(spray, points, np.zeros((n_samples, spray.fiber_dim)), steps)
     jac = np.swapaxes(diff / (2.0 * steps)[:, None, None], 1, 2)  # (N, ambient, fiber)
     frames = variety_tangent_frame(points, spray.base)  # (N, dim, ambient)
@@ -384,7 +381,7 @@ def verify_dominating(
     sing = np.linalg.svd(proj, compute_uv=False)
     top = sing[:, 0]
     ranks = np.where(
-        top > 0, np.sum(sing >= rank_tol * np.maximum(top, 1e-300)[:, None], axis=1), 0
+        top > 0, np.sum(sing >= _RANK_TOL * np.maximum(top, 1e-300)[:, None], axis=1), 0
     )
     passed = bool(np.all(ranks == spray.required_rank))
     return DominanceReport(
@@ -392,8 +389,8 @@ def verify_dominating(
         base=spray.base.label(),
         n_samples=n_samples,
         seed=seed,
-        fd_step=fd_step,
-        rank_tol=rank_tol,
+        fd_step=_DOMINANCE_FD_STEP,
+        rank_tol=_RANK_TOL,
         required_rank=spray.required_rank,
         min_rank=int(np.min(ranks)),
         max_rank=int(np.max(ranks)),

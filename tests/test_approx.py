@@ -70,6 +70,19 @@ def test_homotopy_check_rejects_base_mismatch():
         h.check(sphere_quasi_uniform(64, 1))
 
 
+def test_homotopy_check_rejects_leaving_the_target():
+    # F(., 0.5) is scaled off the circle; every other checked time is on it.
+    h = Homotopy(
+        CIRCLE,
+        CIRCLE,
+        lambda x, t: (2.0 if t == 0.5 else 1.0) * _identity(x),
+        _identity,
+        {"name": "leaves"},
+    )
+    with pytest.raises(ValueError, match="leaves the target at t = 0.5"):
+        h.check(sphere_quasi_uniform(64, 1))
+
+
 # ---------------------------------------------------------------------------
 # tracking
 # ---------------------------------------------------------------------------
@@ -429,6 +442,17 @@ def test_pipeline_unattainable_target_reports_exhaustion():
     assert approx.status == "degree_exhausted"
     assert approx.beta is not None  # best effort retained
     assert approx.membership_max <= 1e-12  # exactness holds regardless
+
+
+def test_pipeline_fit_meeting_its_proxy_but_not_the_target_is_reported(monkeypatch):
+    # With almost no fit margin the held-out proxy is met at degree 1, far
+    # above the target: the measured c0 must flag the run.
+    monkeypatch.setattr(approx_mod, "_FIT_MARGIN", 1e-9)
+    demo = DEMOS["s1-power-2-wiggle"]()
+    approx = approximate(demo.f_many, demo.homotopy, demo.spray, demo.cfg)
+    assert approx.status == "target_missed"
+    assert approx.beta.degree == 1
+    assert approx.c0 > demo.cfg.target_c0
 
 
 def test_pipeline_rejects_endpoint_mismatch():

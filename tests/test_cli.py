@@ -184,6 +184,47 @@ def test_non_object_configs_are_usage_errors(tmp_path, capsys, command, config, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,config,bad",
+    [
+        ("verify-spray", {"kind": "stereographic", "n": 2, "sample": 50}, "sample"),
+        ("degree", {"map": "a_k", "k": 2, "n_start": 10}, "n_start"),
+        ("degree", {"map": "fermat", "k": 3, "n": 2, "d": 2}, "d"),
+        ("make-ak", {"k": 2, "sample": 50}, "sample"),
+        ("approximate", {"demo": "identity", "target_co": 1e-9}, "target_co"),
+        ("verify-spray", {"kind": "iterated", "k": 2,
+                          "inner": {"kind": "stereographic", "n": 1, "samples": 9}}, "samples"),
+        ("degree", {"map": "sharp", "f": {"map": "power", "d": 2, "k": 1},
+                    "g": {"map": "a_k", "k": 1}}, "k"),
+    ],
+    ids=["verify-spray", "degree-matrix-map", "degree-self-map", "make-ak", "approximate",
+         "nested-inner", "nested-f"],
+)
+def test_unread_config_keys_are_usage_errors(tmp_path, capsys, command, config, bad):
+    # A key no table lists would be ignored, and the run would use a default
+    # the user did not ask for.
+    code, report, _ = run_cli(tmp_path, command, config)
+    assert code == EXIT_USAGE
+    assert report is None
+    err = capsys.readouterr().err
+    assert f"unknown keys ['{bad}']" in err and "accepted: [" in err
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("degree", {"map": "conj"}),
+        ("verify-spray", {"kind": "group", "group": "SO(3)", "space": "default"}),
+        ("verify-spray", {"kind": "group", "group": {"kind": "SO", "m": 3}}),
+    ],
+    ids=["conj-map", "default-space", "variety-object"],
+)
+def test_removed_config_forms_are_usage_errors(tmp_path, command, config):
+    code, report, _ = run_cli(tmp_path, command, config)
+    assert code == EXIT_USAGE
+    assert report is None
+
+
 # ---------------------------------------------------------------------------
 # make-ak
 # ---------------------------------------------------------------------------
@@ -212,6 +253,13 @@ def test_make_ak_size_cap_is_not_configurable(tmp_path):
     code, report, _ = run_cli(tmp_path, "make-ak", {"k": 7, "cap": 8, "samples": 50})
     assert code == EXIT_USAGE
     assert report is None
+
+
+def test_make_ak_above_the_size_cap_is_a_usage_error(tmp_path, capsys):
+    code, report, _ = run_cli(tmp_path, "make-ak", {"k": 7})
+    assert code == EXIT_USAGE
+    assert report is None
+    assert "exceeds the size cap" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +391,33 @@ def test_preimage_count_once_returns_a_report():
 def test_calibration_sign_is_cached_and_unit():
     assert calibration_sign() in (-1, 1)
     assert calibration_sign() == calibration_sign()
+
+
+def test_column_map_of_a2_is_the_identity_of_degree_one():
+    # calibration_sign is a constant because of these two facts: psi(a_2),
+    # (z1, z2) -> (z1, z2), is the identity of S^3, and the preimage oracle
+    # counts it as degree +1 in the outward-normal-first orientation.
+    psi = first_column_sphere_map(a_k(2))
+    x = sphere_quasi_uniform(1000, 3)
+    assert np.max(np.abs(psi(x) - x)) <= 1e-15
+    report = preimage_count_degree(psi, 3, DegreeOptions(seed=20_230_117, n_starts=600))
+    assert report.value == 1
+    assert calibration_sign() == -report.value
+
+
+def test_calibration_sign_evaluates_no_map():
+    # In a fresh interpreter, so that nothing computed earlier can answer.
+    src = os.path.dirname(os.path.dirname(degree_mod.__file__))
+    code = (
+        "import spraylab.degree as d\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('calibration_sign evaluated a map')\n"
+        "d._newton_preimages = d.ak_matrix_many = refuse\n"
+        "assert d.calibration_sign() == -1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert unitary_degree(a_k(3)).value == 1
 
 
 def test_unitary_degree_a1():

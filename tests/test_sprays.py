@@ -412,6 +412,29 @@ def test_exact_inverse_nan_fails_its_checks():
         solve_fiber_many(broken, y, y)
 
 
+def test_self_action_with_shrink_inverts_through_unshrink():
+    # Below |v| = 1 the shrink map is injective, so the exact inverse undoes
+    # it: Cayley transform, algebra coordinates, then unshrink_map.
+    spray = group_action_spray(SO("SU", 2), SO("SU", 2), 0.5)
+    y = sample_variety(spray.base, 32, 21)
+    v = sample_fiber(spray.fiber_dim, 32, rng(22), 0.9)
+    q = spray.eval_many(y, v)
+    np.testing.assert_allclose(spray.inverse_many(y, q), v, atol=1e-10)
+    np.testing.assert_allclose(solve_fiber_many(spray, y, q), v, atol=1e-10)
+
+
+def test_exact_inverse_off_by_a_small_step_fails_to_verify():
+    spray = stereographic_spray(2)
+    off = dataclasses.replace(
+        spray, inverse_many=lambda p, q: sprays_mod._stereo_backward(p, q) + 1e-6
+    )
+    y = sample_variety(spray.base, 4, 23)
+    q = spray.eval_many(y, sample_fiber(3, 4, rng(24), 0.5))
+    solve_fiber_many(spray, y, q)  # the true inverse verifies
+    with pytest.raises(SprayInversionError, match="failed to verify"):
+        solve_fiber_many(off, y, q)
+
+
 def test_newton_divergence_error(monkeypatch):
     spray = group_action_spray(SO("SO", 3))
     y = np.array([[0.0, 0.0, 1.0]])
