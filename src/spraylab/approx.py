@@ -9,7 +9,6 @@ closes over its base; beta only controls how close g is to the input map.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -153,53 +152,49 @@ def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResu
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _graded_basis(n_vars: int, degree: int, sphere: bool) -> tuple:
+    """Exponents of total degree <= ``degree`` in (degree, lex) order, and the runs
+    (columns, parent columns, variable i) whose products build their Vandermonde.
+
+    The degree-d monomials whose first nonzero entry is i are x_i times the
+    leading degree-(d-1) monomials with no entry before i.  So each (d, i)
+    block, taken for i from last to first, is one run: a prefix of block d-1
+    times x_i.  ``sphere`` keeps last exponents <= 1 by dropping the i = last
+    run from degree 2 on; on the unit sphere x_n^2 = 1 - sum of the other
+    squares, so those monomials are a basis there.
+    """
+    exponents, runs = [(0,) * n_vars], []
+    # Block d-1 starts at ``block``; lead[i] of its monomials have no entry before i.
+    block, lead = 0, [1] * n_vars
+    for d in range(1, degree + 1):
+        start, counts = len(exponents), [0] * n_vars
+        for i in reversed(range(n_vars)):
+            if not (sphere and d > 1 and i == n_vars - 1):
+                parents, first = slice(block, block + lead[i]), len(exponents)
+                exponents += [e[:i] + (e[i] + 1,) + e[i + 1 :] for e in exponents[parents]]
+                runs.append((slice(first, len(exponents)), parents, i))
+            counts[i] = len(exponents) - start
+        block, lead = start, counts
+    return tuple(exponents), tuple(runs)
+
+
 def monomial_exponents(n_vars: int, degree: int) -> list:
     """All exponent tuples of total degree <= degree, sorted by (degree, lex)."""
-    exps = (e for e in itertools.product(range(degree + 1), repeat=n_vars) if sum(e) <= degree)
-    return sorted(exps, key=lambda e: (sum(e), e))
+    return list(_graded_basis(n_vars, degree, False)[0])
 
 
 def sphere_exponents(n_vars: int, degree: int) -> list:
-    """The :func:`monomial_exponents` with last entry <= 1, in the same order.
-
-    On the unit sphere x_n^2 = 1 - sum of the other squares, so they are a basis there.
-    """
-    return [e for e in monomial_exponents(n_vars, degree) if e[-1] <= 1]
+    """The :func:`monomial_exponents` with last entry <= 1, in the same order."""
+    return list(_graded_basis(n_vars, degree, True)[0])
 
 
-@lru_cache(maxsize=64)
-def _vandermonde_plan(exponents: tuple) -> list:
-    """Runs (columns, parent columns, variable i) with column x**e = parent column * x_i.
-
-    The parent lowers the first nonzero entry of e.  A run is consecutive
-    columns whose parents are consecutive columns listed before the run and
-    whose variable is the same, so it is one multiplication of slices.  In
-    both monomial orders a run is a (total degree, first nonzero entry) block.
-    """
-    index = {e: k for k, e in enumerate(exponents)}
-    runs = []
-    for k, e in enumerate(exponents):
-        i = next((i for i, ei in enumerate(e) if ei), None)
-        if i is None:
-            continue
-        parent = index[e[:i] + (e[i] - 1,) + e[i + 1 :]]
-        if runs:
-            cols, parents, var = runs[-1]
-            if (var, cols.stop, parents.stop) == (i, k, parent) and parent < cols.start:
-                runs[-1] = (slice(cols.start, k + 1), slice(parents.start, parent + 1), i)
-                continue
-        runs.append((slice(k, k + 1), slice(parent, parent + 1), i))
-    return runs
-
-
-def _vandermonde(points: np.ndarray, exponents: list) -> np.ndarray:
-    """Columns x**e, each its parent column (first nonzero entry of e lowered) times x_i.
-
-    Parents must be listed before their children, as both monomial orders are.
-    """
+def _vandermonde(points: np.ndarray, degree: int, sphere: bool = True) -> np.ndarray:
+    """Columns x**e over the degree-``degree`` basis, each its parent column times x_i."""
+    exponents, runs = _graded_basis(points.shape[1], degree, sphere)
     out = np.ones((len(exponents), points.shape[0]))  # row k holds column k
     coords = points.T.copy()
-    for cols, parents, i in _vandermonde_plan(tuple(exponents)):
+    for cols, parents, i in runs:
         np.multiply(out[parents], coords[i], out=out[cols])
     return out.T
 
@@ -208,16 +203,17 @@ def _vandermonde(points: np.ndarray, exponents: list) -> np.ndarray:
 class PolynomialMapSpec:
     """Dense polynomial map in ambient coordinates, restricted to the sphere.
 
-    ``coefficients`` holds one column per output dimension over the monomials
-    ``exponents`` (the :func:`sphere_exponents` basis of the fitted degree),
-    so ``eval_many`` is the ambient polynomial sum_k coefficients[k] x**exponents[k].
+    ``coefficients`` holds one column per output dimension over the
+    :func:`sphere_exponents` basis of ``input_dim`` variables and degree
+    ``degree``, so ``eval_many`` is the ambient polynomial
+    sum_k coefficients[k] x**e_k.  The basis is derived, not stored; the
+    report lists it under ``exponents``.
     """
 
     input_dim: int
     output_dim: int
     degree: int
-    exponents: list
-    coefficients: np.ndarray  # (len(exponents), output_dim)
+    coefficients: np.ndarray  # (number of basis monomials, output_dim)
     fit_rms: float
     val_max: float
     fit_rms_curve: list
@@ -225,14 +221,14 @@ class PolynomialMapSpec:
     achieved_target: bool
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        return _vandermonde(np.asarray(points, dtype=float), self.exponents) @ self.coefficients
+        return _vandermonde(np.asarray(points, dtype=float), self.degree) @ self.coefficients
 
     def to_jsonable(self) -> dict:
         return {
             "input_dim": self.input_dim,
             "output_dim": self.output_dim,
             "degree": self.degree,
-            "exponents": [list(e) for e in self.exponents],
+            "exponents": [list(e) for e in sphere_exponents(self.input_dim, self.degree)],
             "coefficients": [[decimal_string(c) for c in row] for row in self.coefficients],
             "fit_rms": self.fit_rms,
             "val_max": self.val_max,
@@ -252,7 +248,8 @@ def fit_polynomial(
 
     ``points`` lie on the unit sphere.  Each degree is fitted on the
     :func:`sphere_exponents` basis, which has full column rank there, by one
-    column-scaled least-squares solve.  Even-indexed samples are fitted,
+    column-scaled least-squares solve over that degree's whole Vandermonde
+    matrix (:func:`_vandermonde`).  Even-indexed samples are fitted,
     odd-indexed ones validate; the degree escalates until the held-out max
     residual meets ``target_resid``.  The recorded fit residual (rms over the
     fitted half) is nonincreasing in the degree because the bases are nested.
@@ -265,15 +262,14 @@ def fit_polynomial(
     best = None
     fit_curve, val_curve = [], []
     for degree in range(1, d_max + 1):
-        exps = sphere_exponents(points.shape[1], degree)
-        if len(exps) > fit_pts.shape[0]:
+        if len(sphere_exponents(points.shape[1], degree)) > fit_pts.shape[0]:
             break  # not enough samples to determine this degree
-        vmat = _vandermonde(fit_pts, exps)
+        vmat = _vandermonde(fit_pts, degree)
         scale = np.linalg.norm(vmat, axis=0)
         coef = np.linalg.lstsq(vmat / scale, fit_vals, rcond=None)[0] / scale[:, None]
         fit_resid = vmat @ coef - fit_vals
         fit_rms = float(np.sqrt(np.mean(np.sum(fit_resid**2, axis=1))))
-        val_resid = _vandermonde(val_pts, exps) @ coef - val_vals
+        val_resid = _vandermonde(val_pts, degree) @ coef - val_vals
         val_max = float(np.max(np.linalg.norm(val_resid, axis=1))) if val_pts.size else 0.0
         fit_curve.append(fit_rms)
         val_curve.append(val_max)
@@ -281,7 +277,6 @@ def fit_polynomial(
             input_dim=points.shape[1],
             output_dim=values.shape[1],
             degree=degree,
-            exponents=exps,
             coefficients=coef,
             fit_rms=fit_rms,
             val_max=val_max,

@@ -198,8 +198,6 @@ def cmd_degree(config: dict, seed: int, out) -> int:
     opts = DegreeOptions(
         seed=seed, **_options(config, n_starts=("n_starts", int), max_dim=("max_dim", int))
     )
-    if opts.n_starts is not None and opts.n_starts < 1:
-        raise UsageError(f"n_starts must be >= 1, got {opts.n_starts}")
     if name in _SPHERE_SELF_MAPS:
         _check_keys(config, _KEYS[name] + _KEYS["degree"], "degree config")
         report = sphere_degree(_SPHERE_SELF_MAPS[name](config), int(config["n"]), opts)

@@ -300,6 +300,10 @@ class DegreeOptions:
     n_starts: Optional[int] = None  # defaults to 200 * n
     max_dim: int = 5
 
+    def __post_init__(self):
+        if self.n_starts is not None and self.n_starts < 1:
+            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
+
 
 @dataclass
 class DegreeReport:
@@ -459,7 +463,7 @@ def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
 
 def preimage_count_degree(map_many: Callable, n: int, opts: DegreeOptions) -> DegreeReport:
     """Signed preimage count of a regular value, cross-checked at a second value."""
-    starts = sphere_quasi_uniform(opts.n_starts or 200 * n, n)
+    starts = sphere_quasi_uniform(200 * n if opts.n_starts is None else opts.n_starts, n)
     gen = rng(opts.seed)
     first = _preimage_count_once(map_many, n, gen, starts, opts)
     second = _preimage_count_once(map_many, n, gen, starts, opts)

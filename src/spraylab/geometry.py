@@ -39,6 +39,10 @@ class VarietySpec:
     n: int = 0
     m: int = 0
 
+    def __post_init__(self):
+        if self.kind != "sphere" and self.kind not in _GROUP_KINDS:
+            raise ValueError(f"unknown variety kind {self.kind!r}")
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -71,9 +75,7 @@ class VarietySpec:
             return self.n + 1
         if self.kind in ("O", "SO"):
             return self.m * self.m
-        if self.kind in ("U", "SU"):
-            return 2 * self.m * self.m
-        raise ValueError(f"unknown variety kind {self.kind!r}")
+        return 2 * self.m * self.m  # U, SU
 
     @property
     def dim(self) -> int:
@@ -84,9 +86,7 @@ class VarietySpec:
             return self.m * (self.m - 1) // 2
         if self.kind == "U":
             return self.m * self.m
-        if self.kind == "SU":
-            return self.m * self.m - 1
-        raise ValueError(f"unknown variety kind {self.kind!r}")
+        return self.m * self.m - 1  # SU
 
     def label(self) -> str:
         if self.kind == "sphere":
@@ -158,14 +158,12 @@ def membership_residual_many(points: np.ndarray, spec: VarietySpec) -> np.ndarra
         )
     if spec.kind == "sphere":
         return np.abs(np.einsum("ni,ni->n", p, p) - 1.0)
-    if spec.is_group:
-        q = point_to_matrix(p, spec)
-        gram = q @ np.conj(np.swapaxes(q, -1, -2)) - np.eye(spec.m)
-        resid = np.max(np.abs(gram), axis=(1, 2))
-        if spec.kind in ("SO", "SU"):
-            resid = np.maximum(resid, np.abs(np.linalg.det(q) - 1.0))
-        return resid
-    raise ValueError(f"unknown variety kind {spec.kind!r}")
+    q = point_to_matrix(p, spec)
+    gram = q @ np.conj(np.swapaxes(q, -1, -2)) - np.eye(spec.m)
+    resid = np.max(np.abs(gram), axis=(1, 2))
+    if spec.kind in ("SO", "SU"):
+        resid = np.maximum(resid, np.abs(np.linalg.det(q) - 1.0))
+    return resid
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +407,9 @@ def variety_tangent_frame(points: np.ndarray, spec: VarietySpec) -> np.ndarray:
     p = np.asarray(points, dtype=float)
     if spec.kind == "sphere":
         return sphere_tangent_basis_many(p)
-    if spec.is_group:
-        basis = lie_algebra_basis(spec.kind, spec.m)
-        rows = matrix_to_point(basis @ point_to_matrix(p, spec)[:, None], spec)  # (N, d, amb)
-        # QR with a sign fix keeps the frames deterministic.
-        qmat, rmat = np.linalg.qr(np.swapaxes(rows, 1, 2))
-        signs = np.where(np.diagonal(rmat, axis1=1, axis2=2) < 0, -1.0, 1.0)
-        return np.swapaxes(qmat * signs[:, None, :], 1, 2)
-    raise ValueError(f"unknown variety kind {spec.kind!r}")
+    basis = lie_algebra_basis(spec.kind, spec.m)
+    rows = matrix_to_point(basis @ point_to_matrix(p, spec)[:, None], spec)  # (N, d, amb)
+    # QR with a sign fix keeps the frames deterministic.
+    qmat, rmat = np.linalg.qr(np.swapaxes(rows, 1, 2))
+    signs = np.where(np.diagonal(rmat, axis1=1, axis2=2) < 0, -1.0, 1.0)
+    return np.swapaxes(qmat * signs[:, None, :], 1, 2)

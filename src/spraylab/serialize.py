@@ -1,4 +1,4 @@
-"""JSON (de)serialization for variety specs and reports.
+"""JSON serialization for variety specs and reports.
 
 Schemas:
   variety {"kind": "sphere", "n": 2} (the n-sphere) /
@@ -24,18 +24,7 @@ from .geometry import VarietySpec
 def variety_to_json(spec: VarietySpec) -> dict:
     if spec.kind == "sphere":
         return {"kind": "sphere", "n": spec.n}
-    if spec.is_group:
-        return {"kind": spec.kind, "m": spec.m}
-    raise ValueError(f"unknown variety kind {spec.kind!r}")
-
-
-def variety_from_json(data: dict) -> VarietySpec:
-    kind = data["kind"]
-    if kind == "sphere":
-        return VarietySpec.sphere(data["n"])
-    if kind in ("O", "SO", "U", "SU"):
-        return VarietySpec.group(kind, data["m"])
-    raise ValueError(f"unknown variety kind {kind!r}")
+    return {"kind": spec.kind, "m": spec.m}
 
 
 _LABEL_RE = re.compile(r"^(S)(\d+)$|^(O|SO|U|SU)\((\d+)\)$")

@@ -120,8 +120,6 @@ def stereographic_spray(n: int, fiber: str = "ambient") -> Spray:
     discontinuous across the frame's seams.  The exact inverse returns the
     tangential representative, the minimal-norm fiber preimage.
     """
-    if n < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {n}")
     if fiber != "ambient":
         raise ValueError(f"unknown fiber mode {fiber!r}")
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -204,7 +205,7 @@ def test_sphere_basis_has_full_rank(n, degree, columns):
     exps = sphere_exponents(n + 1, degree)
     assert len(exps) == columns
     assert exps == [e for e in monomial_exponents(n + 1, degree) if e[-1] <= 1]
-    vmat = approx_mod._vandermonde(sphere_quasi_uniform(1024, n), exps)
+    vmat = approx_mod._vandermonde(sphere_quasi_uniform(1024, n), degree)
     assert np.linalg.matrix_rank(vmat / np.linalg.norm(vmat, axis=0)) == columns
 
 
@@ -212,7 +213,25 @@ def test_vandermonde_matches_monomial_products():
     grid = sphere_quasi_uniform(64, 2)
     for exps in (monomial_exponents(3, 5), sphere_exponents(3, 5)):
         ref = np.prod(grid[:, None, :] ** np.array(exps, dtype=float)[None], axis=2)
-        np.testing.assert_allclose(approx_mod._vandermonde(grid, exps), ref, rtol=1e-14, atol=0)
+        vmat = approx_mod._vandermonde(grid, 5, sphere=exps == sphere_exponents(3, 5))
+        np.testing.assert_allclose(vmat, ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n_vars,degree", [(2, 20), (3, 12), (4, 9), (7, 4)])
+def test_graded_basis_matches_filter_and_sort(n_vars, degree):
+    # Reference: every tuple with entries <= degree, filtered and sorted by (degree, lex).
+    tuples = itertools.product(range(degree + 1), repeat=n_vars)
+    full = sorted((e for e in tuples if sum(e) <= degree), key=lambda e: (sum(e), e))
+    assert monomial_exponents(n_vars, degree) == full
+    assert sphere_exponents(n_vars, degree) == [e for e in full if e[-1] <= 1]
+
+
+def test_vandermonde_matches_direct_powers_in_seven_variables():
+    grid = sphere_quasi_uniform(64, 6)
+    for exps, sphere in ((monomial_exponents(7, 4), False), (sphere_exponents(7, 4), True)):
+        ref = np.prod(grid[:, None, :] ** np.array(exps, dtype=float)[None], axis=2)
+        vmat = approx_mod._vandermonde(grid, 4, sphere=sphere)
+        np.testing.assert_allclose(vmat, ref, rtol=1e-14, atol=0)
 
 
 def test_fit_coefficients_stable_under_tiny_eta_noise():
@@ -476,9 +495,10 @@ def test_demo_base_map_matches_descriptor_coefficients(name):
 
     demo = DEMOS[name]()
     desc = demo.homotopy.f0_descriptor
-    exps = monomial_exponents(desc["input_dim"], desc["degree"])
     coeffs = np.array([[float(c) for c in row] for row in desc["coefficients"]])
     grid = sphere_quasi_uniform(200, demo.homotopy.domain.n)
     np.testing.assert_allclose(
-        _vandermonde(grid, exps) @ coeffs, demo.homotopy.f0_many(grid), atol=1e-15
+        _vandermonde(grid, desc["degree"], sphere=False) @ coeffs,
+        demo.homotopy.f0_many(grid),
+        atol=1e-15,
     )

@@ -399,6 +399,13 @@ def test_reruns_are_byte_identical(tmp_path, command, config):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_report_goes_to_stdout_without_out(tmp_path, capsys):
+    _, _, out_path = run_cli(tmp_path, "make-ak", {"k": 2, "samples": 200}, seed=5)
+    capsys.readouterr()
+    assert main(["make-ak", "--config", str(tmp_path / "cfg.json"), "--seed", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == out_path.read_bytes()
+
+
 def test_seed_echoed_and_config_roundtrip(tmp_path):
     code, report, _ = run_cli(tmp_path, "degree", {"map": "power", "d": 1}, seed=42)
     assert code == EXIT_OK

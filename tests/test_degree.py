@@ -190,6 +190,29 @@ def test_dimension_cap_enforced():
         sphere_degree(identity_map, 7)
 
 
+def test_options_refuse_fewer_than_one_start():
+    with pytest.raises(ValueError, match="n_starts must be >= 1, got 0"):
+        DegreeOptions(n_starts=0)
+    assert DegreeOptions(n_starts=1).n_starts == 1
+
+
+def test_disagreeing_regular_values_raise(monkeypatch):
+    values = iter([1, 3])
+
+    def count_once(*args):
+        return DegreeReport(value=next(values), method="preimage_count", n=1, seed=0)
+
+    monkeypatch.setattr(degree_mod, "_preimage_count_once", count_once)
+    with pytest.raises(InconsistencyError, match="disagree across regular values: 1 vs 3"):
+        preimage_count_degree(circle_power_map(2), 1, DegreeOptions())
+
+
+def test_winding_disagreeing_with_the_preimage_count_raises(monkeypatch):
+    monkeypatch.setattr(degree_mod, "winding_number", lambda map_many: (3, 0.0))
+    with pytest.raises(InconsistencyError, match=r"winding \(3\) and preimage count \(2\)"):
+        sphere_degree(circle_power_map(2), 1)
+
+
 def test_degeneracy_error_on_pinned_critical_value(monkeypatch):
     # theta -> theta + sin(theta) has derivative zero exactly at theta = pi,
     # so a value generator pinned at (-1, 0) only ever proposes a critical

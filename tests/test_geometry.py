@@ -22,7 +22,7 @@ from spraylab.geometry import (
     variety_tangent_frame,
 )
 from spraylab.sampling import sample_variety
-from spraylab.serialize import dumps_canonical, variety_from_json
+from spraylab.serialize import dumps_canonical
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +43,11 @@ def test_is_member_identity_in_so3():
 def test_is_member_rejects_scaled_point():
     p = 1.01 * np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert membership_residual_many(p[None], VarietySpec.sphere(1))[0] > 1e-12
+
+
+def test_variety_spec_refuses_unknown_kinds():
+    with pytest.raises(ValueError, match="unknown variety kind 'torus'"):
+        VarietySpec(kind="torus", n=2)
 
 
 def test_is_member_shape_error():
@@ -362,18 +367,6 @@ def test_interleave_roundtrip():
     z = np.array([1.0 + 2.0j, -0.5 + 0.25j])
     np.testing.assert_array_equal(deinterleave(interleave(z)), z)
     np.testing.assert_array_equal(interleave(z), [1.0, 2.0, -0.5, 0.25])
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"kind": "product", "factors": [{"kind": "sphere", "n": 1}, {"kind": "sphere", "n": 2}]},
-        {"kind": "fermat_sphere", "n": 2, "exponent": 6},
-    ],
-)
-def test_variety_from_json_accepts_only_spheres_and_groups(data):
-    with pytest.raises(ValueError, match="unknown variety kind"):
-        variety_from_json(data)
 
 
 def test_dumps_canonical_refuses_non_finite_and_names_the_field():
