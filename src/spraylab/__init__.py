@@ -30,6 +30,7 @@ from .degree import (
     homogeneous_extension,
     identity_map,
     power_map_matrix,
+    quaternion_power_map,
     sharp_product,
     sphere_degree,
     unitary_degree,

@@ -46,7 +46,7 @@ _AK_CAP = 6  # largest k of a_k: its matrices grow as 2^(k-1)
 _CHECK_SAMPLES = 256  # sphere samples of min_abs_det and max_unitarity_defect
 _WINDING_GRID = 1 << 16
 _NEWTON_TOL = 1e-11
-_NEWTON_MAX_ITER = 60
+_NEWTON_MAX_ITER = 25
 _FD_STEP = 1e-6
 _MIN_JACOBIAN = 1e-8  # smallest |det| at a preimage of a regular value
 _MAX_REDRAWS = 5  # regular values redrawn before DegeneracyError
@@ -314,7 +314,7 @@ class DegreeReport:
     regular_value: Optional[list] = None
     preimages: Optional[list] = None
     signs: Optional[list] = None
-    basin_counts: Optional[list] = None
+    basin_counts: Optional[list] = None  # starts converged or retired onto each preimage
     cross_check_value: Optional[int] = None
     winding_residual: Optional[float] = None
     newton_max_residual: Optional[float] = None
@@ -341,14 +341,23 @@ def winding_number(map_many: Callable) -> tuple:
 
 
 def _newton_preimages(map_many, y, starts):
-    """All converged solutions of map(x) = y from the given starts.
+    """Final points and residuals of Newton on map(x) = y, one row per start.
 
     Only the rows still above tolerance are evaluated and stepped; a row keeps
-    the point and residual of its last evaluation.
+    the point and residual of its last evaluation.  An active row that comes
+    within ``_DEDUP_RADIUS`` of a preimage this search has converged to is
+    retired: it takes that preimage's point and residual, so ``_dedup_points``
+    counts it in that basin.  From there Newton would converge to the same
+    preimage; a wider ball (half ``_MIN_SEPARATION``, say) could absorb a row
+    headed for a second preimage close by and hide the fold rejection.  Rows
+    still unconverged after ``_NEWTON_MAX_ITER`` iterations stop.  That budget
+    is 25: on a_3, a_4, z^d # a_2 and q^11 every preimage was first reached
+    by iteration 10, while rows past 25 made 15-40% of a search's map rows.
     """
     x = starts.copy()
     resid = np.empty(x.shape[0])
     idx = np.arange(x.shape[0])
+    found = np.empty(0, dtype=np.intp)  # one row per distinct preimage converged to
     n_tan = starts.shape[1] - 1
     for it in range(_NEWTON_MAX_ITER + 1):
         p = normalize_rows(x[idx])
@@ -356,6 +365,18 @@ def _newton_preimages(map_many, y, starts):
         values = map_many(p)
         resid[idx] = np.linalg.norm(values - y, axis=1)
         active = resid[idx] > _NEWTON_TOL
+        # Rows in the ball of a found preimage (|a - b|^2 = 2 - 2 a.b for unit rows).
+        near, owner = np.nonzero(p @ x[found].T >= 1.0 - 0.5 * _DEDUP_RADIUS**2)
+        ball = np.zeros(idx.size, dtype=bool)
+        ball[near] = True
+        on = active[near]
+        rows, src = idx[near[on]], found[owner[on]]
+        x[rows], resid[rows] = x[src], resid[src]
+        new = idx[~active & ~ball]
+        while new.size:  # register each newly converged preimage once
+            found = np.append(found, new[0])
+            new = new[np.linalg.norm(x[new] - x[new[0]], axis=1) > _DEDUP_RADIUS]
+        active &= ~ball
         if it == _NEWTON_MAX_ITER or not np.any(active):
             break
         idx, p, values = idx[active], p[active], values[active]
@@ -373,9 +394,7 @@ def _newton_preimages(map_many, y, starts):
         too_big = norms > 0.5
         step[too_big] *= (0.5 / norms[too_big])[:, None]
         x[idx] = normalize_rows(p + step)
-    conv = resid <= _NEWTON_TOL * 10.0
-    max_resid = float(np.max(resid[conv])) if np.any(conv) else float(np.min(resid))
-    return x[conv], max_resid
+    return x, resid
 
 
 def _dedup_points(points: np.ndarray, radius: float):
@@ -435,8 +454,9 @@ def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
     while True:
         y = normalize_rows(gen.standard_normal(n + 1))
         try:
-            converged, max_resid = _newton_preimages(map_many, y, starts)
-            preimages, counts = _dedup_points(converged, _DEDUP_RADIUS)
+            x, resid = _newton_preimages(map_many, y, starts)
+            conv = resid <= _NEWTON_TOL * 10.0
+            preimages, counts = _dedup_points(x[conv], _DEDUP_RADIUS)
             gap = _closest_pair_distance(preimages)
             if gap < _MIN_SEPARATION:
                 raise _RegularValueReject(f"two preimages {gap:.3e} apart: y is near a fold")
@@ -450,7 +470,7 @@ def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
                 preimages=[[float(c) for c in p] for p in preimages],
                 signs=signs,
                 basin_counts=counts,
-                newton_max_residual=max_resid,
+                newton_max_residual=float(np.max(resid[conv]) if np.any(conv) else np.min(resid)),
                 n_starts=len(starts),
                 redraws=redraws,
             )
@@ -755,6 +775,26 @@ def fermat_power_self_map(n: int, k: int) -> Callable:
 
     def many(x: np.ndarray) -> np.ndarray:
         return radial_to_fermat(np.asarray(x, dtype=float), 2 * k) ** k
+
+    return many
+
+
+def quaternion_power_map(d: int) -> Callable:
+    """q -> q^d on the unit quaternions, a self-map of S^3 of degree d.
+
+    Rows are (a, b, c, e) for a + bi + cj + ek; negative d powers q^-1 = conj(q).
+    The power is |d| Hamilton products (a, v)(a', v') = (aa' - v.v', av' + a'v + v x v').
+    """
+
+    def many(x: np.ndarray) -> np.ndarray:
+        base = np.asarray(x, dtype=float) * (1.0 if d >= 0 else np.array([1.0, -1.0, -1.0, -1.0]))
+        out = np.zeros_like(base)
+        out[:, 0] = 1.0
+        for _ in range(abs(d)):
+            a, v = out[:, :1], out[:, 1:]
+            real = a * base[:, :1] - np.sum(v * base[:, 1:], axis=1, keepdims=True)
+            out = np.hstack([real, a * base[:, 1:] + base[:, :1] * v + np.cross(v, base[:, 1:])])
+        return out
 
     return many
 

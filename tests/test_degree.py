@@ -28,6 +28,7 @@ from spraylab.degree import (
     identity_map,
     power_map_matrix,
     preimage_count_degree,
+    quaternion_power_map,
     sharp_product,
     sphere_degree,
     unitary_degree,
@@ -169,6 +170,22 @@ def test_antipodal_degree_s2():
 def test_fermat_pullback_degree():
     assert sphere_degree(fermat_power_self_map(1, 3), 1).value == 1
     assert sphere_degree(fermat_power_self_map(2, 3), 2).value == 1
+
+
+def test_quaternion_power_map_is_the_closed_form_power():
+    q = sphere_quasi_uniform(200, 3)
+    theta = np.arccos(np.clip(q[:, 0], -1.0, 1.0))
+    axis = q[:, 1:] / np.sin(theta)[:, None]
+    for d in (-3, 0, 2, 5):
+        closed = np.column_stack([np.cos(d * theta), np.sin(d * theta)[:, None] * axis])
+        np.testing.assert_allclose(quaternion_power_map(d)(q), closed, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_quaternion_power_degree(d):
+    # q^5 has five preimages, some with basins of a few starts in 600.
+    for seed in range(8):
+        assert sphere_degree(quaternion_power_map(d), 3, DegreeOptions(seed=seed)).value == d
 
 
 def test_degree_invariant_under_small_perturbation():
@@ -394,6 +411,57 @@ def test_newton_jacobian_matches_per_direction_loop():
     jac = (tangent_probes(psi, p, h * frames) - values[..., None]) / h
     assert jac.shape == (64, 6, 5)
     np.testing.assert_array_equal(jac, _fd_tangent_jacobian_reference(psi, p, values, frames, h))
+
+
+def _newton_reference(map_many, y, starts, max_iter=60):
+    # The search with no retirement: every row steps until it converges or
+    # until max_iter, the budget the search had before rows were retired.
+    x, resid, idx = starts.copy(), np.empty(starts.shape[0]), np.arange(starts.shape[0])
+    h = degree_mod._FD_STEP
+    for it in range(max_iter + 1):
+        p = normalize_rows(x[idx])
+        x[idx] = p
+        values = map_many(p)
+        resid[idx] = np.linalg.norm(values - y, axis=1)
+        active = resid[idx] > degree_mod._NEWTON_TOL
+        if it == max_iter or not np.any(active):
+            return x, resid
+        idx, p, values = idx[active], p[active], values[active]
+        frames = sphere_tangent_basis_many(p)
+        jac = _fd_tangent_jacobian_reference(map_many, p, values, frames, h)
+        gram = np.swapaxes(jac, 1, 2) @ jac + 1e-14 * np.eye(frames.shape[1])
+        rhs = np.einsum("naj,na->nj", jac, y - values)
+        step = np.einsum("nj,nja->na", np.linalg.solve(gram, rhs[..., None])[..., 0], frames)
+        norms = np.linalg.norm(step, axis=1)
+        step[norms > 0.5] *= (0.5 / norms[norms > 0.5])[:, None]
+        x[idx] = normalize_rows(p + step)
+
+
+@pytest.mark.parametrize(
+    "f", [sharp_product(power_map_matrix(2), a_k(2)), a_k(3)], ids=["z^2#a_2", "a_3"]
+)
+def test_retired_rows_converge_to_their_preimage_without_retirement(f):
+    psi = first_column_sphere_map(compress_to_k_block(f))
+    n = 2 * f.k - 1
+    starts = sphere_quasi_uniform(200 * n, n)
+    y = normalize_rows(rng(11).standard_normal(n + 1))  # the first value at seed 11
+    x, resid = degree_mod._newton_preimages(psi, y, starts)
+    ref_x, ref_resid = _newton_reference(psi, y, starts)
+    # A retired row holds its preimage's point bit for bit, like the row that
+    # converged to it: rows sharing a point are that row and its retirees.
+    _, group, sizes = np.unique(x, axis=0, return_inverse=True, return_counts=True)
+    shared = sizes[group.ravel()] > 1
+    assert np.count_nonzero(shared) > starts.shape[0] // 4
+    assert np.all(resid[shared] <= degree_mod._NEWTON_TOL)
+    assert np.all(ref_resid[shared] <= degree_mod._NEWTON_TOL)
+    gaps = np.linalg.norm(ref_x[shared] - x[shared], axis=1)
+    assert np.max(gaps) <= degree_mod._DEDUP_RADIUS
+    # Rows the capped search left unconverged hold no preimage it missed.
+    tol, radius = 10 * degree_mod._NEWTON_TOL, degree_mod._DEDUP_RADIUS
+    preimages, _ = _dedup_points(x[resid <= tol], radius)
+    ref_preimages, _ = _dedup_points(ref_x[ref_resid <= tol], radius)
+    assert preimages.shape == ref_preimages.shape
+    np.testing.assert_allclose(preimages, ref_preimages, rtol=0, atol=1e-9)
 
 
 def test_preimage_count_once_returns_a_report():
