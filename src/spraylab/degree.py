@@ -2,11 +2,14 @@
 
 The matrix side: homogeneous extensions, the block ``#`` product, and the
 recursive family of unitary-valued maps a_k on S^(2k-1) with values in
-SU(2^(k-1)).  The oracle side: winding numbers on S1 and signed preimage
-counting on higher spheres, both under the outward-normal-first orientation
+SU(2^(k-1)).  The oracle side: winding numbers on S1, signed preimage
+counting on higher spheres, and Bott's integral of tr((f^-1 df)^(2k-1)) for
+maps into GL_p(C), all under the outward-normal-first orientation
 convention with interleaved realification (re, im, re, im, ...).  In that
 convention a unitary-valued map f on S^(2k-1) has deg f = deg psi / (k-1)!,
-with psi the normalized first column of a k-by-k representative of f.
+with psi the normalized first column of a k-by-k representative of f.  For
+k >= 2 psi's preimages are counted at one regular value and checked against
+Bott's integral of f itself, which needs neither compression nor Newton.
 
 Maps presented with larger matrix size are compressed to one, one size step
 at a time, which preserves the homotopy class because each rotation field is
@@ -56,10 +59,19 @@ _MISSED_SAMPLES = 4096  # the missed-point search of compress_to_k_block
 _MISSED_CANDIDATES = 128
 _MISSED_MARGIN = 0.02
 _CALIBRATION_SIGN = -1
+_BOTT_START = 64  # quasi-uniform points per rotated copy at the first level
+_BOTT_CAP = 4096  # points per copy at the last level: each level doubles them
+_BOTT_COPIES = 4
+_BOTT_ROTATION_SEED = 1978  # the copies' fixed rotations; no regular value draws from it
+_BOTT_STEP = 1e-5
+_BOTT_TOL = 0.1  # largest copy spread and largest |mean - round(mean)| that certify
+_BOTT_MIN_SINGULAR = 1e-10  # smallest sigma_min / sigma_max of a value of the map
+_BOTT_CHUNK_ENTRIES = 1 << 17  # complex matrix entries of a chunk's widest stack
 
 
 class DegeneracyError(RuntimeError):
-    """No usable regular value after the allowed number of redraws."""
+    """No usable regular value after the allowed number of redraws, or a
+    matrix map with a (numerically) singular value."""
 
 
 class InconsistencyError(RuntimeError):
@@ -325,6 +337,24 @@ class DegreeReport:
     calibration_sign: Optional[int] = None
 
 
+@dataclass
+class UnitaryDegreeReport(DegreeReport):
+    """A unitary degree for k >= 2, with the Bott integral that cross-checked it."""
+
+    integral_mean: Optional[float] = None
+    integral_spread: Optional[float] = None
+    integral_points: Optional[int] = None
+
+
+def _check_dimension(n: int, opts: DegreeOptions) -> None:
+    if n < 1:
+        raise ValueError("sphere dimension must be >= 1")
+    if n > opts.max_dim:
+        raise ValueError(
+            f"sphere dimension {n} exceeds the configured cap {opts.max_dim}"
+        )
+
+
 def winding_number(map_many: Callable) -> tuple:
     """Winding number of a circle self-map from summed angular increments."""
     theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_GRID, endpoint=False)
@@ -481,11 +511,24 @@ def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
                 raise DegeneracyError(message) from None
 
 
-def preimage_count_degree(map_many: Callable, n: int, opts: DegreeOptions) -> DegreeReport:
-    """Signed preimage count of a regular value, cross-checked at a second value."""
+def preimage_count_degree(
+    map_many: Callable, n: int, opts: DegreeOptions, cross_check: Optional[int] = None
+) -> DegreeReport:
+    """Signed preimage count of a regular value, cross-checked at a second value.
+
+    A caller holding an independent value of the degree passes it as
+    ``cross_check``; it then takes the second regular value's place, and
+    only the first value's preimages are searched.
+    """
     starts = sphere_quasi_uniform(200 * n if opts.n_starts is None else opts.n_starts, n)
     gen = rng(opts.seed)
     first = _preimage_count_once(map_many, n, gen, starts, opts)
+    if cross_check is not None:
+        if first.value != cross_check:
+            raise InconsistencyError(
+                f"preimage count {first.value} disagrees with the cross-check {cross_check}"
+            )
+        return replace(first, cross_check_value=cross_check)
     second = _preimage_count_once(map_many, n, gen, starts, opts)
     if first.value != second.value:
         raise InconsistencyError(
@@ -507,12 +550,7 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
     and a second independent regular value as a consistency check.
     """
     opts = opts or DegreeOptions()
-    if n < 1:
-        raise ValueError("sphere dimension must be >= 1")
-    if n > opts.max_dim:
-        raise ValueError(
-            f"sphere dimension {n} exceeds the configured cap {opts.max_dim}"
-        )
+    _check_dimension(n, opts)
     if n > 1:
         return preimage_count_degree(map_many, n, opts)
     value, residual = winding_number(map_many)
@@ -717,6 +755,124 @@ def compress_to_k_block(
     return _CompressedMap(f, missed) if missed else f
 
 
+# ---------------------------------------------------------------------------
+# Bott's integral
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class BottIntegral:
+    value: int  # round(mean)
+    mean: float  # the average of the copies' means, in units of degree
+    spread: float  # the largest copy mean minus the smallest
+    points: int  # quasi-uniform points per copy at the level that certified
+
+
+def _alternating_trace(a: np.ndarray) -> np.ndarray:
+    """sum over permutations s of sign(s) tr(a_s(1) ... a_s(m)), per row of a (N, m, p, p).
+
+    For odd m, a cyclic shift of the word is an even permutation with the
+    same trace, so the sum is m tr(a_1 Alt(a_2, ..., a_m)), with Alt the
+    signed sum over orderings.  Alt is built level by level over subsets S of
+    {2, ..., m}: putting j in front of an ordering of S passes the members of
+    S below j, so Alt(S + {j}) collects (-1)^(#S below j) a_j Alt(S).
+    """
+    n_pts, m, p = a.shape[:3]
+    level = {0: np.broadcast_to(np.eye(p, dtype=complex), (n_pts, p, p))}
+    for _ in range(m - 1):
+        grown = {}
+        for mask, alt in level.items():
+            for j in range(m - 1):
+                if mask >> j & 1:
+                    continue
+                term = a[:, j + 1] @ alt
+                if bin(mask & ((1 << j) - 1)).count("1") % 2:
+                    np.negative(term, out=term)
+                key = mask | 1 << j
+                if key in grown:
+                    grown[key] += term
+                else:
+                    grown[key] = term
+        level = grown
+    return m * np.einsum("nab,nba->n", a[:, 0], level[(1 << (m - 1)) - 1])
+
+
+def _bott_integrand(f: MatrixSphereMap, x: np.ndarray) -> np.ndarray:
+    """Bott's integrand at real sphere rows x, scaled so that its mean is the degree.
+
+    A_i = f(x)^-1 (f(x + h t_i) - f(x - h t_i)) / 2h along the oriented frame
+    t_1..t_m (m = 2k - 1).  A solve, not a conjugate transpose, gives f^-1,
+    so GL values work too.
+    """
+    n_pts, m = x.shape[0], x.shape[1] - 1
+    k, p = f.k, f.p
+
+    def values(rows):
+        return f.eval_many(deinterleave(rows))
+
+    base = values(x)
+    # A non-finite value stands in as the zero matrix, which fails the test too.
+    sv = np.linalg.svd(base if np.all(np.isfinite(base)) else np.zeros((1, 1, 1)), compute_uv=False)
+    if not np.all(sv[:, -1] > _BOTT_MIN_SINGULAR * sv[:, 0]):
+        raise DegeneracyError(f"{f.name} has a singular or non-finite value on the sphere")
+    step = _BOTT_STEP * oriented_sphere_frame_many(x)
+    # (N, p, m, p): the m differences side by side, so one solve per point.
+    diff = tangent_probes(values, x, step) - tangent_probes(values, x, -step)
+    rhs = diff.reshape(n_pts, p, m * p) / (2.0 * _BOTT_STEP)
+    a = np.swapaxes(np.linalg.solve(base, rhs).reshape(n_pts, p, m, p), 1, 2)
+    scale = (-1) ** (k + 1) / (math.factorial(m) * 2 ** (k - 1) * 1j**k)
+    return (scale * _alternating_trace(a)).real
+
+
+def bott_degree(f: MatrixSphereMap) -> BottIntegral:
+    """Degree of f: S^(2k-1) -> GL_p(C) from Bott's integral of f itself.
+
+        deg f = +-(k-1)! / ((2k-1)! (2 pi i)^k) int tr((f^-1 df)^(2k-1))
+
+    (Bott and Seeley, Comm. Math. Phys. 62, 1978).  The sphere's volume
+    2 pi^k / (k-1)! turns the integral into the mean over the sphere of
+    sum_s sign(s) tr(A_s(1) ... A_s(2k-1)) / ((2k-1)! 2^(k-1) i^k), with
+    A_i = f^-1 df(t_i) on the outward-normal-first frame.  In that
+    orientation the sign is (-1)^(k+1): a_1 and a_2 have degree +1, as in
+    the column formula.  k = 1 is the winding number.
+
+    The mean is taken over ``_BOTT_COPIES`` copies of a quasi-uniform set,
+    each turned by a fixed Haar rotation.  The set starts at ``_BOTT_START``
+    points and doubles (the sets are nested, so a level only evaluates its
+    new points) until the copies' means agree within ``_BOTT_TOL`` and their
+    average is within ``_BOTT_TOL`` of an integer.  InconsistencyError is
+    raised when ``_BOTT_CAP`` points per copy do not get there, and
+    DegeneracyError when a value of f is numerically singular.  Points are
+    evaluated in chunks, so memory does not grow with the level.
+    """
+    n = 2 * f.k - 1
+    gen = rng(_BOTT_ROTATION_SEED)
+    transposed = []  # Haar rotations: Q of a Gaussian, with R's diagonal made positive
+    for _ in range(_BOTT_COPIES):
+        q, r = np.linalg.qr(gen.standard_normal((n + 1, n + 1)))
+        transposed.append((q * np.sign(np.diag(r))).T)
+    transposed = np.stack(transposed)
+    # A chunk holds the 2n + 1 values per point and the widest level of Alt.
+    width = max(2 * n + 1, math.comb(n - 1, (n - 1) // 2)) * f.p**2
+    chunk = max(1, _BOTT_CHUNK_ENTRIES // width)
+    sums, done, count = np.zeros(_BOTT_COPIES), 0, _BOTT_START
+    while True:
+        rows = (sphere_quasi_uniform(count, n)[done:] @ transposed).reshape(-1, n + 1)
+        values = [_bott_integrand(f, rows[i : i + chunk]) for i in range(0, len(rows), chunk)]
+        sums += np.concatenate(values).reshape(_BOTT_COPIES, -1).sum(axis=1)
+        done = count
+        means = sums / count
+        mean, spread = float(np.mean(means)), float(np.ptp(means))
+        if spread <= _BOTT_TOL and abs(mean - round(mean)) <= _BOTT_TOL:
+            return BottIntegral(value=round(mean), mean=mean, spread=spread, points=count)
+        if count >= _BOTT_CAP:
+            raise InconsistencyError(
+                f"Bott integral of {f.name} did not settle at {count} points per copy:"
+                f" mean {mean:.4f}, spread {spread:.4f}"
+            )
+        count *= 2
+
+
 def calibration_sign() -> int:
     """The constant -1 that every unitary report records as ``calibration_sign``.
 
@@ -730,25 +886,39 @@ def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> 
     """Degree of a map S^(2k-1) -> GL_p(C) via the normalized-first-column formula.
 
     The map is first reduced to a k-by-k representative when p > k (this
-    requires unitary values; see :func:`compress_to_k_block`).  The degree of
-    the normalized first column psi must be divisible by (k-1)!, and the
-    result is the quotient deg psi / (k-1)!.  A divisibility failure signals
-    either an orientation bug or a map outside the method's hypotheses and
-    raises InconsistencyError.
+    requires unitary values; see :func:`compress_to_k_block`).  The result
+    is deg psi / (k-1)!, with psi the normalized first column.
+
+    k = 1 takes psi's degree from :func:`sphere_degree`: the winding number,
+    checked by a preimage count.  For k >= 2 psi's preimages are counted at
+    one regular value, and the count must equal (k-1)! round(I), with I
+    Bott's integral of the uncompressed map (:func:`bott_degree`); that
+    product is the report's ``cross_check_value``.  A count that differs,
+    divisible by (k-1)! or not, signals a missed basin, an orientation bug
+    or a map outside the method's hypotheses, and raises InconsistencyError.
+    The report is then a :class:`UnitaryDegreeReport` that carries the
+    integral's mean, spread and points per copy.
     """
     opts = opts or DegreeOptions()
     k = f.k
     if f.p < k:
         raise ValueError(f"matrix size {f.p} is smaller than the block size {k}")
+    _check_dimension(2 * k - 1, opts)
     reduced = f if f.p == k else compress_to_k_block(f)
     psi = first_column_sphere_map(reduced)
-    inner = sphere_degree(psi, 2 * k - 1, opts)
     divisor = math.factorial(k - 1)
-    if inner.value % divisor != 0:
-        raise InconsistencyError(
-            f"column degree {inner.value} is not divisible by (k-1)! = {divisor}"
-        )
-    return replace(
+    integral = {}
+    if k == 1:
+        inner = sphere_degree(psi, 1, opts)
+    else:
+        bott = bott_degree(f)
+        inner = preimage_count_degree(psi, 2 * k - 1, opts, cross_check=divisor * bott.value)
+        integral = {
+            "integral_mean": bott.mean,
+            "integral_spread": bott.spread,
+            "integral_points": bott.points,
+        }
+    report = replace(
         inner,
         value=inner.value // divisor,
         method="unitary_formula",
@@ -756,6 +926,7 @@ def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> 
         divisor=divisor,
         calibration_sign=_CALIBRATION_SIGN,
     )
+    return UnitaryDegreeReport(**vars(report), **integral) if integral else report
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,9 @@ def group_action_spray(
     group itself selects the left-translation action.  ``skew`` embeds fiber
     coordinates into the Lie algebra by the fixed deterministic basis, and
     an optional shrink precomposition v -> c v / (1 + |v|^2) is available
-    for the partially-defined-parametrization setting.
+    for the partially-defined-parametrization setting.  SU(m) acts on itself
+    only for m <= 2; m >= 3 raises ValueError, since the Cayley transform of
+    su(m) has determinant 1 only at m = 2.
     """
     if not group.is_group:
         raise ValueError(f"{group.label()} is not a group")
@@ -176,6 +178,12 @@ def group_action_spray(
         raise ValueError(
             f"{group.label()} acts on {_default_space(group).label()} or on itself: space must"
             f" be None, the group's VarietySpec or {_default_space(group).label()}, not {given}"
+        )
+    if self_action and group.kind == "SU" and m >= 3:
+        # Cayley of a traceless skew-Hermitian A has det prod (1 - i l)/(1 + i l)
+        # over A's eigenvalues i l: 1 for the pair +-l of su(2), not beyond it.
+        raise ValueError(
+            f"{group.label()} cannot act on itself: Cayley transforms of su({m}) leave it"
         )
     complex_vec = group.is_complex and not self_action
 

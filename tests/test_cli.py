@@ -54,6 +54,12 @@ def test_verify_group_spray_by_label(tmp_path):
     assert report["pass"] is True
 
 
+def test_verify_su3_self_action_is_a_usage_error(tmp_path):
+    config = {"kind": "group", "group": "SU(3)", "space": "self", "samples": 50}
+    code, report, _ = run_cli(tmp_path, "verify-spray", config)
+    assert code == EXIT_USAGE and report is None
+
+
 def test_verify_constant_spray_fails_with_rank_zero(tmp_path):
     code, report, _ = run_cli(tmp_path, "verify-spray", {"kind": "constant", "n": 2, "samples": 50})
     assert code == EXIT_FAIL

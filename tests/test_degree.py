@@ -16,9 +16,11 @@ from spraylab.degree import (
     _preimage_count_once,
     _preimage_signs,
     _RegularValueReject,
+    UnitaryDegreeReport,
     a_k,
     ak_matrix_many,
     antipodal_map,
+    bott_degree,
     calibration_sign,
     circle_power_map,
     compress_to_k_block,
@@ -888,3 +890,133 @@ def test_report_is_jsonable():
     payload = json.dumps(jsonable(report))
     assert '"unitary_formula"' in payload
     assert '"calibration_sign"' in payload
+
+
+# ---------------------------------------------------------------------------
+# Bott's integral
+# ---------------------------------------------------------------------------
+
+
+def _z_sharp_a2(d):
+    return sharp_product(power_map_matrix(d), a_k(2))
+
+
+@pytest.mark.parametrize(
+    "f, expected",
+    [(a_k(k), 1) for k in (1, 2, 3, 4)]
+    + [(sharp_product(a_k(2), a_k(2)), 1)]
+    + [(_z_sharp_a2(d), d) for d in (-2, 2, 3, 5)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_bott_degree_of_symmetric_maps(f, expected):
+    # Their integrands are constant on the sphere: the first level settles.
+    result = bott_degree(f)
+    assert result.value == expected
+    assert abs(result.mean - expected) <= 1e-7
+    assert result.spread <= 1e-7 and result.points == degree_mod._BOTT_START
+
+
+def _twisted(base, strength, seed):
+    # base + strength B, with B a fixed non-symmetric quadratic of operator
+    # norm below 1 on the sphere, so every value stays invertible and the
+    # straight-line homotopy keeps the degree of the unitary base.
+    gen = rng(seed)
+    coeffs = gen.standard_normal((base.k, base.p, base.p))
+    coeffs = coeffs + 1j * gen.standard_normal(coeffs.shape)
+    coeffs /= np.sqrt(np.sum(np.abs(coeffs) ** 2))
+
+    def eval_many(z):
+        quad = np.einsum("nj,jab->nab", z * np.conj(z[:, ::-1]), coeffs)
+        return base.eval_many(z) + strength * quad
+
+    return MatrixSphereMap(k=base.k, p=base.p, eval_many=eval_many, name="twisted")
+
+
+def test_bott_degree_escalates_on_a_non_symmetric_gl_map():
+    result = bott_degree(_twisted(_z_sharp_a2(3), 0.9, seed=0))
+    assert result.value == 3
+    assert result.points > degree_mod._BOTT_START
+    assert result.spread <= degree_mod._BOTT_TOL
+
+
+def test_bott_degree_refuses_an_unsettled_integral(monkeypatch):
+    monkeypatch.setattr(degree_mod, "_BOTT_CAP", 2 * degree_mod._BOTT_START)
+    with pytest.raises(InconsistencyError, match="did not settle at 128 points"):
+        bott_degree(_twisted(_z_sharp_a2(3), 0.9, seed=0))
+
+
+def test_bott_degree_does_not_depend_on_the_chunk_size(monkeypatch):
+    f = _twisted(a_k(3), 0.5, seed=1)
+    whole = bott_degree(f)
+    monkeypatch.setattr(degree_mod, "_BOTT_CHUNK_ENTRIES", 1)  # one point per chunk
+    chunked = bott_degree(f)
+    assert chunked.value == whole.value and chunked.points == whole.points
+    assert abs(chunked.mean - whole.mean) <= 1e-12
+
+
+def _rank_one(z):
+    # The first column is the identity of S^3, but every value has rank one.
+    return np.repeat(np.asarray(z, dtype=complex)[:, :, None], 2, axis=2)
+
+
+def _with_a_nan(z):
+    values = ak_matrix_many(z, 2)
+    values[0, 1, 1] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("eval_many", [_rank_one, _with_a_nan])
+def test_singular_matrix_map_raises_a_named_error(eval_many):
+    f = MatrixSphereMap(k=2, p=2, eval_many=eval_many, name="degenerate")
+    with pytest.raises(DegeneracyError, match="singular or non-finite value"):
+        bott_degree(f)
+    with pytest.raises(DegeneracyError, match="singular or non-finite value"):
+        unitary_degree(f)
+
+
+def test_unitary_report_carries_the_integral():
+    report = unitary_degree(a_k(3), DegreeOptions(seed=11))
+    assert isinstance(report, UnitaryDegreeReport)
+    assert report.value == 1
+    assert report.cross_check_value == report.psi_degree == 2
+    assert abs(report.integral_mean - 1.0) <= 1e-7 and report.integral_spread <= 1e-7
+    assert report.integral_points == degree_mod._BOTT_START
+    # k = 1 keeps the winding report, with no integral fields.
+    assert type(unitary_degree(power_map_matrix(2))) is DegreeReport
+
+
+def test_a_wrong_psi_count_is_refused_by_the_integral(monkeypatch):
+    # Adding (k-1)! keeps the count divisible, so only the integral can see it.
+    real = _preimage_count_once
+
+    def one_basin_too_many(*args):
+        report = real(*args)
+        return replace(report, value=report.value + 2)
+
+    monkeypatch.setattr(degree_mod, "_preimage_count_once", one_basin_too_many)
+    with pytest.raises(InconsistencyError, match="count 4 disagrees with the cross-check 2"):
+        unitary_degree(a_k(3))
+
+
+def test_unitary_degree_searches_one_regular_value(monkeypatch):
+    calls = []
+    real = degree_mod._newton_preimages
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(degree_mod, "_newton_preimages", spy)
+    report = unitary_degree(a_k(3))
+    assert report.redraws == 0
+    assert len(calls) == 1
+    assert list(calls[0]) == report.regular_value
+
+
+@pytest.mark.slow
+def test_a4_certifies_at_seed_6():
+    # Two regular values once disagreed here (6 vs 5 preimages): the second
+    # search missed a basin.  The integral replaces that search.
+    report = unitary_degree(a_k(4), DegreeOptions(seed=6, max_dim=7, n_starts=1600))
+    assert report.value == 1
+    assert report.psi_degree == report.cross_check_value == 6

@@ -491,3 +491,11 @@ def test_descriptor_shapes():
     import json
 
     json.dumps(desc)  # must be JSON-clean
+
+
+def test_su_self_action_is_refused_from_m_3():
+    # The Cayley transform of su(3) leaves SU(3): its determinant is not 1.
+    with pytest.raises(ValueError, match="cannot act on itself"):
+        group_action_spray(SO("SU", 3), SO("SU", 3))
+    for spray in (group_action_spray(SO("SU", 2), SO("SU", 2)), group_action_spray(SO("SU", 3))):
+        assert verify_spray_axioms(spray, n_samples=200, seed=0).passed
