@@ -7,9 +7,11 @@ counting on higher spheres, and Bott's integral of tr((f^-1 df)^(2k-1)) for
 maps into GL_p(C), all under the outward-normal-first orientation
 convention with interleaved realification (re, im, re, im, ...).  In that
 convention a unitary-valued map f on S^(2k-1) has deg f = deg psi / (k-1)!,
-with psi the normalized first column of a k-by-k representative of f.  For
-k >= 2 psi's preimages are counted at one regular value and checked against
-Bott's integral of f itself, which needs neither compression nor Newton.
+with psi the normalized first column of a k-by-k representative of f.  A
+count with an independent oracle searches one regular value: psi's against
+Bott's integral of f itself, which needs neither compression nor Newton, and
+a circle self-map's against its winding number.  Self-maps of higher spheres
+are counted at two regular values.
 
 Maps presented with larger matrix size are compressed to one, one size step
 at a time, which preserves the homotopy class because each rotation field is
@@ -332,15 +334,16 @@ class DegreeReport:
     newton_max_residual: Optional[float] = None
     n_starts: Optional[int] = None
     redraws: int = 0
-    psi_degree: Optional[int] = None
-    divisor: Optional[int] = None
-    calibration_sign: Optional[int] = None
 
 
 @dataclass
 class UnitaryDegreeReport(DegreeReport):
-    """A unitary degree for k >= 2, with the Bott integral that cross-checked it."""
+    """A unitary degree: psi's preimage count, the divisor (k-1)!, and the
+    Bott integral that cross-checked the count."""
 
+    psi_degree: Optional[int] = None
+    divisor: Optional[int] = None
+    calibration_sign: Optional[int] = None
     integral_mean: Optional[float] = None
     integral_spread: Optional[float] = None
     integral_points: Optional[int] = None
@@ -544,21 +547,18 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
 
     ``map_many`` maps batched ambient rows (N, n+1) of sphere points to
     sphere points.  n = 1 integrates the winding number over a fine grid
-    and cross-checks it against preimage counting, whose report it returns
-    relabelled "winding" with the winding residual; n >= 2 counts signed
-    preimages of a regular value, with rejection of near-singular values
-    and a second independent regular value as a consistency check.
+    and counts signed preimages of one regular value against it, as the
+    cross-check; the count's report is returned relabelled "winding" with
+    the winding residual.  n >= 2 counts signed preimages of a regular
+    value, with rejection of near-singular values and a second independent
+    regular value as a consistency check.
     """
     opts = opts or DegreeOptions()
     _check_dimension(n, opts)
     if n > 1:
         return preimage_count_degree(map_many, n, opts)
     value, residual = winding_number(map_many)
-    counted = preimage_count_degree(map_many, n, opts)
-    if counted.value != value:
-        raise InconsistencyError(
-            f"winding ({value}) and preimage count ({counted.value}) disagree"
-        )
+    counted = preimage_count_degree(map_many, n, opts, cross_check=value)
     return replace(counted, method="winding", winding_residual=residual)
 
 
@@ -882,22 +882,22 @@ def calibration_sign() -> int:
     return _CALIBRATION_SIGN
 
 
-def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> DegreeReport:
+def unitary_degree(
+    f: MatrixSphereMap, opts: Optional[DegreeOptions] = None
+) -> UnitaryDegreeReport:
     """Degree of a map S^(2k-1) -> GL_p(C) via the normalized-first-column formula.
 
     The map is first reduced to a k-by-k representative when p > k (this
     requires unitary values; see :func:`compress_to_k_block`).  The result
     is deg psi / (k-1)!, with psi the normalized first column.
 
-    k = 1 takes psi's degree from :func:`sphere_degree`: the winding number,
-    checked by a preimage count.  For k >= 2 psi's preimages are counted at
-    one regular value, and the count must equal (k-1)! round(I), with I
-    Bott's integral of the uncompressed map (:func:`bott_degree`); that
-    product is the report's ``cross_check_value``.  A count that differs,
-    divisible by (k-1)! or not, signals a missed basin, an orientation bug
-    or a map outside the method's hypotheses, and raises InconsistencyError.
-    The report is then a :class:`UnitaryDegreeReport` that carries the
-    integral's mean, spread and points per copy.
+    psi's preimages are counted at one regular value, and the count must
+    equal (k-1)! round(I), with I Bott's integral of the uncompressed map
+    (:func:`bott_degree`; at k = 1 it is the winding integral); that product
+    is the report's ``cross_check_value``.  A count that differs, divisible
+    by (k-1)! or not, signals a missed basin, an orientation bug or a map
+    outside the method's hypotheses, and raises InconsistencyError.  The
+    report carries the integral's mean, spread and points per copy.
     """
     opts = opts or DegreeOptions()
     k = f.k
@@ -907,26 +907,17 @@ def unitary_degree(f: MatrixSphereMap, opts: Optional[DegreeOptions] = None) -> 
     reduced = f if f.p == k else compress_to_k_block(f)
     psi = first_column_sphere_map(reduced)
     divisor = math.factorial(k - 1)
-    integral = {}
-    if k == 1:
-        inner = sphere_degree(psi, 1, opts)
-    else:
-        bott = bott_degree(f)
-        inner = preimage_count_degree(psi, 2 * k - 1, opts, cross_check=divisor * bott.value)
-        integral = {
-            "integral_mean": bott.mean,
-            "integral_spread": bott.spread,
-            "integral_points": bott.points,
-        }
-    report = replace(
-        inner,
-        value=inner.value // divisor,
-        method="unitary_formula",
+    bott = bott_degree(f)
+    inner = preimage_count_degree(psi, 2 * k - 1, opts, cross_check=divisor * bott.value)
+    return UnitaryDegreeReport(
+        **{**vars(inner), "value": inner.value // divisor, "method": "unitary_formula"},
         psi_degree=inner.value,
         divisor=divisor,
         calibration_sign=_CALIBRATION_SIGN,
+        integral_mean=bott.mean,
+        integral_spread=bott.spread,
+        integral_points=bott.points,
     )
-    return UnitaryDegreeReport(**vars(report), **integral) if integral else report
 
 
 # ---------------------------------------------------------------------------

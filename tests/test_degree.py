@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -227,8 +228,9 @@ def test_disagreeing_regular_values_raise(monkeypatch):
 
 
 def test_winding_disagreeing_with_the_preimage_count_raises(monkeypatch):
+    # The winding number is the count's cross-check, so a disagreement is refused.
     monkeypatch.setattr(degree_mod, "winding_number", lambda map_many: (3, 0.0))
-    with pytest.raises(InconsistencyError, match=r"winding \(3\) and preimage count \(2\)"):
+    with pytest.raises(InconsistencyError, match="preimage count 2 disagrees with the cross-check 3"):
         sphere_degree(circle_power_map(2), 1)
 
 
@@ -282,9 +284,8 @@ def test_fold_value_is_rejected_by_preimage_separation():
     ids=["preimage_count", "sphere_degree", "unitary_degree"],
 )
 def test_redrawn_regular_value_is_reported(degree_of, expected, monkeypatch):
-    # On S1 the report is the preimage cross-check's, relabelled around the
-    # winding number; its redraws must survive that, also through the column formula.
-    calibration_sign()  # cached before any value is rejected
+    # On S1 the report is the preimage count's, relabelled around the winding
+    # number; its redraws must survive that, also through the column formula.
     rejected = []
 
     def reject_first(*args):
@@ -308,11 +309,17 @@ def test_redrawn_regular_value_is_reported(degree_of, expected, monkeypatch):
     ids=["sphere_degree", "unitary_degree"],
 )
 def test_circle_report_carries_the_preimage_search(degree_of):
-    # The winding report keeps every field of the preimage cross-check it ran,
-    # as reports on higher spheres do: basins, start count, Newton residual.
+    # A circle report keeps every field of the preimage count it ran, as
+    # reports on higher spheres do: basins, start count, Newton residual.
+    # The winding report adds the winding residual, the unitary one the integral.
     report = degree_of()
-    assert report.method in ("winding", "unitary_formula")
-    assert report.winding_residual is not None and report.winding_residual <= 1e-3
+    if report.method == "winding":
+        assert report.winding_residual is not None and report.winding_residual <= 1e-3
+    else:
+        assert report.method == "unitary_formula" and report.winding_residual is None
+        assert abs(report.integral_mean - report.value) <= 1e-7
+        assert report.integral_spread <= 1e-7
+        assert report.integral_points == degree_mod._BOTT_START
     assert report.n_starts == 200
     assert len(report.basin_counts) == len(report.preimages) == abs(report.cross_check_value)
     assert sum(report.basin_counts) <= report.n_starts
@@ -481,9 +488,8 @@ def test_preimage_count_once_returns_a_report():
 # ---------------------------------------------------------------------------
 
 
-def test_calibration_sign_is_cached_and_unit():
-    assert calibration_sign() in (-1, 1)
-    assert calibration_sign() == calibration_sign()
+def test_calibration_sign_is_the_constant_minus_one():
+    assert calibration_sign() == -1
 
 
 def test_column_map_of_a2_is_the_identity_of_degree_one():
@@ -529,6 +535,15 @@ def test_unitary_degree_ak_is_one(k):
 def test_unitary_degree_power_maps():
     for d in (-2, 3):
         assert unitary_degree(power_map_matrix(d)).value == d
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_circle_degrees_from_one_regular_value_at_every_seed(seed):
+    # One search per count, checked by the winding number or the integral.
+    opts = DegreeOptions(seed=seed)
+    for d in range(-3, 4):
+        assert sphere_degree(circle_power_map(d), 1, opts).value == d
+        assert unitary_degree(power_map_matrix(d), opts).value == d
 
 
 def test_unitary_degree_rejects_small_matrix():
@@ -981,24 +996,50 @@ def test_unitary_report_carries_the_integral():
     assert report.cross_check_value == report.psi_degree == 2
     assert abs(report.integral_mean - 1.0) <= 1e-7 and report.integral_spread <= 1e-7
     assert report.integral_points == degree_mod._BOTT_START
-    # k = 1 keeps the winding report, with no integral fields.
-    assert type(unitary_degree(power_map_matrix(2))) is DegreeReport
+    # k = 1 is checked by its integral, the winding integral, like every k.
+    circle = unitary_degree(power_map_matrix(2))
+    assert isinstance(circle, UnitaryDegreeReport)
+    assert circle.value == circle.psi_degree == circle.cross_check_value == 2
+    assert abs(circle.integral_mean - 2.0) <= 1e-7 and circle.winding_residual is None
+    # Only unitary reports carry the column formula's fields.
+    sphere = sphere_degree(circle_power_map(2), 1)
+    assert type(sphere) is DegreeReport and not hasattr(sphere, "psi_degree")
 
 
-def test_a_wrong_psi_count_is_refused_by_the_integral(monkeypatch):
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (a_k(3), "count 4 disagrees with the cross-check 2"),
+        (power_map_matrix(2), "count 3 disagrees with the cross-check 2"),
+    ],
+    ids=["a_3", "z^2"],
+)
+def test_a_wrong_psi_count_is_refused_by_the_integral(f, message, monkeypatch):
     # Adding (k-1)! keeps the count divisible, so only the integral can see it.
     real = _preimage_count_once
+    extra = math.factorial(f.k - 1)
 
     def one_basin_too_many(*args):
         report = real(*args)
-        return replace(report, value=report.value + 2)
+        return replace(report, value=report.value + extra)
 
     monkeypatch.setattr(degree_mod, "_preimage_count_once", one_basin_too_many)
-    with pytest.raises(InconsistencyError, match="count 4 disagrees with the cross-check 2"):
-        unitary_degree(a_k(3))
+    with pytest.raises(InconsistencyError, match=message):
+        unitary_degree(f)
 
 
-def test_unitary_degree_searches_one_regular_value(monkeypatch):
+@pytest.mark.parametrize(
+    "degree_of",
+    [
+        lambda: unitary_degree(a_k(3)),
+        lambda: unitary_degree(a_k(1)),
+        lambda: unitary_degree(power_map_matrix(2)),
+        lambda: sphere_degree(circle_power_map(2), 1),
+    ],
+    ids=["a_3", "a_1", "z^2", "sphere_degree-S1"],
+)
+def test_unitary_degree_searches_one_regular_value(degree_of, monkeypatch):
+    # Each count has an independent oracle, so one regular value is searched.
     calls = []
     real = degree_mod._newton_preimages
 
@@ -1007,10 +1048,19 @@ def test_unitary_degree_searches_one_regular_value(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(degree_mod, "_newton_preimages", spy)
-    report = unitary_degree(a_k(3))
+    report = degree_of()
     assert report.redraws == 0
     assert len(calls) == 1
     assert list(calls[0]) == report.regular_value
+
+
+@pytest.mark.parametrize("d", [3, -2])
+def test_unitary_degree_of_a_non_symmetric_circle_map(d):
+    # z^d plus a constant of modulus 0.9: the first k = 1 map whose integrand
+    # is not constant, so the integral escalates past its first level.
+    report = unitary_degree(_twisted(power_map_matrix(d), 0.9, seed=0))
+    assert report.value == report.psi_degree == report.cross_check_value == d
+    assert report.integral_points > degree_mod._BOTT_START
 
 
 @pytest.mark.slow
