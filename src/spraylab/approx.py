@@ -153,16 +153,15 @@ def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResu
 
 
 @lru_cache(maxsize=64)
-def _graded_basis(n_vars: int, degree: int, sphere: bool) -> tuple:
-    """Exponents of total degree <= ``degree`` in (degree, lex) order, and the runs
-    (columns, parent columns, variable i) whose products build their Vandermonde.
+def _graded_basis(n_vars: int, degree: int) -> tuple:
+    """The :func:`sphere_exponents` and the runs (columns, parent columns,
+    variable i) whose products build their Vandermonde.
 
     The degree-d monomials whose first nonzero entry is i are x_i times the
     leading degree-(d-1) monomials with no entry before i.  So each (d, i)
     block, taken for i from last to first, is one run: a prefix of block d-1
-    times x_i.  ``sphere`` keeps last exponents <= 1 by dropping the i = last
-    run from degree 2 on; on the unit sphere x_n^2 = 1 - sum of the other
-    squares, so those monomials are a basis there.
+    times x_i.  Dropping the i = last run from degree 2 on keeps last
+    exponents <= 1.
     """
     exponents, runs = [(0,) * n_vars], []
     # Block d-1 starts at ``block``; lead[i] of its monomials have no entry before i.
@@ -170,7 +169,7 @@ def _graded_basis(n_vars: int, degree: int, sphere: bool) -> tuple:
     for d in range(1, degree + 1):
         start, counts = len(exponents), [0] * n_vars
         for i in reversed(range(n_vars)):
-            if not (sphere and d > 1 and i == n_vars - 1):
+            if d == 1 or i < n_vars - 1:
                 parents, first = slice(block, block + lead[i]), len(exponents)
                 exponents += [e[:i] + (e[i] + 1,) + e[i + 1 :] for e in exponents[parents]]
                 runs.append((slice(first, len(exponents)), parents, i))
@@ -179,19 +178,16 @@ def _graded_basis(n_vars: int, degree: int, sphere: bool) -> tuple:
     return tuple(exponents), tuple(runs)
 
 
-def monomial_exponents(n_vars: int, degree: int) -> list:
-    """All exponent tuples of total degree <= degree, sorted by (degree, lex)."""
-    return list(_graded_basis(n_vars, degree, False)[0])
-
-
 def sphere_exponents(n_vars: int, degree: int) -> list:
-    """The :func:`monomial_exponents` with last entry <= 1, in the same order."""
-    return list(_graded_basis(n_vars, degree, True)[0])
+    """Exponent tuples of total degree <= degree with last entry <= 1, sorted by
+    (degree, lex).  On the unit sphere x_n^2 = 1 - sum of the other squares, so
+    these monomials are a basis of the polynomials of degree <= degree there."""
+    return list(_graded_basis(n_vars, degree)[0])
 
 
-def _vandermonde(points: np.ndarray, degree: int, sphere: bool = True) -> np.ndarray:
-    """Columns x**e over the degree-``degree`` basis, each its parent column times x_i."""
-    exponents, runs = _graded_basis(points.shape[1], degree, sphere)
+def _vandermonde(points: np.ndarray, degree: int) -> np.ndarray:
+    """Columns x**e over the degree-``degree`` sphere basis, each its parent column times x_i."""
+    exponents, runs = _graded_basis(points.shape[1], degree)
     out = np.ones((len(exponents), points.shape[0]))  # row k holds column k
     coords = points.T.copy()
     for cols, parents, i in runs:
@@ -200,42 +196,43 @@ def _vandermonde(points: np.ndarray, degree: int, sphere: bool = True) -> np.nda
 
 
 @dataclass
-class PolynomialMapSpec:
+class PolynomialMap:
     """Dense polynomial map in ambient coordinates, restricted to the sphere.
 
     ``coefficients`` holds one column per output dimension over the
     :func:`sphere_exponents` basis of ``input_dim`` variables and degree
     ``degree``, so ``eval_many`` is the ambient polynomial
     sum_k coefficients[k] x**e_k.  The basis is derived, not stored; the
-    report lists it under ``exponents``.
+    report lists it under ``exponents``.  The pipeline's base maps F0 and
+    its fitted beta are both such tables, with one JSON form.
     """
 
     input_dim: int
     output_dim: int
     degree: int
     coefficients: np.ndarray  # (number of basis monomials, output_dim)
-    fit_rms: float
-    val_max: float
-    fit_rms_curve: list
-    val_max_curve: list
-    achieved_target: bool
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         return _vandermonde(np.asarray(points, dtype=float), self.degree) @ self.coefficients
 
     def to_jsonable(self) -> dict:
+        """Every field, with the coefficients as exact decimal strings, and the basis."""
         return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "degree": self.degree,
+            **vars(self),
             "exponents": [list(e) for e in sphere_exponents(self.input_dim, self.degree)],
             "coefficients": [[decimal_string(c) for c in row] for row in self.coefficients],
-            "fit_rms": self.fit_rms,
-            "val_max": self.val_max,
-            "fit_rms_curve": self.fit_rms_curve,
-            "val_max_curve": self.val_max_curve,
-            "achieved_target": self.achieved_target,
         }
+
+
+@dataclass
+class PolynomialMapSpec(PolynomialMap):
+    """A fitted :class:`PolynomialMap` and the diagnostics of its fit."""
+
+    fit_rms: float
+    val_max: float
+    fit_rms_curve: list
+    val_max_curve: list
+    achieved_target: bool
 
 
 def fit_polynomial(

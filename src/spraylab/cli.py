@@ -79,10 +79,30 @@ _KEYS = {
 }
 
 
+# The JSON type of each key read as a number or a truth value, so that int(),
+# float() or a truth test never reinterprets a value of another type.
+_TYPES = {
+    **dict.fromkeys(("seed", "samples", "dominance_samples", "n_starts", "max_dim", "k", "n",
+                     "d", "d_max", "grid_size"), "an integer"),
+    **dict.fromkeys(("tol", "fiber_radius", "target_c0", "shrink_c"), "a number"),
+    "check_degree": "a boolean",
+}
+_JSON_TYPES = {"an integer": int, "a number": (int, float), "a boolean": bool}
+
+
+def _check_types(config: dict, what: str) -> None:
+    for key in sorted(set(config) & set(_TYPES)):
+        value, kind = config[key], _TYPES[key]
+        is_bool = isinstance(value, bool)  # a bool is an int in Python, not in JSON
+        if is_bool != (kind == "a boolean") or not isinstance(value, _JSON_TYPES[kind]):
+            raise UsageError(f"{what} key {key!r} must be {kind}, got {json.dumps(value)}")
+
+
 def _check_keys(config: dict, accepted: tuple, what: str) -> None:
     unknown = sorted(set(config) - set(accepted))
     if unknown:
         raise UsageError(f"{what} has unknown keys {unknown} (accepted: {sorted(accepted)})")
+    _check_types(config, what)
 
 
 def _options(config: dict, **table) -> dict:
@@ -187,7 +207,7 @@ def _build_matrix_map(config: dict, command_keys: tuple = ()):
 
 # Self-maps of the n-sphere, by name; every other name is a matrix map.
 _SPHERE_SELF_MAPS = {
-    "fermat": lambda config: fermat_power_self_map(int(config["n"]), int(config["k"])),
+    "fermat": lambda config: fermat_power_self_map(int(config["k"])),
     "identity": lambda config: identity_map,
     "antipodal": lambda config: antipodal_map,
 }
@@ -285,6 +305,7 @@ def main(argv=None) -> int:
         "approximate": cmd_approximate,
     }
     try:
+        _check_types(config, "config")
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         return handlers[args.command](config, seed, args.out)
     except UsageError as exc:

@@ -338,8 +338,8 @@ class DegreeReport:
 
 @dataclass
 class UnitaryDegreeReport(DegreeReport):
-    """A unitary degree: psi's preimage count, the divisor (k-1)!, and the
-    Bott integral that cross-checked the count."""
+    """A unitary degree: psi's preimage count, the divisor (k-1)!, and, for
+    k >= 2, the Bott integral that cross-checked the count."""
 
     psi_degree: Optional[int] = None
     divisor: Optional[int] = None
@@ -891,13 +891,17 @@ def unitary_degree(
     requires unitary values; see :func:`compress_to_k_block`).  The result
     is deg psi / (k-1)!, with psi the normalized first column.
 
+    k = 1 takes psi's degree from :func:`sphere_degree`: one regular value's
+    preimage count, checked by the winding number over a fine grid.  Bott's
+    sampled mean is not used there: it can settle on a wrong integer with a
+    small spread when the map turns steeply between its points.  For k >= 2
     psi's preimages are counted at one regular value, and the count must
     equal (k-1)! round(I), with I Bott's integral of the uncompressed map
-    (:func:`bott_degree`; at k = 1 it is the winding integral); that product
-    is the report's ``cross_check_value``.  A count that differs, divisible
-    by (k-1)! or not, signals a missed basin, an orientation bug or a map
-    outside the method's hypotheses, and raises InconsistencyError.  The
-    report carries the integral's mean, spread and points per copy.
+    (:func:`bott_degree`); that product is the ``cross_check_value``, and
+    the report carries the integral's mean, spread and points per copy.  A
+    count that differs, divisible by (k-1)! or not, signals a missed basin,
+    an orientation bug or a map outside the method's hypotheses, and raises
+    InconsistencyError.
     """
     opts = opts or DegreeOptions()
     k = f.k
@@ -907,16 +911,20 @@ def unitary_degree(
     reduced = f if f.p == k else compress_to_k_block(f)
     psi = first_column_sphere_map(reduced)
     divisor = math.factorial(k - 1)
-    bott = bott_degree(f)
-    inner = preimage_count_degree(psi, 2 * k - 1, opts, cross_check=divisor * bott.value)
+    integral = {}
+    if k == 1:
+        inner = sphere_degree(psi, 1, opts)
+    else:
+        bott = bott_degree(f)
+        inner = preimage_count_degree(psi, 2 * k - 1, opts, cross_check=divisor * bott.value)
+        integral = {"integral_mean": bott.mean, "integral_spread": bott.spread,
+                    "integral_points": bott.points}
     return UnitaryDegreeReport(
         **{**vars(inner), "value": inner.value // divisor, "method": "unitary_formula"},
         psi_degree=inner.value,
         divisor=divisor,
         calibration_sign=_CALIBRATION_SIGN,
-        integral_mean=bott.mean,
-        integral_spread=bott.spread,
-        integral_points=bott.points,
+        **integral,
     )
 
 
@@ -925,8 +933,8 @@ def unitary_degree(
 # ---------------------------------------------------------------------------
 
 
-def fermat_power_self_map(n: int, k: int) -> Callable:
-    """The odd-power map pulled back to a self-map of the round n-sphere.
+def fermat_power_self_map(k: int) -> Callable:
+    """The odd-power map pulled back to a self-map of the round sphere of any dimension.
 
     Rescale radially onto the degree-2k Fermat sphere, then apply the
     coordinatewise k-th power; a homeomorphism for odd k, of degree 1 in the

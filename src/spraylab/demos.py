@@ -15,10 +15,9 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .approx import ApproxConfig, Homotopy, monomial_exponents
+from .approx import ApproxConfig, Homotopy, PolynomialMap, sphere_exponents
 from .degree import identity_map
 from .geometry import VarietySpec, normalize_rows
-from .serialize import decimal_string
 from .sprays import Spray, stereographic_spray
 
 
@@ -32,35 +31,24 @@ class DemoSetup:
     expected_degree: int
 
 
-def _poly_descriptor(name: str, formula: str, input_dim: int, degree: int, columns) -> dict:
-    """Exact coefficient table of a polynomial base map, canonical monomial order."""
-    exps = monomial_exponents(input_dim, degree)
+def _poly_descriptor(name: str, formula: str, input_dim: int, degree: int, columns) -> tuple:
+    """A polynomial base map F0 as its exact coefficient table over the sphere
+    basis: the table's evaluator, which the pipeline runs, and the descriptor
+    its report prints, in beta's JSON form plus a ``name`` and a ``formula``."""
+    exps = sphere_exponents(input_dim, degree)
     coeffs = np.zeros((len(exps), len(columns)))
     for col, terms in enumerate(columns):
         for exp, value in terms.items():
             coeffs[exps.index(exp), col] = value
-    return {
-        "name": name,
-        "formula": formula,
-        "input_dim": input_dim,
-        "output_dim": len(columns),
-        "degree": degree,
-        "coefficients": [[decimal_string(c) for c in row] for row in coeffs],
-    }
+    table = PolynomialMap(input_dim, len(columns), degree, coeffs)
+    return table.eval_many, {"name": name, "formula": formula, **table.to_jsonable()}
 
 
 def s1_identity() -> DemoSetup:
     """Identity on the circle through the constant homotopy; exact output."""
     circle = VarietySpec.sphere(1)
-    homotopy = Homotopy(
-        domain=circle,
-        target=circle,
-        eval_many=lambda x, t: identity_map(x),
-        f0_many=identity_map,
-        f0_descriptor=_poly_descriptor(
-            "identity", "(x, y)", 2, 1, [{(1, 0): 1.0}, {(0, 1): 1.0}]
-        ),
-    )
+    f0 = _poly_descriptor("identity", "(x, y)", 2, 1, [{(1, 0): 1.0}, {(0, 1): 1.0}])
+    homotopy = Homotopy(circle, circle, lambda x, t: identity_map(x), *f0)
     return DemoSetup(
         name="identity",
         f_many=identity_map,
@@ -82,22 +70,11 @@ def s1_power2_wiggle() -> DemoSetup:
         a = 2.0 * angles(x) + 0.3 * t * np.sin(angles(x))
         return np.column_stack([np.cos(a), np.sin(a)])
 
-    def square(x):
-        return np.column_stack([x[:, 0] ** 2 - x[:, 1] ** 2, 2.0 * x[:, 0] * x[:, 1]])
-
-    homotopy = Homotopy(
-        domain=circle,
-        target=circle,
-        eval_many=at_time,
-        f0_many=square,
-        f0_descriptor=_poly_descriptor(
-            "square",
-            "(x^2 - y^2, 2xy)",
-            2,
-            2,
-            [{(2, 0): 1.0, (0, 2): -1.0}, {(1, 1): 2.0}],
-        ),
+    # On the circle x^2 - y^2 = 2x^2 - 1, and the sphere basis has no y^2.
+    f0 = _poly_descriptor(
+        "square", "(x^2 - y^2, 2xy)", 2, 2, [{(2, 0): 2.0, (0, 0): -1.0}, {(1, 1): 2.0}]
     )
+    homotopy = Homotopy(circle, circle, at_time, *f0)
     return DemoSetup(
         name="s1-power-2-wiggle",
         f_many=lambda x: at_time(x, 1.0),
@@ -127,19 +104,10 @@ def s2_bump_identity() -> DemoSetup:
         x = np.asarray(x, dtype=float)
         return normalize_rows(x + 0.2 * t * _bump_field(x))
 
-    homotopy = Homotopy(
-        domain=sphere,
-        target=sphere,
-        eval_many=at_time,
-        f0_many=identity_map,
-        f0_descriptor=_poly_descriptor(
-            "identity",
-            "(x, y, z)",
-            3,
-            1,
-            [{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}],
-        ),
+    f0 = _poly_descriptor(
+        "identity", "(x, y, z)", 3, 1, [{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}]
     )
+    homotopy = Homotopy(sphere, sphere, at_time, *f0)
     return DemoSetup(
         name="s2-bump-identity",
         f_many=lambda x: at_time(x, 1.0),

@@ -109,7 +109,7 @@ def test_criterion_4_degree_calculus():
 
     # odd power map pulled back to the round sphere has degree 1
     for n in (1, 2):
-        assert sphere_degree(fermat_power_self_map(n, 3), n).value == 1
+        assert sphere_degree(fermat_power_self_map(3), n).value == 1
     _stamp("4 degree calculus", t0, 60.0, "(a_k, multiplicativity, oracles, odd powers)")
 
 

@@ -15,7 +15,6 @@ from spraylab.approx import (
     approximation_error,
     assemble_regular_map,
     fit_polynomial,
-    monomial_exponents,
     sphere_exponents,
     track_eta,
 )
@@ -195,43 +194,42 @@ def test_track_interval_budget_error(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _sphere_basis_reference(n_vars, degree):
+    # Every tuple with entries <= degree, filtered and sorted by (degree, lex).
+    tuples = itertools.product(range(degree + 1), repeat=n_vars)
+    full = sorted((e for e in tuples if sum(e) <= degree), key=lambda e: (sum(e), e))
+    return [e for e in full if e[-1] <= 1]
+
+
 def test_monomial_basis_is_canonical():
-    exps = monomial_exponents(2, 2)
-    assert exps == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    exps = sphere_exponents(2, 2)
+    assert exps == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
 
 
 @pytest.mark.parametrize("n,degree,columns", [(1, 20, 41), (2, 12, 169)])
 def test_sphere_basis_has_full_rank(n, degree, columns):
     exps = sphere_exponents(n + 1, degree)
     assert len(exps) == columns
-    assert exps == [e for e in monomial_exponents(n + 1, degree) if e[-1] <= 1]
+    assert exps == _sphere_basis_reference(n + 1, degree)
     vmat = approx_mod._vandermonde(sphere_quasi_uniform(1024, n), degree)
     assert np.linalg.matrix_rank(vmat / np.linalg.norm(vmat, axis=0)) == columns
 
 
 def test_vandermonde_matches_monomial_products():
     grid = sphere_quasi_uniform(64, 2)
-    for exps in (monomial_exponents(3, 5), sphere_exponents(3, 5)):
-        ref = np.prod(grid[:, None, :] ** np.array(exps, dtype=float)[None], axis=2)
-        vmat = approx_mod._vandermonde(grid, 5, sphere=exps == sphere_exponents(3, 5))
-        np.testing.assert_allclose(vmat, ref, rtol=1e-14, atol=0)
+    ref = np.prod(grid[:, None, :] ** np.array(sphere_exponents(3, 5), dtype=float)[None], axis=2)
+    np.testing.assert_allclose(approx_mod._vandermonde(grid, 5), ref, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("n_vars,degree", [(2, 20), (3, 12), (4, 9), (7, 4)])
 def test_graded_basis_matches_filter_and_sort(n_vars, degree):
-    # Reference: every tuple with entries <= degree, filtered and sorted by (degree, lex).
-    tuples = itertools.product(range(degree + 1), repeat=n_vars)
-    full = sorted((e for e in tuples if sum(e) <= degree), key=lambda e: (sum(e), e))
-    assert monomial_exponents(n_vars, degree) == full
-    assert sphere_exponents(n_vars, degree) == [e for e in full if e[-1] <= 1]
+    assert sphere_exponents(n_vars, degree) == _sphere_basis_reference(n_vars, degree)
 
 
 def test_vandermonde_matches_direct_powers_in_seven_variables():
     grid = sphere_quasi_uniform(64, 6)
-    for exps, sphere in ((monomial_exponents(7, 4), False), (sphere_exponents(7, 4), True)):
-        ref = np.prod(grid[:, None, :] ** np.array(exps, dtype=float)[None], axis=2)
-        vmat = approx_mod._vandermonde(grid, 4, sphere=sphere)
-        np.testing.assert_allclose(vmat, ref, rtol=1e-14, atol=0)
+    ref = np.prod(grid[:, None, :] ** np.array(sphere_exponents(7, 4), dtype=float)[None], axis=2)
+    np.testing.assert_allclose(approx_mod._vandermonde(grid, 4), ref, rtol=1e-14, atol=0)
 
 
 def test_fit_coefficients_stable_under_tiny_eta_noise():
@@ -488,17 +486,32 @@ def test_pipeline_report_serializes():
     assert '"status"' in text
 
 
+_BASE_MAP_FORMULAS = {
+    "(x, y)": lambda x: x,
+    "(x, y, z)": lambda x: x,
+    "(x^2 - y^2, 2xy)": lambda x: np.column_stack(
+        [x[:, 0] ** 2 - x[:, 1] ** 2, 2.0 * x[:, 0] * x[:, 1]]
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_demo_base_map_matches_descriptor_coefficients(name):
-    # The descriptor's coefficient table must reproduce the exact base map.
-    from spraylab.approx import _vandermonde
-
+    # F0 is the table its report prints: read back from the canonical JSON, the
+    # exponents and coefficients reproduce the evaluator the pipeline runs
+    # exactly, and the table's closed form within rounding.
     demo = DEMOS[name]()
-    desc = demo.homotopy.f0_descriptor
-    coeffs = np.array([[float(c) for c in row] for row in desc["coefficients"]])
-    grid = sphere_quasi_uniform(200, demo.homotopy.domain.n)
-    np.testing.assert_allclose(
-        _vandermonde(grid, desc["degree"], sphere=False) @ coeffs,
-        demo.homotopy.f0_many(grid),
-        atol=1e-15,
-    )
+    cfg = ApproxConfig(target_c0=1.0, d_max=1, grid_size=64)
+    report = approximate(demo.f_many, demo.homotopy, demo.spray, cfg)
+    f0 = json.loads(dumps_canonical(report.to_jsonable()))["f0"]
+    exps = np.array(f0["exponents"])
+    coeffs = np.array([[float(c) for c in row] for row in f0["coefficients"]])
+    assert exps.shape == (len(coeffs), f0["input_dim"]) and coeffs.shape[1] == f0["output_dim"]
+    assert np.all(exps[:, -1] <= 1) and np.max(exps.sum(axis=1)) == f0["degree"]
+    grid = sphere_quasi_uniform(1024, demo.homotopy.domain.n)
+    # x**e as e_i factors x_i: at degree <= 2 the pipeline's roundings, unlike pow.
+    monomials = np.column_stack([np.prod(np.repeat(grid, e, axis=1), axis=1) for e in exps])
+    table = monomials @ coeffs
+    np.testing.assert_array_equal(table, demo.homotopy.f0_many(grid))
+    closed_form = _BASE_MAP_FORMULAS[f0["formula"]](grid)
+    np.testing.assert_allclose(table, closed_form, rtol=0, atol=1e-15)

@@ -217,6 +217,38 @@ def test_unread_config_keys_are_usage_errors(tmp_path, capsys, command, config, 
 
 
 @pytest.mark.parametrize(
+    "command,config,bad,kind",
+    [
+        ("verify-spray", {"kind": "stereographic", "n": True}, "n", "an integer"),
+        ("verify-spray", {"kind": "iterated", "k": 2, "inner": {"kind": "stereographic",
+                                                                "n": 1.0}}, "n", "an integer"),
+        ("degree", {"map": "a_k", "k": 2.9}, "k", "an integer"),
+        ("degree", {"map": "fermat", "k": 3, "n": True}, "n", "an integer"),
+        ("make-ak", {"k": 2, "samples": 20.9}, "samples", "an integer"),
+        ("approximate", {"demo": "identity", "check_degree": "no"}, "check_degree", "a boolean"),
+        ("approximate", {"demo": "identity", "target_c0": "1e-3"}, "target_c0", "a number"),
+    ],
+    ids=["verify-spray", "verify-spray-nested", "degree-matrix-map", "degree-self-map",
+         "make-ak", "approximate-boolean", "approximate-number"],
+)
+def test_config_values_of_another_json_type_are_usage_errors(tmp_path, capsys, command,
+                                                             config, bad, kind):
+    # int(), float() and truth tests would read 2.9 as 2, true as 1 and "no"
+    # as true, and the report would echo a config that did not run.
+    code, report, _ = run_cli(tmp_path, command, config)
+    assert code == EXIT_USAGE
+    assert report is None
+    assert f"key '{bad}' must be {kind}, got " in capsys.readouterr().err
+
+
+def test_integers_are_numbers_in_a_config(tmp_path):
+    code, report, _ = run_cli(tmp_path, "approximate",
+                              {"demo": "identity", "target_c0": 1, "check_degree": False})
+    assert code == EXIT_OK
+    assert report["approximation"]["config"]["target_c0"] == 1.0 and "degree" not in report
+
+
+@pytest.mark.parametrize(
     "command,config",
     [
         ("degree", {"map": "conj"}),

@@ -243,25 +243,25 @@ def test_shrink_rejects_bad_input():
 def test_fermat_identity_for_k_one():
     x = np.array([[0.3, -0.9, 0.1]])
     x /= np.linalg.norm(x)
-    np.testing.assert_allclose(fermat_power_self_map(2, 1)(x), x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(fermat_power_self_map(1)(x), x, rtol=0, atol=1e-15)
 
 
 def test_fermat_fixes_basis_vector():
     e1 = np.zeros((1, 4))
     e1[0, 0] = 1.0
-    np.testing.assert_array_equal(fermat_power_self_map(3, 3)(e1), e1)
+    np.testing.assert_array_equal(fermat_power_self_map(3)(e1), e1)
 
 
 def test_fermat_cubes_land_on_circle():
     # Round-circle points scale onto a^6 + b^6 = 1, whose cubes (a^3, b^3) have unit norm.
     theta = np.linspace(-3.0, 3.0, 17)
-    out = fermat_power_self_map(1, 3)(np.column_stack([np.cos(theta), np.sin(theta)]))
+    out = fermat_power_self_map(3)(np.column_stack([np.cos(theta), np.sin(theta)]))
     assert np.max(np.abs(np.einsum("ni,ni->n", out, out) - 1.0)) <= 1e-12
 
 
 def test_fermat_rejects_even_exponent():
     with pytest.raises(ValueError):
-        fermat_power_self_map(1, 2)
+        fermat_power_self_map(2)
 
 
 def test_radial_to_fermat_membership():
