@@ -9,6 +9,7 @@ closes over its base; beta only controls how close g is to the input map.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -152,46 +153,78 @@ def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResu
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _graded_basis(n_vars: int, degree: int) -> tuple:
-    """The :func:`sphere_exponents` and the runs (columns, parent columns,
-    variable i) whose products build their Vandermonde.
+@lru_cache(maxsize=None)
+def _basis_block(n_vars: int, degree: int) -> tuple:
+    """The degree-``degree`` block of :func:`sphere_exponents`, the runs
+    (rows, parent rows, variable i) whose products build its Vandermonde rows
+    from the previous block's, and per i the count of its leading monomials
+    with no entry before i.
 
     The degree-d monomials whose first nonzero entry is i are x_i times the
     leading degree-(d-1) monomials with no entry before i.  So each (d, i)
-    block, taken for i from last to first, is one run: a prefix of block d-1
-    times x_i.  Dropping the i = last run from degree 2 on keeps last
-    exponents <= 1.
+    run, taken for i from last to first, is a prefix of block d-1 times x_i.
+    Dropping the i = last run from degree 2 on keeps last exponents <= 1.
     """
-    exponents, runs = [(0,) * n_vars], []
-    # Block d-1 starts at ``block``; lead[i] of its monomials have no entry before i.
-    block, lead = 0, [1] * n_vars
-    for d in range(1, degree + 1):
-        start, counts = len(exponents), [0] * n_vars
-        for i in reversed(range(n_vars)):
-            if d == 1 or i < n_vars - 1:
-                parents, first = slice(block, block + lead[i]), len(exponents)
-                exponents += [e[:i] + (e[i] + 1,) + e[i + 1 :] for e in exponents[parents]]
-                runs.append((slice(first, len(exponents)), parents, i))
-            counts[i] = len(exponents) - start
-        block, lead = start, counts
-    return tuple(exponents), tuple(runs)
+    if degree == 0:
+        return ((0,) * n_vars,), (), (1,) * n_vars
+    parents, _, lead = _basis_block(n_vars, degree - 1)
+    exponents, runs, counts = [], [], []
+    for i in reversed(range(n_vars)):
+        if degree == 1 or i < n_vars - 1:
+            first = len(exponents)
+            exponents += [e[:i] + (e[i] + 1,) + e[i + 1 :] for e in parents[: lead[i]]]
+            runs.append((slice(first, len(exponents)), slice(0, lead[i]), i))
+        counts.append(len(exponents))
+    return tuple(exponents), tuple(runs), tuple(reversed(counts))
 
 
 def sphere_exponents(n_vars: int, degree: int) -> list:
     """Exponent tuples of total degree <= degree with last entry <= 1, sorted by
     (degree, lex).  On the unit sphere x_n^2 = 1 - sum of the other squares, so
     these monomials are a basis of the polynomials of degree <= degree there."""
-    return list(_graded_basis(n_vars, degree)[0])
+    return [e for d in range(degree + 1) for e in _basis_block(n_vars, d)[0]]
+
+
+@lru_cache(maxsize=64)
+def _graded_runs(n_vars: int, degree: int) -> tuple:
+    """The column count of the degree-``degree`` sphere basis, and the runs of
+    all its blocks with rows counted from the basis' first column."""
+    runs, block, start = [], 0, 1
+    for d in range(1, degree + 1):
+        exponents, block_runs, _ = _basis_block(n_vars, d)
+        runs += [
+            (slice(start + rows.start, start + rows.stop), slice(block, block + prefix.stop), i)
+            for rows, prefix, i in block_runs  # every prefix starts at its block's first row
+        ]
+        block, start = start, start + len(exponents)
+    return start, tuple(runs)
+
+
+def _apply_runs(parents: np.ndarray, coords: np.ndarray, runs: tuple, out: np.ndarray) -> None:
+    """Write each run's Vandermonde rows into ``out``: its parent rows times x_i."""
+    for rows, prefix, i in runs:
+        np.multiply(parents[prefix], coords[i], out=out[rows])
+
+
+def _vandermonde_blocks(points: np.ndarray):
+    """Yield the sphere basis' Vandermonde rows degree block by degree block,
+    0, 1, 2, ...: row k of block d is the block's column k.  Each block is
+    built only when it is asked for."""
+    coords = points.T.copy()
+    block = np.ones((1, points.shape[0]))
+    for degree in itertools.count(1):
+        yield block
+        exponents, runs, _ = _basis_block(points.shape[1], degree)
+        parents, block = block, np.empty((len(exponents), points.shape[0]))
+        _apply_runs(parents, coords, runs, block)
+        del parents  # block d-1 is freed once the caller lets go of it
 
 
 def _vandermonde(points: np.ndarray, degree: int) -> np.ndarray:
-    """Columns x**e over the degree-``degree`` sphere basis, each its parent column times x_i."""
-    exponents, runs = _graded_basis(points.shape[1], degree)
-    out = np.ones((len(exponents), points.shape[0]))  # row k holds column k
-    coords = points.T.copy()
-    for cols, parents, i in runs:
-        np.multiply(out[parents], coords[i], out=out[cols])
+    """Columns x**e over the degree-``degree`` sphere basis."""
+    columns, runs = _graded_runs(points.shape[1], degree)
+    out = np.ones((columns, points.shape[0]))  # row k holds column k
+    _apply_runs(out, points.T.copy(), runs, out)
     return out.T
 
 
@@ -235,6 +268,72 @@ class PolynomialMapSpec(PolynomialMap):
     achieved_target: bool
 
 
+class _GrowingQR:
+    """QR factorization of the column-scaled fit Vandermonde, grown one degree
+    block at a time, and the least-squares solve it gives at every degree.
+
+    Each new block of columns is scaled to unit norm, orthogonalized twice
+    against the stored Q (classical Gram-Schmidt with reorthogonalization;
+    Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996) and
+    QR-factored.  Q, R^-1 and Q^T values grow with it, and earlier columns
+    are never factored again: R^-1 is block upper triangular like R, so its
+    leading block inverts R's leading block.  Q is stored by rows.  A column
+    whose orthogonalized remainder falls below lstsq's cutoff eps * max(m, n)
+    is dependent on the columns before it: it gets no row of Q and
+    coefficient 0.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.q = np.empty((0, values.shape[0]))  # orthonormal rows
+        self.qtb = np.empty((0, values.shape[1]))  # Q^T values
+        self.residual = values.copy()  # values minus their projection onto Q's span
+        self.r_inv = np.empty((0, 0))
+        self.kept = np.empty(0, dtype=bool)  # per column, whether Q has a row for it
+        self.scale = np.empty(0)
+
+    def _orthonormalize(self, block: np.ndarray) -> tuple:
+        """The block's column scales, which columns it keeps, and for those
+        the new columns of R (above and on the diagonal) and rows of Q."""
+        norms = np.linalg.norm(block, axis=1)
+        scale = np.where(norms > 0.0, norms, 1.0)
+        w = block / scale[:, None]
+        proj = self.q @ w.T
+        w -= proj.T @ self.q
+        again = self.q @ w.T
+        w -= again.T @ self.q
+        proj += again
+        cutoff = np.finfo(float).eps * max(self.q.shape[1], self.kept.size + len(block))
+        keep = np.ones(len(block), dtype=bool)
+        qb, rb = np.linalg.qr(w.T)
+        while (small := np.abs(np.diagonal(rb)) < cutoff).any():
+            keep[np.flatnonzero(keep)[small]] = False
+            qb, rb = np.linalg.qr(w[keep].T)
+        return scale, keep, proj[:, keep], rb, np.ascontiguousarray(qb.T)
+
+    def append(self, block: np.ndarray) -> None:
+        """Add the columns held in the rows of ``block``."""
+        # The block's working copies are freed before Q grows.
+        scale, keep, r_top, r_diag, qb = self._orthonormalize(block)
+        z = qb @ self.residual
+        self.residual -= qb.T @ z
+        self.q = np.concatenate([self.q, qb])
+        self.qtb = np.concatenate([self.qtb, z])
+        k = len(self.r_inv)
+        r_inv = np.zeros((len(self.q), len(self.q)))
+        r_inv[:k, :k] = self.r_inv
+        r_inv[k:, k:] = np.linalg.inv(r_diag)
+        r_inv[:k, k:] = -(self.r_inv @ r_top) @ r_inv[k:, k:]
+        self.r_inv = r_inv
+        self.kept = np.concatenate([self.kept, keep])
+        self.scale = np.concatenate([self.scale, scale])
+
+    def solve(self) -> np.ndarray:
+        """Least-squares coefficients of every column so far."""
+        coef = np.zeros((self.kept.size, self.qtb.shape[1]))
+        coef[self.kept] = self.r_inv @ self.qtb
+        return coef / self.scale[:, None]
+
+
 def fit_polynomial(
     points: np.ndarray,
     values: np.ndarray,
@@ -244,29 +343,34 @@ def fit_polynomial(
     """Least-squares polynomial fit on the unit sphere with degree escalation.
 
     ``points`` lie on the unit sphere.  Each degree is fitted on the
-    :func:`sphere_exponents` basis, which has full column rank there, by one
-    column-scaled least-squares solve over that degree's whole Vandermonde
-    matrix (:func:`_vandermonde`).  Even-indexed samples are fitted,
-    odd-indexed ones validate; the degree escalates until the held-out max
-    residual meets ``target_resid``.  The recorded fit residual (rms over the
-    fitted half) is nonincreasing in the degree because the bases are nested.
-    Raises DegreeExhaustedError carrying the best fit when the cap is reached.
+    :func:`sphere_exponents` basis, which has full column rank there.  The
+    bases are nested, so one :class:`_GrowingQR` of the column-scaled
+    Vandermonde takes each degree's new block of columns and solves every
+    degree.  Even-indexed samples are fitted, odd-indexed ones validate; the
+    degree escalates until the held-out max residual meets ``target_resid``.
+    The recorded fit residual (rms over the fitted half) is nonincreasing in
+    the degree because the bases are nested.  Raises DegreeExhaustedError
+    carrying the best fit when the cap is reached.
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     fit_pts, fit_vals = points[0::2], values[0::2]
     val_pts, val_vals = points[1::2], values[1::2]
+    factor = _GrowingQR(fit_vals)
+    blocks = zip(_vandermonde_blocks(fit_pts), _vandermonde_blocks(val_pts))
+    val_rows = np.empty((0, val_pts.shape[0]))
     best = None
     fit_curve, val_curve = [], []
     for degree in range(1, d_max + 1):
-        if len(sphere_exponents(points.shape[1], degree)) > fit_pts.shape[0]:
+        if _graded_runs(points.shape[1], degree)[0] > fit_pts.shape[0]:
             break  # not enough samples to determine this degree
-        vmat = _vandermonde(fit_pts, degree)
-        scale = np.linalg.norm(vmat, axis=0)
-        coef = np.linalg.lstsq(vmat / scale, fit_vals, rcond=None)[0] / scale[:, None]
-        fit_resid = vmat @ coef - fit_vals
-        fit_rms = float(np.sqrt(np.mean(np.sum(fit_resid**2, axis=1))))
-        val_resid = _vandermonde(val_pts, degree) @ coef - val_vals
+        # Degree 1 brings the constant block along.
+        for fit_block, val_block in itertools.islice(blocks, 2 if degree == 1 else 1):
+            factor.append(fit_block)
+            val_rows = np.concatenate([val_rows, val_block])
+        coef = factor.solve()
+        fit_rms = float(np.sqrt(np.mean(np.sum(factor.residual**2, axis=1))))
+        val_resid = val_rows.T @ coef - val_vals
         val_max = float(np.max(np.linalg.norm(val_resid, axis=1))) if val_pts.size else 0.0
         fit_curve.append(fit_rms)
         val_curve.append(val_max)
@@ -407,12 +511,25 @@ class ApproxConfig:
     grid_size: Optional[int] = None
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.target_c0 > 0:
+            raise ValueError(f"target_c0 must be > 0, got {self.target_c0}")
+        if self.d_max < 1:
+            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
+        if self.grid_size is not None and self.grid_size < 1:
+            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
+
 
 def _spray_fiber_lipschitz(track: TrackResult, base: np.ndarray) -> float:
     """Largest finite-difference gain of the iterated spray in its fiber argument."""
     idx = np.arange(0, base.shape[0], max(1, base.shape[0] // 128))
     diff = fiber_differences(track.spray, base[idx], track.eta[idx], _FD_STEP)
     return float(np.max(np.linalg.norm(diff, axis=2))) / (2.0 * _FD_STEP)
+
+
+def _answering(map_many: Callable, grid: np.ndarray, values: np.ndarray) -> Callable:
+    """``map_many``, with a call on ``grid`` itself answered by its known ``values``."""
+    return lambda points: values if points is grid else map_many(points)
 
 
 def approximate(
@@ -435,10 +552,13 @@ def approximate(
     domain = homotopy.domain
     if domain.kind != "sphere":
         raise ValueError("pipeline grids are implemented for sphere domains")
-    grid_size = cfg.grid_size or (1 << 10 if domain.n == 1 else 1 << 12)
+    grid_size = cfg.grid_size
+    if grid_size is None:
+        grid_size = 1 << 10 if domain.n == 1 else 1 << 12
     grid = sphere_quasi_uniform(grid_size, domain.n)
 
-    dev = float(np.max(np.abs(homotopy.eval_many(grid, 1.0) - f_many(grid))))
+    f_grid = f_many(grid)
+    dev = float(np.max(np.abs(homotopy.eval_many(grid, 1.0) - f_grid)))
     if dev > 1e-10:
         raise ValueError(f"homotopy endpoint deviates from the input map by {dev:.3e}")
 
@@ -457,11 +577,13 @@ def approximate(
         status = "degree_exhausted"
 
     approx = assemble_regular_map(homotopy, track, beta, status=status)
-    errors = approximation_error(approx.eval_many, f_many, grid)
+    beta_grid = beta.eval_many(grid)
+    g_grid = track.spray.eval_many(base, beta_grid)  # approx.eval_many(grid)
+    errors = approximation_error(
+        _answering(approx.eval_many, grid, g_grid), _answering(f_many, grid, f_grid), grid
+    )
     approx.c0 = errors["c0"]
     approx.c1 = errors["c1"]
-    beta_grid = beta.eval_many(grid)
-    g_grid = track.spray.eval_many(base, beta_grid)
     approx.membership_max = float(np.max(membership_residual_many(g_grid, homotopy.target)))
     beta_dev = float(np.max(np.linalg.norm(beta_grid - track.eta, axis=1)))
     approx.lipschitz = lip

@@ -303,6 +303,128 @@ def test_fit_degree_exhausted_carries_best():
     assert best.val_max > 1e-15
 
 
+def _reference_fit_chain(points, values, d_max):
+    # The per-degree solve the growing factorization replaced: a fresh
+    # column-scaled lstsq over each degree's whole Vandermonde matrix.
+    fit_pts, fit_vals = points[0::2], values[0::2]
+    val_pts, val_vals = points[1::2], values[1::2]
+    chain = []
+    for degree in range(1, d_max + 1):
+        vmat = approx_mod._vandermonde(fit_pts, degree)
+        scale = np.linalg.norm(vmat, axis=0)
+        coef = np.linalg.lstsq(vmat / scale, fit_vals, rcond=None)[0] / scale[:, None]
+        fit_rms = np.sqrt(np.mean(np.sum((vmat @ coef - fit_vals) ** 2, axis=1)))
+        val_resid = approx_mod._vandermonde(val_pts, degree) @ coef - val_vals
+        chain.append((coef, fit_rms, np.max(np.linalg.norm(val_resid, axis=1))))
+    return chain
+
+
+def _escalation_steps(monkeypatch, points, values, d_max):
+    # Every degree's coefficients of one escalation that never meets its target.
+    steps = []
+    solve = approx_mod._GrowingQR.solve
+
+    def spy(self):
+        steps.append(solve(self))
+        return steps[-1]
+
+    monkeypatch.setattr(approx_mod._GrowingQR, "solve", spy)
+    with pytest.raises(DegreeExhaustedError) as err:
+        fit_polynomial(points, values, target_resid=0.0, d_max=d_max)
+    monkeypatch.undo()
+    return steps, err.value.best
+
+
+def _s1_wiggle_eta(grid_size=1024):
+    grid, result = _wiggle_eta(grid_size)
+    return grid, result.eta
+
+
+def _s2_bump_eta(grid_size=1024):
+    demo = DEMOS["s2-bump-identity"]()
+    grid = sphere_quasi_uniform(grid_size, 2)
+    return grid, track_eta(demo.homotopy, demo.spray, grid).eta
+
+
+def _s3_bump_field(grid_size=2048):
+    grid = sphere_quasi_uniform(grid_size, 3)
+    bump = np.exp(-3.0 * np.sum((grid - np.array([1.0, 0, 0, 0])) ** 2, axis=1))
+    columns = [bump * grid[:, 1], bump * np.sin(2.0 * grid[:, 0]), grid[:, 3] ** 3]
+    return grid, np.column_stack(columns)
+
+
+@pytest.mark.parametrize(
+    "field,d_max",
+    [(_s1_wiggle_eta, 14), (_s2_bump_eta, 12), (_s3_bump_field, 12)],
+    ids=["s1-wiggle", "s2-bump", "s3-bump"],
+)
+def test_growing_solve_matches_per_degree_lstsq(monkeypatch, field, d_max):
+    grid, values = field()
+    steps, best = _escalation_steps(monkeypatch, grid, values, d_max)
+    reference = _reference_fit_chain(grid, values, d_max)
+    assert len(steps) == len(best.fit_rms_curve) == d_max
+    for degree, (coef, (ref_coef, ref_rms, ref_val)) in enumerate(zip(steps, reference), 1):
+        assert coef.shape == ref_coef.shape
+        assert np.linalg.norm(coef - ref_coef) <= 1e-8 * np.linalg.norm(ref_coef), degree
+        np.testing.assert_allclose(best.fit_rms_curve[degree - 1], ref_rms, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(best.val_max_curve[degree - 1], ref_val, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,grid_size,degree", [(1, 1024, 40), (2, 2048, 20)])
+def test_growing_factorization_stays_orthonormal_and_triangular(n, grid_size, degree):
+    # The monomial columns are ill-conditioned here (S2 to degree 20 on
+    # 8192 points has a condition number of 3.5e7), so a single
+    # Gram-Schmidt pass would lose Q's orthogonality.  With the second pass
+    # Q stays orthonormal, and each scaled column lies in the span of Q's
+    # rows up to its own: Q^T V is upper triangular.
+    points = sphere_quasi_uniform(grid_size, n)[0::2]
+    factor = approx_mod._GrowingQR(np.ones((len(points), 1)))
+    blocks = approx_mod._vandermonde_blocks(points)
+    for _ in range(degree + 1):
+        factor.append(next(blocks))
+    columns = len(sphere_exponents(n + 1, degree))
+    assert factor.q.shape == (columns, len(points)) and factor.kept.all()
+    assert np.max(np.abs(factor.q @ factor.q.T - np.eye(columns))) <= 1e-12
+    scaled = approx_mod._vandermonde(points, degree) / factor.scale
+    assert np.max(np.abs(np.tril(factor.q @ scaled, -1))) <= 1e-13
+
+
+def test_capped_fit_is_a_step_of_the_longer_escalation(monkeypatch):
+    grid, eta = _s2_bump_eta()
+    steps, _ = _escalation_steps(monkeypatch, grid, eta, 10)
+    for degree in range(1, 11):
+        with pytest.raises(DegreeExhaustedError) as err:
+            fit_polynomial(grid, eta, target_resid=0.0, d_max=degree)
+        best = err.value.best
+        assert best.degree == degree  # the held-out residual falls at every degree here
+        scale = np.max(np.abs(steps[degree - 1]))
+        assert np.max(np.abs(best.coefficients - steps[degree - 1])) <= 1e-12 * scale
+
+
+def test_fit_runs_no_lstsq_and_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit must not refactor from scratch")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    grid, result = _wiggle_eta()
+    spec = fit_polynomial(grid, result.eta, target_resid=1e-6, d_max=12)
+    assert spec.achieved_target and spec.degree > 1
+
+
+def test_duplicated_column_gets_coefficient_zero():
+    # With x0 = x1 at every point the x0 column repeats the x1 column before
+    # it: it is dependent, gets coefficient 0, and the fit stays exact.
+    t = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+    pts = np.column_stack([np.cos(t), np.cos(t), np.sqrt(2.0) * np.sin(t)]) / np.sqrt(2.0)
+    values = np.column_stack([pts[:, 1] + 2.0 * pts[:, 2] + 0.5, -pts[:, 0]])
+    spec = fit_polynomial(pts, values, target_resid=1e-12, d_max=2)
+    assert spec.degree == 1 and spec.val_max <= 1e-12
+    x0, x1 = sphere_exponents(3, 1).index((1, 0, 0)), sphere_exponents(3, 1).index((0, 1, 0))
+    assert np.all(spec.coefficients[x0] == 0.0)
+    np.testing.assert_allclose(spec.coefficients[x1], [1.0, -1.0], rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------

@@ -241,6 +241,23 @@ def test_config_values_of_another_json_type_are_usage_errors(tmp_path, capsys, c
     assert f"key '{bad}' must be {kind}, got " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad,value",
+    [("grid_size", 0), ("grid_size", -5), ("d_max", 0), ("d_max", -3), ("target_c0", -1)],
+    ids=["grid_size-0", "grid_size-negative", "d_max-0", "d_max-negative", "target_c0-negative"],
+)
+def test_approximate_refuses_settings_it_cannot_honour(tmp_path, capsys, bad, value):
+    # A zero grid_size used to run the default grid, a negative one died in
+    # numpy, d_max < 1 claimed too few samples and a negative target_c0 ran
+    # the whole pipeline to "target_missed".
+    with pytest.raises(ValueError, match=f"^{bad} must be "):
+        ApproxConfig(**{bad: value})
+    code, report, _ = run_cli(tmp_path, "approximate", {"demo": "identity", bad: value})
+    assert code == EXIT_USAGE
+    assert report is None
+    assert f"{bad} must be " in capsys.readouterr().err
+
+
 def test_integers_are_numbers_in_a_config(tmp_path):
     code, report, _ = run_cli(tmp_path, "approximate",
                               {"demo": "identity", "target_c0": 1, "check_degree": False})
