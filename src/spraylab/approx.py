@@ -45,7 +45,7 @@ class HomotopyTooWildError(RuntimeError):
 
 
 class DegreeExhaustedError(RuntimeError):
-    """Polynomial degree escalation hit its cap before meeting the residual target."""
+    """Polynomial degree escalation stopped before meeting the residual target."""
 
     def __init__(self, message: str, best: "PolynomialMapSpec"):
         super().__init__(message)
@@ -71,16 +71,6 @@ class Homotopy:
     eval_many: Callable
     f0_many: Callable
     f0_descriptor: dict = field(default_factory=dict)
-
-    def check(self, points: np.ndarray):
-        """Check F(., 0) = F0 within 1e-12 and F(., t) on the target within 1e-10."""
-        dev = float(np.max(np.abs(self.eval_many(points, 0.0) - self.f0_many(points))))
-        if dev > 1e-12:
-            raise ValueError(f"F(., 0) deviates from the exact base map by {dev:.3e}")
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            resid = float(np.max(membership_residual_many(self.eval_many(points, t), self.target)))
-            if resid > 1e-10:
-                raise ValueError(f"homotopy leaves the target at t = {t} (residual {resid:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -185,46 +175,34 @@ def sphere_exponents(n_vars: int, degree: int) -> list:
     return [e for d in range(degree + 1) for e in _basis_block(n_vars, d)[0]]
 
 
-@lru_cache(maxsize=64)
-def _graded_runs(n_vars: int, degree: int) -> tuple:
-    """The column count of the degree-``degree`` sphere basis, and the runs of
-    all its blocks with rows counted from the basis' first column."""
-    runs, block, start = [], 0, 1
-    for d in range(1, degree + 1):
-        exponents, block_runs, _ = _basis_block(n_vars, d)
-        runs += [
-            (slice(start + rows.start, start + rows.stop), slice(block, block + prefix.stop), i)
-            for rows, prefix, i in block_runs  # every prefix starts at its block's first row
-        ]
-        block, start = start, start + len(exponents)
-    return start, tuple(runs)
+@lru_cache(maxsize=None)
+def _basis_size(n_vars: int, degree: int) -> int:
+    """The column count of the degree-``degree`` sphere basis."""
+    return sum(len(_basis_block(n_vars, d)[0]) for d in range(degree + 1))
 
 
-def _apply_runs(parents: np.ndarray, coords: np.ndarray, runs: tuple, out: np.ndarray) -> None:
-    """Write each run's Vandermonde rows into ``out``: its parent rows times x_i."""
-    for rows, prefix, i in runs:
-        np.multiply(parents[prefix], coords[i], out=out[rows])
-
-
-def _vandermonde_blocks(points: np.ndarray):
+def _vandermonde_blocks(points: np.ndarray, out: Optional[np.ndarray] = None):
     """Yield the sphere basis' Vandermonde rows degree block by degree block,
     0, 1, 2, ...: row k of block d is the block's column k.  Each block is
-    built only when it is asked for."""
-    coords = points.T.copy()
-    block = np.ones((1, points.shape[0]))
+    built only when it is asked for; given ``out``, in its next rows."""
+    coords, stop = points.T.copy(), 1
+    block = np.empty((1, points.shape[0])) if out is None else out[:1]
+    block.fill(1.0)
     for degree in itertools.count(1):
         yield block
         exponents, runs, _ = _basis_block(points.shape[1], degree)
-        parents, block = block, np.empty((len(exponents), points.shape[0]))
-        _apply_runs(parents, coords, runs, block)
+        parents, start, stop = block, stop, stop + len(exponents)
+        block = np.empty((len(exponents), points.shape[0])) if out is None else out[start:stop]
+        for rows, prefix, i in runs:
+            np.multiply(parents[prefix], coords[i], out=block[rows])
         del parents  # block d-1 is freed once the caller lets go of it
 
 
 def _vandermonde(points: np.ndarray, degree: int) -> np.ndarray:
     """Columns x**e over the degree-``degree`` sphere basis."""
-    columns, runs = _graded_runs(points.shape[1], degree)
-    out = np.ones((columns, points.shape[0]))  # row k holds column k
-    _apply_runs(out, points.T.copy(), runs, out)
+    out = np.empty((_basis_size(points.shape[1], degree), points.shape[0]))  # row k: column k
+    for _ in itertools.islice(_vandermonde_blocks(points, out), degree + 1):
+        pass
     return out.T
 
 
@@ -249,7 +227,7 @@ class PolynomialMap:
         return _vandermonde(np.asarray(points, dtype=float), self.degree) @ self.coefficients
 
     def to_jsonable(self) -> dict:
-        """Every field, with the coefficients as exact decimal strings, and the basis."""
+        """Every field, with round-tripping 17-digit coefficient strings, and the basis."""
         return {
             **vars(self),
             "exponents": [list(e) for e in sphere_exponents(self.input_dim, self.degree)],
@@ -350,7 +328,7 @@ def fit_polynomial(
     degree escalates until the held-out max residual meets ``target_resid``.
     The recorded fit residual (rms over the fitted half) is nonincreasing in
     the degree because the bases are nested.  Raises DegreeExhaustedError
-    carrying the best fit when the cap is reached.
+    carrying the best fit when the cap or the sample count stops it first.
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -361,9 +339,12 @@ def fit_polynomial(
     val_rows = np.empty((0, val_pts.shape[0]))
     best = None
     fit_curve, val_curve = [], []
+    stop = f"degree cap {d_max} reached"
     for degree in range(1, d_max + 1):
-        if _graded_runs(points.shape[1], degree)[0] > fit_pts.shape[0]:
-            break  # not enough samples to determine this degree
+        if (columns := _basis_size(points.shape[1], degree)) > fit_pts.shape[0]:
+            stop = f"stopped at degree {degree - 1}: degree {degree} needs {columns} fit samples"
+            stop += f", {len(fit_pts)} given"
+            break
         # Degree 1 brings the constant block along.
         for fit_block, val_block in itertools.islice(blocks, 2 if degree == 1 else 1):
             factor.append(fit_block)
@@ -394,8 +375,7 @@ def fit_polynomial(
     best.fit_rms_curve = fit_curve
     best.val_max_curve = val_curve
     raise DegreeExhaustedError(
-        f"degree cap {d_max} reached with held-out residual {best.val_max:.3e} "
-        f"(target {target_resid:.3e})",
+        f"{stop}, with held-out residual {best.val_max:.3e} (target {target_resid:.3e})",
         best,
     )
 

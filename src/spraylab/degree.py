@@ -179,8 +179,6 @@ def ak_matrix_many(z: np.ndarray, k: int) -> np.ndarray:
     levels are filled into one preallocated array, leading block first.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 1:
-        z = z[None]
     size = 2 ** (k - 1)
     out = np.zeros((z.shape[0], size, size), dtype=complex)
     out[:, 0, 0] = z[:, 0]

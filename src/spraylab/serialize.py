@@ -41,20 +41,18 @@ def parse_variety_label(label: str) -> VarietySpec:
 
 
 def decimal_string(x: float) -> str:
-    """Shortest decimal that round-trips at 17 significant digits."""
+    """17 significant digits: the same double when parsed, though not the shortest."""
     return format(float(x), ".17g")
 
 
 def jsonable(obj):
-    """Recursively convert dataclasses / numpy values into JSON-safe objects."""
+    """Recursively convert dataclasses and numpy scalars into JSON-safe objects."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -63,8 +61,6 @@ def jsonable(obj):
         return int(obj)
     if obj is None or isinstance(obj, str):
         return obj
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

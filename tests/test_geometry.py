@@ -373,3 +373,10 @@ def test_dumps_canonical_refuses_non_finite_and_names_the_field():
     report = {"z": float("nan"), "a": {"ok": 1.0, "rows": [0.5, float("inf")]}}
     with pytest.raises(RuntimeError, match=r"a\.rows\.1$"):
         dumps_canonical(report)
+
+
+@pytest.mark.parametrize("value", [np.zeros(2), 1.0 + 2.0j, {1.0}])
+def test_dumps_canonical_refuses_arrays_complex_and_other_types(value):
+    # Reports hold lists and real scalars; anything else is a bug upstream.
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps_canonical({"value": value})
