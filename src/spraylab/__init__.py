@@ -9,7 +9,6 @@ from .approx import (
     RegularApproximation,
     approximate,
     approximation_error,
-    assemble_regular_map,
     fit_polynomial,
     track_eta,
 )

@@ -337,7 +337,7 @@ def fit_polynomial(
     factor = _GrowingQR(fit_vals)
     blocks = zip(_vandermonde_blocks(fit_pts), _vandermonde_blocks(val_pts))
     val_rows = np.empty((0, val_pts.shape[0]))
-    best = None
+    best = None  # (degree, coefficients) of the lowest held-out residual so far
     fit_curve, val_curve = [], []
     stop = f"degree cap {d_max} reached"
     for degree in range(1, d_max + 1):
@@ -355,28 +355,29 @@ def fit_polynomial(
         val_max = float(np.max(np.linalg.norm(val_resid, axis=1))) if val_pts.size else 0.0
         fit_curve.append(fit_rms)
         val_curve.append(val_max)
-        spec = PolynomialMapSpec(
-            input_dim=points.shape[1],
-            output_dim=values.shape[1],
-            degree=degree,
-            coefficients=coef,
-            fit_rms=fit_rms,
-            val_max=val_max,
-            fit_rms_curve=list(fit_curve),
-            val_max_curve=list(val_curve),
-            achieved_target=val_max <= target_resid,
-        )
-        if best is None or spec.val_max < best.val_max:
-            best = spec
-        if spec.achieved_target:
-            return spec
+        # Every earlier degree missed the target, so one that meets it is the best.
+        if best is None or val_max < val_curve[best[0] - 1]:
+            best = degree, coef
+        if val_max <= target_resid:
+            break
     if best is None:
         raise ValueError("not enough samples to fit even degree 1")
-    best.fit_rms_curve = fit_curve
-    best.val_max_curve = val_curve
+    degree, coef = best
+    spec = PolynomialMapSpec(
+        input_dim=points.shape[1],
+        output_dim=values.shape[1],
+        degree=degree,
+        coefficients=coef,
+        fit_rms=fit_curve[degree - 1],
+        val_max=val_curve[degree - 1],
+        fit_rms_curve=fit_curve,
+        val_max_curve=val_curve,
+        achieved_target=val_curve[degree - 1] <= target_resid,
+    )
+    if spec.achieved_target:
+        return spec
     raise DegreeExhaustedError(
-        f"{stop}, with held-out residual {best.val_max:.3e} (target {target_resid:.3e})",
-        best,
+        f"{stop}, with held-out residual {spec.val_max:.3e} (target {target_resid:.3e})", spec
     )
 
 
@@ -408,6 +409,12 @@ class RegularApproximation:
     chain_ok: Optional[bool] = None
     config: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.beta.input_dim != self.homotopy.domain.ambient_dim:
+            raise ValueError("polynomial input dimension does not match the domain")
+        if self.beta.output_dim != self.spray.fiber_dim:
+            raise ValueError("polynomial output dimension does not match the spray fiber")
+
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         return self.spray.eval_many(self.homotopy.f0_many(points), self.beta.eval_many(points))
@@ -435,24 +442,6 @@ class RegularApproximation:
             },
             "config": self.config,
         }
-
-
-def assemble_regular_map(
-    homotopy: Homotopy, track: TrackResult, beta: PolynomialMapSpec, status: str = "ok"
-) -> RegularApproximation:
-    """Wrap the spray, the exact base map, and the fitted polynomial into an evaluator."""
-    if beta.input_dim != homotopy.domain.ambient_dim:
-        raise ValueError("polynomial input dimension does not match the domain")
-    if beta.output_dim != track.spray.fiber_dim:
-        raise ValueError("polynomial output dimension does not match the spray fiber")
-    return RegularApproximation(
-        spray=track.spray,
-        homotopy=homotopy,
-        beta=beta,
-        partition=track.partition,
-        status=status,
-        tracking_residual=track.final_residual,
-    )
 
 
 def approximation_error(g_many: Callable, f_many: Callable, grid: np.ndarray) -> dict:
@@ -556,7 +545,14 @@ def approximate(
         beta = exc.best
         status = "degree_exhausted"
 
-    approx = assemble_regular_map(homotopy, track, beta, status=status)
+    approx = RegularApproximation(
+        spray=track.spray,
+        homotopy=homotopy,
+        beta=beta,
+        partition=track.partition,
+        status=status,
+        tracking_residual=track.final_residual,
+    )
     beta_grid = beta.eval_many(grid)
     g_grid = track.spray.eval_many(base, beta_grid)  # approx.eval_many(grid)
     errors = approximation_error(
@@ -571,14 +567,8 @@ def approximate(
     approx.chain_bound = lip * beta_dev + track.final_residual
     # The chain bound is first order; allow quadratic slack before flagging.
     approx.chain_ok = bool(approx.c0 <= approx.chain_bound * 1.5 + 1e-12)
-    approx.config = {
-        "target_c0": cfg.target_c0,
-        "d_max": cfg.d_max,
-        "grid_size": grid_size,
-        "seed": cfg.seed,
-        "fit_margin": _FIT_MARGIN,
-        "fit_target_resid": target_resid,
-    }
+    approx.config = {**vars(cfg), "grid_size": grid_size, "fit_margin": _FIT_MARGIN,
+                     "fit_target_resid": target_resid}
     if status == "ok" and approx.c0 > cfg.target_c0:
         # Fit met its proxy target but the measured error did not; report
         # honestly rather than silently accepting.

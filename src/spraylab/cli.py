@@ -65,7 +65,7 @@ _KEYS = {
     "verify-spray": ("seed", "samples", "tol", "fiber_radius", "dominance_samples"),
     "degree": ("seed", "n_starts", "max_dim"),
     "make-ak": ("seed", "k", "samples"),
-    "approximate": ("seed", "demo", "target_c0", "d_max", "grid_size", "check_degree"),
+    "approximate": ("seed", "demo", "target_c0", "d_max", "grid_size"),
     "stereographic": ("kind", "n", "fiber"),
     "group": ("kind", "group", "space", "shrink_c"),
     "iterated": ("kind", "k", "inner"),
@@ -79,22 +79,21 @@ _KEYS = {
 }
 
 
-# The JSON type of each key read as a number or a truth value, so that int(),
-# float() or a truth test never reinterprets a value of another type.
+# The JSON type of each key read as a number, so that int() or float() never
+# reinterprets a value of another type.
 _TYPES = {
     **dict.fromkeys(("seed", "samples", "dominance_samples", "n_starts", "max_dim", "k", "n",
                      "d", "d_max", "grid_size"), "an integer"),
     **dict.fromkeys(("tol", "fiber_radius", "target_c0", "shrink_c"), "a number"),
-    "check_degree": "a boolean",
 }
-_JSON_TYPES = {"an integer": int, "a number": (int, float), "a boolean": bool}
+_JSON_TYPES = {"an integer": int, "a number": (int, float)}
 
 
 def _check_types(config: dict, what: str) -> None:
     for key in sorted(set(config) & set(_TYPES)):
         value, kind = config[key], _TYPES[key]
-        is_bool = isinstance(value, bool)  # a bool is an int in Python, not in JSON
-        if is_bool != (kind == "a boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        # A bool is an int in Python, not in JSON.
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise UsageError(f"{what} key {key!r} must be {kind}, got {json.dumps(value)}")
 
 
@@ -131,7 +130,7 @@ def _group_spray(config: dict) -> Spray:
         space = group
     else:
         space = _parse_variety(space_cfg)
-    return group_action_spray(group, space, config.get("shrink_c"))
+    return group_action_spray(group, space, **_options(config, shrink_c=("shrink_c", float)))
 
 
 # Spray builders, by the config's "kind".
@@ -262,7 +261,7 @@ def cmd_approximate(config: dict, seed: int, out) -> int:
     passed = approx.status == "ok"
     target, n = demo.homotopy.target, demo.homotopy.domain.n
     # The degree oracles take self-maps of a sphere; other targets have no check.
-    if config.get("check_degree", True) and target == VarietySpec.sphere(n):
+    if target == VarietySpec.sphere(n):
         deg = sphere_degree(approx.eval_many, n, DegreeOptions(seed=seed))
         report["degree"] = {
             "value": deg.value,

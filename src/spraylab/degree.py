@@ -112,9 +112,9 @@ class MatrixSphereMap:
 
     def max_unitarity_defect(self) -> float:
         z = sphere_quasi_uniform_complex(_CHECK_SAMPLES, self.k)
-        mats = self.eval_many(z)
-        gram = mats @ np.conj(np.swapaxes(mats, 1, 2)) - np.eye(self.p)
-        return float(np.max(np.abs(gram)))
+        unitary = VarietySpec.group("U", self.p)
+        points = matrix_to_point(self.eval_many(z), unitary)
+        return float(np.max(membership_residual_many(points, unitary)))
 
 
 def homogeneous_extension(f: MatrixSphereMap) -> Callable:
@@ -260,10 +260,10 @@ def verify_ak_identities(
     beta = gen.uniform(-2.0, 2.0, n_samples)
 
     mixed = ak_matrix_many(alpha[:, None] * u + beta[:, None] * v, k)
-    split = alpha[:, None, None] * ak_matrix_many(u, k) + beta[:, None, None] * ak_matrix_many(v, k)
+    mats = ak_matrix_many(u, k)
+    split = alpha[:, None, None] * mats + beta[:, None, None] * ak_matrix_many(v, k)
     linearity_max = float(np.max(np.abs(mixed - split)))
 
-    mats = ak_matrix_many(u, k)
     nrm2 = np.sum(np.abs(u) ** 2, axis=1)
     gram = mats @ np.conj(np.swapaxes(mats, 1, 2)) - nrm2[:, None, None] * np.eye(2 ** (k - 1))
     gram_identity_max = float(np.max(np.abs(gram)))

@@ -23,7 +23,6 @@ from .sprays import Spray, stereographic_spray
 
 @dataclass
 class DemoSetup:
-    name: str
     f_many: Callable
     homotopy: Homotopy
     spray: Spray
@@ -50,7 +49,6 @@ def s1_identity() -> DemoSetup:
     f0 = _poly_descriptor("identity", "(x, y)", 2, 1, [{(1, 0): 1.0}, {(0, 1): 1.0}])
     homotopy = Homotopy(circle, circle, lambda x, t: identity_map(x), *f0)
     return DemoSetup(
-        name="identity",
         f_many=identity_map,
         homotopy=homotopy,
         spray=stereographic_spray(1, fiber="ambient"),
@@ -76,7 +74,6 @@ def s1_power2_wiggle() -> DemoSetup:
     )
     homotopy = Homotopy(circle, circle, at_time, *f0)
     return DemoSetup(
-        name="s1-power-2-wiggle",
         f_many=lambda x: at_time(x, 1.0),
         homotopy=homotopy,
         spray=stereographic_spray(1, fiber="ambient"),
@@ -109,7 +106,6 @@ def s2_bump_identity() -> DemoSetup:
     )
     homotopy = Homotopy(sphere, sphere, at_time, *f0)
     return DemoSetup(
-        name="s2-bump-identity",
         f_many=lambda x: at_time(x, 1.0),
         homotopy=homotopy,
         spray=stereographic_spray(2, fiber="ambient"),

@@ -10,6 +10,7 @@ import numpy as np
 from .geometry import (
     VarietySpec,
     cayley_many,
+    deinterleave,
     embed_fiber_in_algebra,
     matrix_to_point,
     normalize_rows,
@@ -110,5 +111,4 @@ def sphere_quasi_uniform(count: int, n: int) -> np.ndarray:
 
 def sphere_quasi_uniform_complex(count: int, k: int) -> np.ndarray:
     """Quasi-uniform points on the unit sphere of C^k, returned as complex rows."""
-    real = sphere_quasi_uniform(count, 2 * k - 1)
-    return real[:, 0::2] + 1j * real[:, 1::2]
+    return deinterleave(sphere_quasi_uniform(count, 2 * k - 1))

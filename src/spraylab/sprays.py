@@ -59,7 +59,7 @@ class Spray:
     """A trivialized spray: ``eval_many`` maps (base points, fiber vectors) to base points.
 
     ``base`` is a sphere or a classical group.  The spray dominates when its
-    fiber derivative at the zero section reaches ``required_rank``, the
+    fiber derivative at the zero section reaches ``base.dim``, the
     dimension of the base, at every point.
     """
 
@@ -69,11 +69,6 @@ class Spray:
     eval_many: Callable
     params: dict = field(default_factory=dict)
     inverse_many: Optional[Callable] = None
-
-    @property
-    def required_rank(self) -> int:
-        """Tangent-space dimension of the base."""
-        return self.base.dim
 
     def descriptor(self) -> dict:
         return {
@@ -389,7 +384,7 @@ def verify_dominating(spray: Spray, n_samples: int = 500, seed: int = 0) -> Domi
     ranks = np.where(
         top > 0, np.sum(sing >= _RANK_TOL * np.maximum(top, 1e-300)[:, None], axis=1), 0
     )
-    passed = bool(np.all(ranks == spray.required_rank))
+    passed = bool(np.all(ranks == spray.base.dim))
     return DominanceReport(
         kind=spray.kind,
         base=spray.base.label(),
@@ -397,7 +392,7 @@ def verify_dominating(spray: Spray, n_samples: int = 500, seed: int = 0) -> Domi
         seed=seed,
         fd_step=_DOMINANCE_FD_STEP,
         rank_tol=_RANK_TOL,
-        required_rank=spray.required_rank,
+        required_rank=spray.base.dim,
         min_rank=int(np.min(ranks)),
         max_rank=int(np.max(ranks)),
         passed=passed,
@@ -423,7 +418,7 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
     search.  Raises SprayInversionError for the whole batch when any row
     stalls below step 1/1024, leaves the ``_MAX_FIBER_NORM`` ball, has not
     converged after ``_NEWTON_MAX_ITER`` iterations, or converged where its
-    Jacobian has lost conditioning: sigma_r (r = ``spray.required_rank``) of
+    Jacobian has lost conditioning: sigma_r (r = ``spray.base.dim``) of
     the row's last Jacobian below 0.1 times its value at xi = 0.  The caller
     is expected to refine its homotopy partition on that signal.  The result
     depends only on the arguments, so equal calls return bitwise-equal
@@ -455,7 +450,7 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
         y, v, r = points[act], vs[act], resid[act]
         h = _NEWTON_FD_STEP * (1.0 + np.linalg.norm(v, axis=1))
         jac = np.swapaxes(fiber_differences(spray, y, v, h), 1, 2) / (2.0 * h)[:, None, None]
-        delta, sigma[act] = _pinv_step(jac, r, spray.required_rank)
+        delta, sigma[act] = _pinv_step(jac, r, spray.base.dim)
         if sigma0 is None:
             sigma0 = sigma.copy()
         searching, step = np.arange(act.size), 1.0

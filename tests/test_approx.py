@@ -12,9 +12,9 @@ from spraylab.approx import (
     DegreeExhaustedError,
     Homotopy,
     HomotopyTooWildError,
+    RegularApproximation,
     approximate,
     approximation_error,
-    assemble_regular_map,
     fit_polynomial,
     sphere_exponents,
     track_eta,
@@ -440,17 +440,24 @@ def _tracked_rotation(angle=0.3, grid_size=256):
     return grid, h, result
 
 
+def _assembled(h, result, beta):
+    return RegularApproximation(
+        spray=result.spray, homotopy=h, beta=beta, partition=result.partition,
+        status="ok", tracking_residual=result.final_residual,
+    )
+
+
 def test_assemble_with_zero_beta_reproduces_base_map():
     grid, h, result = _tracked_rotation()
     zero = fit_polynomial(grid, np.zeros_like(result.eta), target_resid=1e-12, d_max=2)
-    approx = assemble_regular_map(h, result, zero)
+    approx = _assembled(h, result, zero)
     np.testing.assert_array_equal(approx.eval_many(grid), h.f0_many(grid))
 
 
 def test_assembled_map_lands_on_target_everywhere():
     grid, h, result = _tracked_rotation()
     beta = fit_polynomial(grid, result.eta, target_resid=1e-6, d_max=10)
-    approx = assemble_regular_map(h, result, beta)
+    approx = _assembled(h, result, beta)
     probe = sphere_quasi_uniform(10_000, 1)
     resid = membership_residual_many(approx.eval_many(probe), CIRCLE)
     assert np.max(resid) <= 1e-12
@@ -459,8 +466,11 @@ def test_assembled_map_lands_on_target_everywhere():
 def test_assemble_dimension_checks():
     grid, h, result = _tracked_rotation()
     beta = fit_polynomial(grid[:, :1] * 0 + 1.0, result.eta, target_resid=1.0, d_max=1)
-    with pytest.raises(ValueError):
-        assemble_regular_map(h, result, beta)
+    with pytest.raises(ValueError, match="^polynomial input dimension does not match the domain$"):
+        _assembled(h, result, beta)
+    wide = fit_polynomial(grid, np.zeros((len(grid), 3)), target_resid=1.0, d_max=1)
+    with pytest.raises(ValueError, match="^polynomial output dimension does not match the spray"):
+        _assembled(h, result, wide)
 
 
 # ---------------------------------------------------------------------------

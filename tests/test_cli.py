@@ -54,6 +54,17 @@ def test_verify_group_spray_by_label(tmp_path):
     assert report["pass"] is True
 
 
+def test_integer_shrink_c_runs_the_spray_of_its_float(tmp_path):
+    # shrink_c is a number key like the others: 1 and 1.0 describe one spray.
+    config = {"kind": "group", "group": "SO(3)", "space": "S2", "samples": 20, "shrink_c": 1}
+    code, as_int, _ = run_cli(tmp_path, "verify-spray", config, name="int")
+    assert code == EXIT_OK
+    code, as_float, _ = run_cli(tmp_path, "verify-spray", {**config, "shrink_c": 1.0}, name="float")
+    assert code == EXIT_OK
+    # Compared as JSON text, where 1 and 1.0 differ.
+    assert json.dumps(as_int["spray"]) == json.dumps(as_float["spray"])
+
+
 def test_verify_su3_self_action_is_a_usage_error(tmp_path):
     config = {"kind": "group", "group": "SU(3)", "space": "self", "samples": 50}
     code, report, _ = run_cli(tmp_path, "verify-spray", config)
@@ -198,13 +209,14 @@ def test_non_object_configs_are_usage_errors(tmp_path, capsys, command, config, 
         ("degree", {"map": "fermat", "k": 3, "n": 2, "d": 2}, "d"),
         ("make-ak", {"k": 2, "sample": 50}, "sample"),
         ("approximate", {"demo": "identity", "target_co": 1e-9}, "target_co"),
+        ("approximate", {"demo": "identity", "check_degree": False}, "check_degree"),
         ("verify-spray", {"kind": "iterated", "k": 2,
                           "inner": {"kind": "stereographic", "n": 1, "samples": 9}}, "samples"),
         ("degree", {"map": "sharp", "f": {"map": "power", "d": 2, "k": 1},
                     "g": {"map": "a_k", "k": 1}}, "k"),
     ],
     ids=["verify-spray", "degree-matrix-map", "degree-self-map", "make-ak", "approximate",
-         "nested-inner", "nested-f"],
+         "approximate-check-degree", "nested-inner", "nested-f"],
 )
 def test_unread_config_keys_are_usage_errors(tmp_path, capsys, command, config, bad):
     # A key no table lists would be ignored, and the run would use a default
@@ -225,16 +237,15 @@ def test_unread_config_keys_are_usage_errors(tmp_path, capsys, command, config, 
         ("degree", {"map": "a_k", "k": 2.9}, "k", "an integer"),
         ("degree", {"map": "fermat", "k": 3, "n": True}, "n", "an integer"),
         ("make-ak", {"k": 2, "samples": 20.9}, "samples", "an integer"),
-        ("approximate", {"demo": "identity", "check_degree": "no"}, "check_degree", "a boolean"),
         ("approximate", {"demo": "identity", "target_c0": "1e-3"}, "target_c0", "a number"),
     ],
     ids=["verify-spray", "verify-spray-nested", "degree-matrix-map", "degree-self-map",
-         "make-ak", "approximate-boolean", "approximate-number"],
+         "make-ak", "approximate-number"],
 )
 def test_config_values_of_another_json_type_are_usage_errors(tmp_path, capsys, command,
                                                              config, bad, kind):
-    # int(), float() and truth tests would read 2.9 as 2, true as 1 and "no"
-    # as true, and the report would echo a config that did not run.
+    # int() and float() would read 2.9 as 2 and true as 1, and the report
+    # would echo a config that did not run.
     code, report, _ = run_cli(tmp_path, command, config)
     assert code == EXIT_USAGE
     assert report is None
@@ -259,10 +270,10 @@ def test_approximate_refuses_settings_it_cannot_honour(tmp_path, capsys, bad, va
 
 
 def test_integers_are_numbers_in_a_config(tmp_path):
-    code, report, _ = run_cli(tmp_path, "approximate",
-                              {"demo": "identity", "target_c0": 1, "check_degree": False})
+    code, report, _ = run_cli(tmp_path, "approximate", {"demo": "identity", "target_c0": 1})
     assert code == EXIT_OK
-    assert report["approximation"]["config"]["target_c0"] == 1.0 and "degree" not in report
+    assert report["approximation"]["config"]["target_c0"] == 1.0
+    assert report["degree"]["value"] == 1
 
 
 @pytest.mark.parametrize(
@@ -349,10 +360,11 @@ def test_approximate_unattainable_target_exit_one_with_best_effort(tmp_path):
     code, report, _ = run_cli(
         tmp_path,
         "approximate",
-        {"demo": "s1-power-2-wiggle", "target_c0": 1e-15, "d_max": 5, "check_degree": False},
+        {"demo": "s1-power-2-wiggle", "target_c0": 1e-15, "d_max": 5},
     )
     assert code == EXIT_FAIL
     assert report["approximation"]["status"] == "degree_exhausted"
+    assert report["degree"]["value"] == 2
     assert report["approximation"]["beta"]["coefficients"]  # best effort included
 
 
@@ -367,7 +379,6 @@ def test_approximate_tracking_failure_reports_stage(tmp_path, monkeypatch):
     def build():
         homotopy = Homotopy(circle, circle, half_turn, lambda x: np.array(x, float), {})
         return DemoSetup(
-            name="half-turn",
             f_many=lambda x: half_turn(x, 1.0),
             homotopy=homotopy,
             spray=stereographic_spray(1, fiber="ambient"),
@@ -396,7 +407,6 @@ def test_approximate_group_target_has_no_sphere_degree_check(tmp_path, monkeypat
 
     def build():
         return DemoSetup(
-            name="s1-su2-rotation",
             f_many=lambda x: at_time(x, 1.0),
             homotopy=Homotopy(circle, su2, at_time, lambda x: at_time(x, 0.0), {}),
             spray=group_action_spray(su2, su2),

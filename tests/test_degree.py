@@ -191,6 +191,20 @@ def test_quaternion_power_degree(d):
         assert sphere_degree(quaternion_power_map(d), 3, DegreeOptions(seed=seed)).value == d
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the Newton search misses a preimage basin of q^d")
+@pytest.mark.parametrize("d,seed", [(11, 2), (11, 4), (12, 3), (12, 5)])
+def test_high_quaternion_powers_never_get_a_wrong_degree(d, seed):
+    # Known wrong answers (10, 10, 11, 11), pinned at their seeds: a degree
+    # must be right or refused.  The mesh count of item 1 turns these into
+    # passes, and then the marker goes.
+    try:
+        value = sphere_degree(quaternion_power_map(d), 3, DegreeOptions(seed=seed)).value
+    except (DegeneracyError, InconsistencyError):
+        return
+    assert value == d
+
+
 def test_degree_invariant_under_small_perturbation():
     # Composing with a small tangent-field displacement plus projection is a
     # homotopy, so the computed integer must not move.
