@@ -528,7 +528,7 @@ def approximate(
 
     f_grid = f_many(grid)
     dev = float(np.max(np.abs(homotopy.eval_many(grid, 1.0) - f_grid)))
-    if dev > 1e-10:
+    if not dev <= 1e-10:  # a NaN fails too
         raise ValueError(f"homotopy endpoint deviates from the input map by {dev:.3e}")
 
     track = track_eta(homotopy, spray_y, grid)

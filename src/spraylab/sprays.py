@@ -47,8 +47,8 @@ _NEWTON_TOL = 1e-11  # see solve_fiber_many
 _NEWTON_FD_STEP = 1e-7
 _NEWTON_MAX_ITER = 50
 _MAX_FIBER_NORM = 100.0  # radius of the fiber ball solve_fiber_many stays in
-# Smallest accepted ratio of sigma_r, the required-rank singular value of a
-# row's fiber Jacobian, at a Gauss-Newton solution to its value at v = 0.
+# Smallest accepted ratio of sigma_r, the least singular value of a row's tangent-projected
+# fiber Jacobian, at a Gauss-Newton solution to its value at v = 0; tested as rows converge.
 _MIN_SIGMA_RATIO = 0.1
 _DOMINANCE_FD_STEP = 1e-5  # see verify_dominating
 _RANK_TOL = 1e-6
@@ -414,15 +414,15 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
     only rows whose residual norm is above 1e-11 are evaluated and stepped.
     Each active row gets central-difference Jacobian columns with step
     1e-7 * (1 + |xi_row|) (all probes in one :func:`fiber_differences` call),
-    a minimal-norm step through the pseudo-inverse, and its own halving line
-    search.  Raises SprayInversionError for the whole batch when any row
-    stalls below step 1/1024, leaves the ``_MAX_FIBER_NORM`` ball, has not
-    converged after ``_NEWTON_MAX_ITER`` iterations, or converged where its
-    Jacobian has lost conditioning: sigma_r (r = ``spray.base.dim``) of
-    the row's last Jacobian below 0.1 times its value at xi = 0.  The caller
-    is expected to refine its homotopy partition on that signal.  The result
-    depends only on the arguments, so equal calls return bitwise-equal
-    vectors.
+    the minimal-norm step of :func:`_tangent_step` in the tangent frame at
+    s(y, xi), and its own halving line search.  Raises SprayInversionError
+    for the whole batch when any row stalls below step 1/1024, leaves the
+    ``_MAX_FIBER_NORM`` ball, has not converged after ``_NEWTON_MAX_ITER``
+    iterations, or converged where its Jacobian has lost conditioning
+    (tested as rows converge): sigma_r, r = ``spray.base.dim``, of its last
+    Jacobian below 0.1 times its value at xi = 0.  The caller is expected
+    to refine its homotopy partition on that signal.  The result depends
+    only on the arguments, so equal calls return bitwise-equal vectors.
     """
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -450,9 +450,9 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
         y, v, r = points[act], vs[act], resid[act]
         h = _NEWTON_FD_STEP * (1.0 + np.linalg.norm(v, axis=1))
         jac = np.swapaxes(fiber_differences(spray, y, v, h), 1, 2) / (2.0 * h)[:, None, None]
-        delta, sigma[act] = _pinv_step(jac, r, spray.base.dim)
-        if sigma0 is None:
-            sigma0 = sigma.copy()
+        frames = variety_tangent_frame(targets[act] + r, spray.base)  # at s(y, v)
+        delta, sigma[act] = _tangent_step(jac, r, frames)
+        sigma0 = sigma.copy() if sigma0 is None else sigma0
         searching, step = np.arange(act.size), 1.0
         while searching.size:
             v_new = v[searching] + step * delta[searching]
@@ -467,32 +467,32 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
                 raise SprayInversionError("damped Gauss-Newton stalled")
         if np.max(np.linalg.norm(vs[act], axis=1)) > _MAX_FIBER_NORM:
             raise SprayInversionError("iterate left the local inversion neighborhood")
+        # A row that converged where its Jacobian lost most of its rank-r
+        # singular value has crossed a fold of the spray, past the local
+        # inversion neighborhood; it is never stepped again, so stop now.
+        ratio = np.min(np.divide(sigma, sigma0, where=rn <= _NEWTON_TOL, out=np.ones_like(rn)))
+        if not ratio >= _MIN_SIGMA_RATIO:
+            raise SprayInversionError(
+                f"fiber Jacobian lost conditioning (sigma_r ratio {ratio:.3e})"
+            )
     if not np.all(rn <= _NEWTON_TOL):
         raise SprayInversionError(
             f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {np.max(rn):.3e})"
         )
-    # Accept only solutions where the spray still submerses about as well as
-    # at the zero section: a row whose last Jacobian lost most of its rank-r
-    # singular value has reached a fold of the spray, past the local
-    # inversion neighborhood, however well its residual converged.
-    ratio = np.min(sigma / sigma0) if sigma0 is not None else 1.0
-    if not ratio >= _MIN_SIGMA_RATIO:
-        raise SprayInversionError(f"fiber Jacobian lost conditioning (sigma_r ratio {ratio:.3e})")
     return vs
 
 
-def _pinv_step(jac: np.ndarray, r: np.ndarray, rank: int) -> tuple:
-    """The minimal-norm steps -pinv(J) r of stacked Jacobians, and each sigma_rank.
+def _tangent_step(jac: np.ndarray, r: np.ndarray, frames: np.ndarray) -> tuple:
+    """-pinv(J) r for stacked Jacobians J whose columns lie in the rows of ``frames``, and sigma_r.
 
-    The pseudo-inverse is formed from one SVD exactly as
-    ``np.linalg.pinv(jac, rcond=1e-6)`` forms it, so the steps are bitwise
-    equal to it; its cut drops the finite-difference noise directions of a
-    rank-deficient fiber Jacobian (fiber_dim can exceed dim Y).
+    With J_T = T J (r x fiber) and G = J_T J_T^T, pinv(J) r = J_T^T G^+ T r, where G^+ keeps
+    the eigenvalues above 1e-12 times the largest: the cut of ``np.linalg.pinv(J, rcond=1e-6)``.
     """
-    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    inv = np.divide(1.0, sv, where=sv > 1e-6 * sv[:, :1], out=np.zeros_like(sv))
-    pinv = np.swapaxes(vt, 1, 2) @ (inv[:, :, None] * np.swapaxes(u, 1, 2))
-    return -(pinv @ r[:, :, None])[:, :, 0], sv[:, rank - 1]
+    jt = frames @ jac
+    lam, vec = np.linalg.eigh(jt @ np.swapaxes(jt, 1, 2))  # ascending
+    inv = np.divide(1.0, lam, where=lam > 1e-12 * lam[:, -1:], out=np.zeros_like(lam))
+    coef = vec @ (inv[:, :, None] * (np.swapaxes(vec, 1, 2) @ (frames @ r[:, :, None])))
+    return -(np.swapaxes(jt, 1, 2) @ coef)[:, :, 0], np.sqrt(np.maximum(lam[:, 0], 0.0))
 
 
 def probe_injectivity_radius(spray: Spray, seed: int = 0) -> float:

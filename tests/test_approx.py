@@ -148,6 +148,25 @@ def test_solve_refuses_a_solution_past_the_spray_fold():
         solve_fiber_many(spray, h.f0_many(grid), h.eval_many(grid, 1.0))
 
 
+def test_solve_past_the_fold_stops_once_a_converged_row_fails(monkeypatch):
+    # A converged row's sigma_r is final, so the fold test fails the solve as
+    # soon as such a row converges, not after every other row has.
+    h = _z_rotation_homotopy(3.1406)
+    grid = sphere_quasi_uniform(1024, 2)
+    spray = group_action_spray(VarietySpec.group("SO", 3))
+    calls = []
+    original = sprays_mod.fiber_differences
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(sprays_mod, "fiber_differences", counted)
+    with pytest.raises(SprayInversionError, match="lost conditioning"):
+        solve_fiber_many(spray, h.f0_many(grid), h.eval_many(grid, 1.0))
+    assert len(calls) <= 8
+
+
 def test_track_interval_budget_error(monkeypatch):
     grid = sphere_quasi_uniform(32, 1)
     monkeypatch.setattr(approx_mod, "_MAX_INTERVALS", 1)
@@ -611,6 +630,19 @@ def test_pipeline_rejects_endpoint_mismatch():
     demo = DEMOS["s1-power-2-wiggle"]()
     with pytest.raises(ValueError):
         approximate(_identity, demo.homotopy, demo.spray, demo.cfg)
+
+
+def test_pipeline_rejects_a_nan_in_the_input_map():
+    h = _z_rotation_homotopy(0.5)
+
+    def f_many(x):
+        out = h.eval_many(x, 1.0)
+        out[3] = np.nan
+        return out
+
+    spray = group_action_spray(VarietySpec.group("SO", 3))
+    with pytest.raises(ValueError, match="deviates from the input map by nan"):
+        approximate(f_many, h, spray, ApproxConfig(target_c0=1e-3, d_max=4, grid_size=256))
 
 
 def test_pipeline_report_serializes():

@@ -460,17 +460,51 @@ def test_batched_newton_matches_single_row_solves():
     assert np.max(np.abs(spray.eval_many(pts, batch) - spray.eval_many(pts, single))) <= 1e-10
 
 
-def test_pinv_step_matches_numpy_pinv_bitwise():
+@pytest.mark.parametrize("space,fiber", [(S(2), 3), (S(3), 6)], ids=["s2", "s3"])
+def test_tangent_step_matches_numpy_pinv(space, fiber):
+    # Exactly tangent-valued Jacobians J = T^T A of rank r and rank r - 1.
     gen = rng(22)
-    # Rank-two (the SO(3) spray on S2: 3 fiber axes onto a 2-dimensional
-    # tangent space, plus noise below the cut) and full-rank Jacobians.
-    low = gen.standard_normal((64, 6, 2)) @ gen.standard_normal((64, 2, 3))
-    for jac in (low + 1e-9 * gen.standard_normal((64, 6, 3)), gen.standard_normal((64, 6, 3))):
-        r = gen.standard_normal((64, 6))
-        delta, sigma = sprays_mod._pinv_step(jac, r, 2)
-        ref = -(np.linalg.pinv(jac, rcond=1e-6) @ r[:, :, None])[:, :, 0]
-        np.testing.assert_array_equal(delta, ref)
-        np.testing.assert_array_equal(sigma, np.linalg.svd(jac, full_matrices=False)[1][:, 1])
+    r_dim = space.dim
+    frames = variety_tangent_frame(sample_variety(space, 64, 23), space)
+    full = gen.standard_normal((64, r_dim, fiber))
+    low = gen.standard_normal((64, r_dim, r_dim - 1)) @ gen.standard_normal((64, r_dim - 1, fiber))
+    resid = gen.standard_normal((64, space.ambient_dim))
+    for coeffs, full_rank in ((full, True), (low, False)):
+        jac = np.swapaxes(frames, 1, 2) @ coeffs
+        delta, sigma = sprays_mod._tangent_step(jac, resid, frames)
+        ref = -(np.linalg.pinv(jac, rcond=1e-6) @ resid[:, :, None])[:, :, 0]
+        assert np.max(np.linalg.norm(delta - ref, axis=1) / np.linalg.norm(ref, axis=1)) <= 1e-10
+        if full_rank:
+            ref_sigma = np.linalg.svd(jac)[1][:, r_dim - 1]
+            np.testing.assert_allclose(sigma, ref_sigma, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize(
+    "spray",
+    [
+        group_action_spray(SO("SO", 4)),
+        group_action_spray(SO("U", 2)),
+        group_action_spray(SO("SU", 3)),
+        group_action_spray(SO("SO", 3), shrink_c=0.5),
+    ],
+    ids=["so4-s3", "u2-s3", "su3-s5", "so3-s2-shrink"],
+)
+def test_newton_solve_reaches_targets_beyond_so3(spray):
+    assert spray.inverse_many is None
+    pts = sample_variety(spray.base, 32, 24)
+    targets = spray.eval_many(pts, sample_fiber(spray.fiber_dim, 32, rng(25), 0.3))
+    vs = solve_fiber_many(spray, pts, targets)
+    assert np.max(np.abs(spray.eval_many(pts, vs) - targets)) <= 1e-10
+
+
+def test_newton_solve_on_a_constant_spray_fails_without_warnings():
+    spray = constant_spray(S(2))
+    pts = sample_variety(spray.base, 8, 26)
+    targets = normalize_rows(pts + 0.1 * rng(27).standard_normal(pts.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SprayInversionError):
+            solve_fiber_many(spray, pts, targets)
 
 
 def test_probe_injectivity_radius_reaches_three():
