@@ -72,8 +72,8 @@ _BOTT_CHUNK_ENTRIES = 1 << 17  # complex matrix entries of a chunk's widest stac
 
 
 class DegeneracyError(RuntimeError):
-    """No usable regular value after the allowed number of redraws, or a
-    matrix map with a (numerically) singular value."""
+    """No usable regular value after the allowed number of redraws, a matrix
+    map with a (numerically) singular value, or a map with a non-finite value."""
 
 
 class InconsistencyError(RuntimeError):
@@ -357,10 +357,12 @@ def _check_dimension(n: int, opts: DegreeOptions) -> None:
 
 
 def winding_number(map_many: Callable) -> tuple:
-    """Winding number of a circle self-map from summed angular increments."""
+    """Winding number of a circle self-map from summed angular increments; finite values only."""
     theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_GRID, endpoint=False)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
     img = map_many(pts)
+    if not np.all(np.isfinite(img)):
+        raise DegeneracyError("the map has a non-finite value on the circle")
     ang = np.arctan2(img[:, 1], img[:, 0])
     inc = np.diff(np.append(ang, ang[0]))
     inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
@@ -372,21 +374,25 @@ def winding_number(map_many: Callable) -> tuple:
 
 
 def _newton_preimages(map_many, y, starts):
-    """Final points and residuals of Newton on map(x) = y, one row per start.
+    """Newton on map(x) = y, one row per start: final points, residuals and owners.
 
     Only the rows still above tolerance are evaluated and stepped; a row keeps
-    the point and residual of its last evaluation.  An active row that comes
-    within ``_DEDUP_RADIUS`` of a preimage this search has converged to is
-    retired: it takes that preimage's point and residual, so ``_dedup_points``
-    counts it in that basin.  From there Newton would converge to the same
-    preimage; a wider ball (half ``_MIN_SEPARATION``, say) could absorb a row
-    headed for a second preimage close by and hide the fold rejection.  Rows
-    still unconverged after ``_NEWTON_MAX_ITER`` iterations stop.  That budget
-    is 25: on a_3, a_4, z^d # a_2 and q^11 every preimage was first reached
-    by iteration 10, while rows past 25 made 15-40% of a search's map rows.
+    the point and residual of its last evaluation.  The search clusters its
+    endpoints once: ``owner[i]`` is the row that registered the preimage row i
+    joined, or -1.  A converged row joins the preimage whose ``_DEDUP_RADIUS``
+    ball it is in, or registers one with the rows of its pass within that
+    radius; an active row entering a ball is retired there, taking its point
+    and residual.  A wider ball (half ``_MIN_SEPARATION``, say) could absorb a
+    row headed for a second preimage close by and hide the fold rejection.
+    Rows stop after ``_NEWTON_MAX_ITER`` = 25 iterations, where a residual up
+    to 10 times the tolerance counts as converged: on a_3, a_4, z^d # a_2 and
+    q^11 every preimage was first reached by iteration 10, while rows past 25
+    made 15-40% of a search's map rows.  A non-finite map value, at a row or
+    a finite-difference probe, raises DegeneracyError.
     """
     x = starts.copy()
     resid = np.empty(x.shape[0])
+    owner = np.full(x.shape[0], -1)
     idx = np.arange(x.shape[0])
     found = np.empty(0, dtype=np.intp)  # one row per distinct preimage converged to
     n_tan = starts.shape[1] - 1
@@ -394,19 +400,24 @@ def _newton_preimages(map_many, y, starts):
         p = normalize_rows(x[idx])
         x[idx] = p
         values = map_many(p)
+        if not np.all(np.isfinite(values)):
+            raise DegeneracyError("the map has a non-finite value on the sphere")
         resid[idx] = np.linalg.norm(values - y, axis=1)
         active = resid[idx] > _NEWTON_TOL
+        converged = resid[idx] <= (10.0 if it == _NEWTON_MAX_ITER else 1.0) * _NEWTON_TOL
         # Rows in the ball of a found preimage (|a - b|^2 = 2 - 2 a.b for unit rows).
-        near, owner = np.nonzero(p @ x[found].T >= 1.0 - 0.5 * _DEDUP_RADIUS**2)
+        near, src = np.nonzero(p @ x[found].T >= 1.0 - 0.5 * _DEDUP_RADIUS**2)
         ball = np.zeros(idx.size, dtype=bool)
         ball[near] = True
+        owner[idx[near]] = found[src]
         on = active[near]
-        rows, src = idx[near[on]], found[owner[on]]
+        rows, src = idx[near[on]], found[src[on]]
         x[rows], resid[rows] = x[src], resid[src]
-        new = idx[~active & ~ball]
+        new = idx[converged & ~ball]
         while new.size:  # register each newly converged preimage once
             found = np.append(found, new[0])
-            new = new[np.linalg.norm(x[new] - x[new[0]], axis=1) > _DEDUP_RADIUS]
+            joins = np.linalg.norm(x[new] - x[new[0]], axis=1) <= _DEDUP_RADIUS
+            owner[new[joins]], new = new[0], new[~joins]
         active &= ~ball
         if it == _NEWTON_MAX_ITER or not np.any(active):
             break
@@ -416,6 +427,8 @@ def _newton_preimages(map_many, y, starts):
         # square in the tangent coordinates and well conditioned at regular points.
         frames = sphere_tangent_basis_many(p)
         jac = (tangent_probes(map_many, p, _FD_STEP * frames) - values[..., None]) / _FD_STEP
+        if not np.all(np.isfinite(jac)):
+            raise DegeneracyError("the map has a non-finite value on the sphere")
         gram = np.swapaxes(jac, 1, 2) @ jac
         gram += 1e-14 * np.eye(n_tan)
         rhs = np.einsum("naj,na->nj", jac, y - values)
@@ -425,25 +438,7 @@ def _newton_preimages(map_many, y, starts):
         too_big = norms > 0.5
         step[too_big] *= (0.5 / norms[too_big])[:, None]
         x[idx] = normalize_rows(p + step)
-    return x, resid
-
-
-def _dedup_points(points: np.ndarray, radius: float):
-    """Cluster points in lexicographic order: each joins the first representative
-    within ``radius`` or becomes a new one.  Returns representatives and counts."""
-    if points.shape[0] == 0:
-        return points, []
-    order = np.lexsort(np.round(points, 9).T[::-1])
-    pts = points[order]
-    free = np.ones(pts.shape[0], dtype=bool)
-    reps, counts = [], []
-    while np.any(free):
-        rep = pts[np.argmax(free)]
-        near = free & (np.linalg.norm(pts - rep, axis=1) <= radius)
-        reps.append(rep)
-        counts.append(int(np.count_nonzero(near)))
-        free &= ~near
-    return np.array(reps), counts
+    return x, resid, owner
 
 
 def _preimage_signs(map_many, preimages, y):
@@ -458,7 +453,7 @@ def _preimage_signs(map_many, preimages, y):
     step = _FD_STEP * oriented_sphere_frame_many(preimages)  # (P, n, n+1)
     diff = tangent_probes(map_many, preimages, step) - tangent_probes(map_many, preimages, -step)
     dets = np.linalg.det(frame_y @ (diff / (2.0 * _FD_STEP)))
-    bad = np.flatnonzero(np.abs(dets) < _MIN_JACOBIAN)
+    bad = np.flatnonzero(~(np.abs(dets) >= _MIN_JACOBIAN))  # a NaN determinant is bad too
     if bad.size:
         raise _RegularValueReject(f"near-singular preimage (|det| = {abs(dets[bad[0]]):.3e})")
     return [1 if d > 0 else -1 for d in dets], [float(d) for d in dets]
@@ -485,9 +480,12 @@ def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
     while True:
         y = normalize_rows(gen.standard_normal(n + 1))
         try:
-            x, resid = _newton_preimages(map_many, y, starts)
-            conv = resid <= _NEWTON_TOL * 10.0
-            preimages, counts = _dedup_points(x[conv], _DEDUP_RADIUS)
+            x, resid, owner = _newton_preimages(map_many, y, starts)
+            joined = np.flatnonzero(owner >= 0)
+            # Each preimage is reported at the lexicographically first row that joined it.
+            ranked = joined[np.lexsort(np.round(x[joined], 9).T[::-1])]
+            reps = ranked[np.sort(np.unique(owner[ranked], return_index=True)[1])]
+            preimages, counts = x[reps], np.bincount(owner[joined])[owner[reps]]
             gap = _closest_pair_distance(preimages)
             if gap < _MIN_SEPARATION:
                 raise _RegularValueReject(f"two preimages {gap:.3e} apart: y is near a fold")
@@ -500,8 +498,8 @@ def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
                 regular_value=[float(v) for v in y],
                 preimages=[[float(c) for c in p] for p in preimages],
                 signs=signs,
-                basin_counts=counts,
-                newton_max_residual=float(np.max(resid[conv]) if np.any(conv) else np.min(resid)),
+                basin_counts=counts.tolist(),
+                newton_max_residual=float(np.max(resid[joined]) if joined.size else np.min(resid)),
                 n_starts=len(starts),
                 redraws=redraws,
             )
@@ -709,9 +707,7 @@ def _find_missed_point(f: MatrixSphereMap, z: np.ndarray) -> np.ndarray:
     return cands[best]
 
 
-def compress_to_k_block(
-    f: MatrixSphereMap, missed_points: Optional[list] = None
-) -> MatrixSphereMap:
+def compress_to_k_block(f: MatrixSphereMap) -> MatrixSphereMap:
     """Homotope a unitary-valued map down to k-by-k size, one column at a time.
 
     Step t rotates the last column of the size-(p - t) map to e_q, through
@@ -721,12 +717,12 @@ def compress_to_k_block(
     evaluates the input map once per call and carries only the columns it is
     asked for through the chain (column 0 alone for the degree formula).
 
-    ``missed_points`` lets callers pin the per-step missed points (mainly for
-    tests); by default they are found by quasi-uniform search, which is
-    deterministic and takes no seed.  The block structure of each step is
-    verified on samples through the same chain, with all columns.
+    The missed points come from a quasi-uniform search, which is deterministic
+    and takes no seed.  The block structure of each step is verified on samples
+    through the same chain, with all columns.  ValueError is raised when a
+    sampled value is not unitary or not finite.
     """
-    if f.max_unitarity_defect() > 1e-9:
+    if not f.max_unitarity_defect() <= 1e-9:
         raise ValueError("compression requires unitary values on the sphere")
     # The quasi-uniform sets are nested, so the block check's 64 samples are
     # the first rows of the missed-point search's set.
@@ -734,15 +730,9 @@ def compress_to_k_block(
     mats = f.eval_many(z[:64])
     missed = []
     while f.p - len(missed) > f.k:
-        step = len(missed)
-        if missed_points is not None:
-            point = np.asarray(missed_points[step], dtype=complex)
-        else:
-            cur = _CompressedMap(f, missed)
-            point = _find_missed_point(cur, z)
-        missed.append(point)
+        q = f.p - len(missed)
+        missed.append(_find_missed_point(_CompressedMap(f, missed), z))
         # The construction promises block-diagonal form; check it held.
-        q = f.p - step
         full = _compress_chain(mats, missed, range(q))
         defect = max(
             float(np.max(np.abs(full[:, :, q - 1] - np.eye(q)[q - 1]))),

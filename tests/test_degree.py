@@ -13,7 +13,6 @@ from spraylab.degree import (
     DegreeReport,
     InconsistencyError,
     MatrixSphereMap,
-    _dedup_points,
     _preimage_count_once,
     _preimage_signs,
     _RegularValueReject,
@@ -345,7 +344,8 @@ def test_circle_report_is_the_relabelled_preimage_count():
 
 
 def _dedup_reference(points, radius):
-    # Point-by-point greedy clustering: the loop the batched version replaces.
+    # Point-by-point greedy clustering in lexicographic order: the clustering
+    # the Newton search's registry must reproduce.
     pts = points[np.lexsort(np.round(points, 9).T[::-1])]
     reps, counts = [], []
     for row in pts:
@@ -357,21 +357,6 @@ def _dedup_reference(points, radius):
             reps.append(row)
             counts.append(1)
     return np.array(reps), counts
-
-
-def test_dedup_matches_pointwise_greedy_loop():
-    gen = rng(5)
-    centers = sphere_quasi_uniform(6, 3)
-    # Chains of points 0.6 radius apart: the first-representative rule decides
-    # which cluster each one joins, so order and counts are both exercised.
-    pts = np.concatenate(
-        [c + 1e-6 * gen.uniform(-0.6, 0.6, (gen.integers(1, 40), 4)) for c in centers]
-    )
-    pts = pts[gen.permutation(pts.shape[0])]
-    reps, counts = _dedup_points(pts, 1e-6)
-    ref_reps, ref_counts = _dedup_reference(pts, 1e-6)
-    np.testing.assert_array_equal(reps, ref_reps)
-    assert counts == ref_counts
 
 
 def _signs_reference(map_many, preimages, y, fd_step, min_jacobian):
@@ -457,6 +442,28 @@ def _newton_reference(map_many, y, starts, max_iter=60):
 
 
 @pytest.mark.parametrize(
+    "f",
+    [sharp_product(power_map_matrix(d), a_k(2)) for d in (2, 3)] + [a_k(3)],
+    ids=["z^2#a_2", "z^3#a_2", "a_3"],
+)
+def test_registry_clusters_as_the_pointwise_greedy_loop(f):
+    # The search's registry is the only clustering of its endpoints: the
+    # report's preimages and basins are the greedy loop's over the rows that
+    # joined a preimage.  z^3#a_2's preimages come in another order when
+    # ranked by row index, so the lexicographic rank is exercised.
+    psi = first_column_sphere_map(compress_to_k_block(f))
+    n = 2 * f.k - 1
+    starts = sphere_quasi_uniform(200 * n, n)
+    y = normalize_rows(rng(11).standard_normal(n + 1))  # the first value at seed 11
+    x, _, owner = degree_mod._newton_preimages(psi, y, starts)
+    report = _preimage_count_once(psi, n, rng(11), starts, DegreeOptions(seed=11))
+    assert report.redraws == 0 and report.regular_value == list(y)
+    ref_preimages, ref_counts = _dedup_reference(x[owner >= 0], degree_mod._DEDUP_RADIUS)
+    np.testing.assert_array_equal(np.array(report.preimages), ref_preimages)
+    assert report.basin_counts == ref_counts and len(ref_counts) >= 2
+
+
+@pytest.mark.parametrize(
     "f", [sharp_product(power_map_matrix(2), a_k(2)), a_k(3)], ids=["z^2#a_2", "a_3"]
 )
 def test_retired_rows_converge_to_their_preimage_without_retirement(f):
@@ -464,7 +471,7 @@ def test_retired_rows_converge_to_their_preimage_without_retirement(f):
     n = 2 * f.k - 1
     starts = sphere_quasi_uniform(200 * n, n)
     y = normalize_rows(rng(11).standard_normal(n + 1))  # the first value at seed 11
-    x, resid = degree_mod._newton_preimages(psi, y, starts)
+    x, resid, owner = degree_mod._newton_preimages(psi, y, starts)
     ref_x, ref_resid = _newton_reference(psi, y, starts)
     # A retired row holds its preimage's point bit for bit, like the row that
     # converged to it: rows sharing a point are that row and its retirees.
@@ -473,12 +480,13 @@ def test_retired_rows_converge_to_their_preimage_without_retirement(f):
     assert np.count_nonzero(shared) > starts.shape[0] // 4
     assert np.all(resid[shared] <= degree_mod._NEWTON_TOL)
     assert np.all(ref_resid[shared] <= degree_mod._NEWTON_TOL)
+    np.testing.assert_array_equal(owner >= 0, resid <= 10 * degree_mod._NEWTON_TOL)
     gaps = np.linalg.norm(ref_x[shared] - x[shared], axis=1)
     assert np.max(gaps) <= degree_mod._DEDUP_RADIUS
     # Rows the capped search left unconverged hold no preimage it missed.
     tol, radius = 10 * degree_mod._NEWTON_TOL, degree_mod._DEDUP_RADIUS
-    preimages, _ = _dedup_points(x[resid <= tol], radius)
-    ref_preimages, _ = _dedup_points(ref_x[ref_resid <= tol], radius)
+    preimages, _ = _dedup_reference(x[resid <= tol], radius)
+    ref_preimages, _ = _dedup_reference(ref_x[ref_resid <= tol], radius)
     assert preimages.shape == ref_preimages.shape
     np.testing.assert_allclose(preimages, ref_preimages, rtol=0, atol=1e-9)
 
@@ -491,6 +499,47 @@ def test_preimage_count_once_returns_a_report():
         1, "preimage_count", 400, 0
     )
     assert report.signs == [1] and report.basin_counts == [400]
+
+
+def _nan_where(map_many, mask_of):
+    # map_many with NaN rows wherever mask_of(x) holds.
+    def many(x):
+        out = np.array(map_many(x), dtype=float)
+        out[mask_of(x)] = np.nan
+        return out
+
+    return many
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_finite_map_values_are_refused(n):
+    # NaN caps around both seed-0 regular values hide the identity's only
+    # preimages.  A NaN residual fails `resid > tol`, so a search that took
+    # it for converged would find no preimage and certify degree 0.
+    gen = rng(0)
+    values = np.stack([normalize_rows(gen.standard_normal(n + 1)) for _ in range(2)])
+    capped = _nan_where(identity_map, lambda x: np.any(x @ values.T > 0.99, axis=1))
+    with pytest.raises(DegeneracyError, match="non-finite"):
+        sphere_degree(capped, n)
+
+
+def test_preimage_signs_reject_a_non_finite_determinant():
+    # The identity of S2, NaN on a sliver beside y that only the probe along
+    # the first frame direction enters: a NaN determinant is no sign.
+    y = normalize_rows(rng(0).standard_normal(3))
+    t1 = oriented_sphere_frame_many(y[None])[0, 0]
+    sliver = _nan_where(
+        identity_map,
+        lambda x: (np.linalg.norm(x - y, axis=1) < 1e-3) & ((x - y) @ t1 > 5e-7),
+    )
+    with pytest.raises(_RegularValueReject, match="nan"), np.errstate(invalid="ignore"):
+        _preimage_signs(sliver, y[None], y)  # det warns of the NaN it returns
+
+
+def test_winding_number_refuses_a_non_finite_value():
+    arc = _nan_where(circle_power_map(2), lambda x: x[:, 0] > 0.999)
+    with pytest.raises(DegeneracyError, match="non-finite"):
+        winding_number(arc)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +636,15 @@ def test_compress_requires_unitary_values():
     with pytest.raises(ValueError):
         compress_to_k_block(scaled)
 
+    def nan_cap(z):
+        out = ak_matrix_many(z, 3)
+        out[z[:, 0].real > 0.5] = np.nan
+        return out
+
+    # A NaN unitarity defect fails the check too.
+    with pytest.raises(ValueError, match="requires unitary values"):
+        compress_to_k_block(MatrixSphereMap(k=3, p=4, eval_many=nan_cap))
+
 
 def test_compress_a3_closed_form_column():
     # With the missed point pinned at e1, the two explicit rotations send
@@ -594,7 +652,7 @@ def test_compress_a3_closed_form_column():
     # column (z1, z2, z3, 0) to (z1^2, z2 - z1 conj z3, z3 + z1 conj z2, 0);
     # the derivation is a direct expansion of the two rank-two rotation
     # formulas.  Frozen here as an independent check on the generic code.
-    reduced = compress_to_k_block(a_k(3), missed_points=[np.array([1.0, 0, 0, 0], complex)])
+    reduced = degree_mod._CompressedMap(a_k(3), [np.array([1.0, 0, 0, 0], complex)])
     z = sphere_quasi_uniform_complex(100, 3)
     col = reduced.eval_many(z)[:, :, 0]
     expected = np.stack(
@@ -657,7 +715,7 @@ def test_compress_a4_first_column_matches_dense_reference():
         e_last = np.broadcast_to(np.eye(q, dtype=complex)[q - 1], (z.shape[0], q))
         rotated = _dense_rotation(b, e_last) @ _dense_rotation(mats[:, :, q - 1], b) @ mats
         mats = rotated[:, : q - 1, : q - 1]
-    reduced = compress_to_k_block(a_k(4), missed_points=pinned)
+    reduced = degree_mod._CompressedMap(a_k(4), pinned)
     assert reduced.p == 4
     col = reduced.eval_columns(z, [0])[:, :, 0]
     np.testing.assert_allclose(col, mats[:, :, 0], rtol=0, atol=1e-13)
@@ -853,7 +911,7 @@ def test_compress_missed_point_on_column_line_raises():
     # The last column of a_3 at z = e1 is e4, so a missed point pinned at e4
     # puts that column on the complex line of -missed: the rotation field
     # degenerates there and evaluation must refuse.
-    reduced = compress_to_k_block(a_k(3), missed_points=[np.array([0, 0, 0, 1.0], complex)])
+    reduced = degree_mod._CompressedMap(a_k(3), [np.array([0, 0, 0, 1.0], complex)])
     z0 = np.array([[1.0, 0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="degenerates"):
         reduced.eval_many(z0)

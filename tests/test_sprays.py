@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import spraylab.sprays as sprays_mod
-from spraylab.geometry import VarietySpec, membership_residual_many, variety_tangent_frame
+from spraylab.geometry import (
+    VarietySpec,
+    matrix_to_point,
+    membership_residual_many,
+    point_to_matrix,
+    variety_tangent_frame,
+)
 from spraylab.sampling import normalize_rows, rng, sample_fiber, sample_variety
 from spraylab.sprays import (
     AntipodeError,
@@ -450,6 +456,37 @@ def test_newton_divergence_error(monkeypatch):
         solve_fiber_many(spray, pts, targets)
 
 
+def _so3_solve_case():
+    spray = group_action_spray(SO("SO", 3))
+    pts = sample_variety(spray.base, 16, 30)
+    return spray, pts, spray.eval_many(pts, sample_fiber(3, 16, rng(31), 0.3))
+
+
+def test_newton_out_of_iterations_is_an_inversion_error(monkeypatch):
+    spray, pts, targets = _so3_solve_case()
+    monkeypatch.setattr(sprays_mod, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(SprayInversionError, match="no convergence after 1 iterations"):
+        solve_fiber_many(spray, pts, targets)
+
+
+def test_newton_iterate_leaving_the_fiber_ball_is_an_inversion_error(monkeypatch):
+    spray, pts, targets = _so3_solve_case()
+    monkeypatch.setattr(sprays_mod, "_MAX_FIBER_NORM", 0.01)
+    with pytest.raises(SprayInversionError, match="left the local inversion neighborhood"):
+        solve_fiber_many(spray, pts, targets)
+
+
+def test_self_action_target_off_the_group_is_not_cayley_reachable():
+    # y e^(0.3i) is unitary but has determinant e^(0.6i): g = e^(0.3i) I has
+    # no traceless Cayley preimage in su(2).
+    group = SO("SU", 2)
+    spray = group_action_spray(group, group)
+    y = sample_variety(group, 4, 32)
+    targets = matrix_to_point(np.exp(0.3j) * point_to_matrix(y, group), group)
+    with pytest.raises(SprayInversionError, match="not in the Cayley-reachable neighborhood"):
+        solve_fiber_many(spray, y, targets)
+
+
 def test_batched_newton_matches_single_row_solves():
     spray = group_action_spray(SO("SO", 3))
     pts = sample_variety(spray.base, 64, 20)
@@ -510,6 +547,23 @@ def test_newton_solve_on_a_constant_spray_fails_without_warnings():
 def test_probe_injectivity_radius_reaches_three():
     assert probe_injectivity_radius(stereographic_spray(2)) >= 3.0
     assert probe_injectivity_radius(group_action_spray(SO("SO", 3))) == 0.0  # no inverse
+
+
+def test_probe_injectivity_radius_stops_at_the_first_failed_radius():
+    spray = stereographic_spray(2)
+    halved = dataclasses.replace(
+        spray, inverse_many=lambda p, q: 0.5 * sprays_mod._stereo_backward(p, q)
+    )
+    assert probe_injectivity_radius(halved) == 0.0  # the first radius does not round-trip
+
+    def refuses_past_1_5(points, targets):
+        vs = sprays_mod._stereo_backward(points, targets)
+        if np.max(np.linalg.norm(vs, axis=1)) > 1.5:
+            raise SprayInversionError("beyond |v| = 1.5")
+        return vs
+
+    capped = dataclasses.replace(spray, inverse_many=refuses_past_1_5)
+    assert probe_injectivity_radius(capped) == 1.0  # 0.5 and 1.0 round-trip, 2.0 raises
 
 
 # ---------------------------------------------------------------------------
