@@ -472,8 +472,8 @@ def approximation_error(g_many: Callable, f_many: Callable, grid: np.ndarray) ->
 class ApproxConfig:
     """Pipeline settings.  ``seed`` only labels the report: the grid is
     quasi-uniform and deterministic, so no stage draws random numbers.
-    Tracking runs under fixed limits: ``_MAX_INTERVALS`` here, and
-    ``sprays._NEWTON_MAX_ITER`` and ``sprays._MAX_FIBER_NORM`` per solve."""
+    Tracking runs under fixed limits: ``_MAX_INTERVALS`` here, and per solve
+    ``sprays._NEWTON_MAX_ITER`` (Newton) or ``sprays._MAX_FIBER_NORM`` (exact inverse)."""
 
     target_c0: float = 1e-3
     d_max: int = 20

@@ -356,13 +356,23 @@ def _check_dimension(n: int, opts: DegreeOptions) -> None:
         )
 
 
+def _finite(map_many: Callable, refusal: str = "the map has a non-finite value") -> Callable:
+    """``map_many``, raising DegeneracyError(refusal) at its first non-finite value."""
+
+    def guarded(x: np.ndarray) -> np.ndarray:
+        values = map_many(x)
+        if not np.all(np.isfinite(values)):
+            raise DegeneracyError(refusal)
+        return values
+
+    return guarded
+
+
 def winding_number(map_many: Callable) -> tuple:
     """Winding number of a circle self-map from summed angular increments; finite values only."""
     theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_GRID, endpoint=False)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    img = map_many(pts)
-    if not np.all(np.isfinite(img)):
-        raise DegeneracyError("the map has a non-finite value on the circle")
+    img = _finite(map_many)(pts)
     ang = np.arctan2(img[:, 1], img[:, 0])
     inc = np.diff(np.append(ang, ang[0]))
     inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
@@ -387,8 +397,7 @@ def _newton_preimages(map_many, y, starts):
     Rows stop after ``_NEWTON_MAX_ITER`` = 25 iterations, where a residual up
     to 10 times the tolerance counts as converged: on a_3, a_4, z^d # a_2 and
     q^11 every preimage was first reached by iteration 10, while rows past 25
-    made 15-40% of a search's map rows.  A non-finite map value, at a row or
-    a finite-difference probe, raises DegeneracyError.
+    made 15-40% of a search's map rows.
     """
     x = starts.copy()
     resid = np.empty(x.shape[0])
@@ -400,8 +409,6 @@ def _newton_preimages(map_many, y, starts):
         p = normalize_rows(x[idx])
         x[idx] = p
         values = map_many(p)
-        if not np.all(np.isfinite(values)):
-            raise DegeneracyError("the map has a non-finite value on the sphere")
         resid[idx] = np.linalg.norm(values - y, axis=1)
         active = resid[idx] > _NEWTON_TOL
         converged = resid[idx] <= (10.0 if it == _NEWTON_MAX_ITER else 1.0) * _NEWTON_TOL
@@ -427,8 +434,6 @@ def _newton_preimages(map_many, y, starts):
         # square in the tangent coordinates and well conditioned at regular points.
         frames = sphere_tangent_basis_many(p)
         jac = (tangent_probes(map_many, p, _FD_STEP * frames) - values[..., None]) / _FD_STEP
-        if not np.all(np.isfinite(jac)):
-            raise DegeneracyError("the map has a non-finite value on the sphere")
         gram = np.swapaxes(jac, 1, 2) @ jac
         gram += 1e-14 * np.eye(n_tan)
         rhs = np.einsum("naj,na->nj", jac, y - values)
@@ -453,7 +458,7 @@ def _preimage_signs(map_many, preimages, y):
     step = _FD_STEP * oriented_sphere_frame_many(preimages)  # (P, n, n+1)
     diff = tangent_probes(map_many, preimages, step) - tangent_probes(map_many, preimages, -step)
     dets = np.linalg.det(frame_y @ (diff / (2.0 * _FD_STEP)))
-    bad = np.flatnonzero(~(np.abs(dets) >= _MIN_JACOBIAN))  # a NaN determinant is bad too
+    bad = np.flatnonzero(np.abs(dets) < _MIN_JACOBIAN)
     if bad.size:
         raise _RegularValueReject(f"near-singular preimage (|det| = {abs(dets[bad[0]]):.3e})")
     return [1 if d > 0 else -1 for d in dets], [float(d) for d in dets]
@@ -516,9 +521,10 @@ def preimage_count_degree(
     """Signed preimage count of a regular value, cross-checked at a second value.
 
     A caller holding an independent value of the degree passes it as
-    ``cross_check``; it then takes the second regular value's place, and
-    only the first value's preimages are searched.
+    ``cross_check``, which takes the second regular value's place.  A
+    non-finite map value, at a Newton row or a probe, raises DegeneracyError.
     """
+    map_many = _finite(map_many)
     starts = sphere_quasi_uniform(200 * n if opts.n_starts is None else opts.n_starts, n)
     gen = rng(opts.seed)
     first = _preimage_count_once(map_many, n, gen, starts, opts)
@@ -576,14 +582,13 @@ def first_column_sphere_map(h: MatrixSphereMap) -> Callable:
 def _conj_dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_i conj(a[i]) * x[i] over the leading axis, broadcasting the rest.
 
-    The products come from one multiply; the rows are then added one by one,
-    in order and in place, so a point's result does not depend on how many
-    points share the call (np.sum may pair up a lone column).
+    Row by row, in order and in place, so a point's result does not depend on
+    how many points share the call (np.sum may pair up a lone column).
     """
-    terms = np.conj(a) * x
-    acc = terms[0]
-    for i in range(1, len(terms)):
-        acc += terms[i]
+    acc = np.conj(a[0]) * x[0]
+    term = np.empty_like(acc)
+    for i in range(1, len(a)):
+        acc += np.multiply(np.conj(a[i]), x[i], out=term)
     return acc
 
 
@@ -600,9 +605,9 @@ def _compress_step(x: np.ndarray, c: np.ndarray, b: np.ndarray, m: int) -> None:
     and W = <a, x> + (conj(mu) - 1) tau.  The second rotation sees
     <b, R1 x> = <c, x>, so the product is x + c P + b B + e_q E, with
     coefficients from the projections <c, x> and <b, x> and the last row of
-    R1 x.  Where b is on the complex line of e_q only the phase of the second
-    rotation is applied.  Where c comes within s < 1e-8 of the complex line
-    of b the rotation field degenerates, and ValueError is raised.
+    R1 x.  The missed-point search keeps |b_q| < 0.9, so the second rotation
+    has s'^2 = 1 - |b_q|^2 >= 0.19.  Where c comes within s < 1e-8 of the
+    complex line of b the rotation field degenerates, and ValueError is raised.
 
     The per-point factors mu and c's last row are kept (1, N): with one column
     at N = 1 a (1,) factor would meet (1, 1) coefficients, a product numpy
@@ -615,12 +620,7 @@ def _compress_step(x: np.ndarray, c: np.ndarray, b: np.ndarray, m: int) -> None:
     ss = _conj_dot(v, v).real
     if np.sqrt(ss.min()) < 1e-8:
         raise ValueError("rotation field degenerates: a column hits the complex line of b")
-    conj_c, conj_b = np.conj(c)[:, None], np.conj(b)
-    cx, bx = conj_c[0] * x[0, :m], conj_b[0] * x[0, :m]
-    term = np.empty_like(cx)
-    for i in range(1, q):
-        cx += np.multiply(conj_c[i], x[i, :m], out=term)
-        bx += np.multiply(conj_b[i], x[i, :m], out=term)
+    cx, bx = _conj_dot(c[:, None], x[:, :m]), _conj_dot(b, x[:, :m])
     tau = (bx - np.conj(mu) * cx) / ss
     p_coef = (mu - 1.0) * tau - cx
     mu_tau = (np.conj(mu) - 1.0) * tau
@@ -629,13 +629,9 @@ def _compress_step(x: np.ndarray, c: np.ndarray, b: np.ndarray, m: int) -> None:
     bq = b[q - 1]
     v_e = -np.conj(bq) * b
     v_e[q - 1] += 1.0
-    ss_e = float(np.vdot(v_e, v_e).real)
-    if ss_e < 1e-24:
-        b_coef, e_coef = w + (np.conj(bq) - 1.0) * cx, np.zeros_like(cx)
-    else:
-        rho = (x[q - 1, :m] + c[q - 1 :] * p_coef + bq * (w - cx)) / ss_e
-        b_coef = mu_tau + (np.conj(bq) - 1.0) * rho
-        e_coef = cx + (bq - 1.0) * rho
+    rho = (x[q - 1, :m] + c[q - 1 :] * p_coef + bq * (w - cx)) / float(np.vdot(v_e, v_e).real)
+    b_coef = mu_tau + (np.conj(bq) - 1.0) * rho
+    e_coef = cx + (bq - 1.0) * rho
     update = np.multiply(c[:, None, :], p_coef)
     x[:, :m] += update
     x[:, :m] += np.multiply(b[:, None, None], b_coef, out=update)
@@ -799,9 +795,8 @@ def _bott_integrand(f: MatrixSphereMap, x: np.ndarray) -> np.ndarray:
         return f.eval_many(deinterleave(rows))
 
     base = values(x)
-    # A non-finite value stands in as the zero matrix, which fails the test too.
-    sv = np.linalg.svd(base if np.all(np.isfinite(base)) else np.zeros((1, 1, 1)), compute_uv=False)
-    if not np.all(sv[:, -1] > _BOTT_MIN_SINGULAR * sv[:, 0]):
+    sv = np.linalg.svd(base, compute_uv=False)
+    if np.any(sv[:, -1] <= _BOTT_MIN_SINGULAR * sv[:, 0]):
         raise DegeneracyError(f"{f.name} has a singular or non-finite value on the sphere")
     step = _BOTT_STEP * oriented_sphere_frame_many(x)
     # (N, p, m, p): the m differences side by side, so one solve per point.
@@ -830,9 +825,12 @@ def bott_degree(f: MatrixSphereMap) -> BottIntegral:
     new points) until the copies' means agree within ``_BOTT_TOL`` and their
     average is within ``_BOTT_TOL`` of an integer.  InconsistencyError is
     raised when ``_BOTT_CAP`` points per copy do not get there, and
-    DegeneracyError when a value of f is numerically singular.  Points are
-    evaluated in chunks, so memory does not grow with the level.
+    DegeneracyError when a value of f, at a point or a probe, is not finite
+    or is numerically singular.  Points are evaluated in chunks, so memory
+    does not grow with the level.
     """
+    refusal = f"{f.name} has a singular or non-finite value on the sphere"
+    f = MatrixSphereMap(k=f.k, p=f.p, eval_many=_finite(f.eval_many, refusal), name=f.name)
     n = 2 * f.k - 1
     gen = rng(_BOTT_ROTATION_SEED)
     transposed = []  # Haar rotations: Q of a Gaussian, with R's diagonal made positive

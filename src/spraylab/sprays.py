@@ -46,7 +46,7 @@ class AntipodeError(SprayInversionError):
 _NEWTON_TOL = 1e-11  # see solve_fiber_many
 _NEWTON_FD_STEP = 1e-7
 _NEWTON_MAX_ITER = 50
-_MAX_FIBER_NORM = 100.0  # radius of the fiber ball solve_fiber_many stays in
+_MAX_FIBER_NORM = 100.0  # radius of the fiber ball an exact inverse must land in
 # Smallest accepted ratio of sigma_r, the least singular value of a row's tangent-projected
 # fiber Jacobian, at a Gauss-Newton solution to its value at v = 0; tested as rows converge.
 _MIN_SIGMA_RATIO = 0.1
@@ -409,20 +409,21 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
     """Fiber vectors xi with s(y, xi) = q per row, for q near the image of the zero section.
 
     A spray with an exact inverse uses it, then checks max |xi| against
-    ``_MAX_FIBER_NORM`` and the max-abs image residual against 1e-8.
-    Otherwise one masked, damped Gauss-Newton runs from xi = 0 over all rows:
-    only rows whose residual norm is above 1e-11 are evaluated and stepped.
-    Each active row gets central-difference Jacobian columns with step
-    1e-7 * (1 + |xi_row|) (all probes in one :func:`fiber_differences` call),
-    the minimal-norm step of :func:`_tangent_step` in the tangent frame at
-    s(y, xi), and its own halving line search.  Raises SprayInversionError
-    for the whole batch when any row stalls below step 1/1024, leaves the
-    ``_MAX_FIBER_NORM`` ball, has not converged after ``_NEWTON_MAX_ITER``
-    iterations, or converged where its Jacobian has lost conditioning
-    (tested as rows converge): sigma_r, r = ``spray.base.dim``, of its last
-    Jacobian below 0.1 times its value at xi = 0.  The caller is expected
-    to refine its homotopy partition on that signal.  The result depends
-    only on the arguments, so equal calls return bitwise-equal vectors.
+    ``_MAX_FIBER_NORM``, which bounds exact inverses only, and the max-abs
+    image residual against 1e-8.  Otherwise one masked, damped Gauss-Newton
+    runs from xi = 0 over all rows: only rows whose residual norm is above
+    1e-11 are evaluated and stepped.  Each active row gets central-difference
+    Jacobian columns with step 1e-7 * (1 + |xi_row|) (all probes in one
+    :func:`fiber_differences` call), the minimal-norm step of
+    :func:`_tangent_step` in the tangent frame at s(y, xi), and its own
+    halving line search.  Raises SprayInversionError for the whole batch when
+    any row stalls below step 1/1024, has not converged after
+    ``_NEWTON_MAX_ITER`` iterations, or converged where its Jacobian has lost
+    conditioning (tested as rows converge): sigma_r, r = ``spray.base.dim``,
+    of its last Jacobian below 0.1 times its value at xi = 0, the paper's
+    test that the spray is still a local diffeomorphism in xi.  The caller is
+    expected to refine its homotopy partition on that signal.  The result
+    depends only on the arguments, so equal calls return bitwise-equal vectors.
     """
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -465,8 +466,6 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
             step *= 0.5
             if searching.size and step < 1.0 / 1024.0:
                 raise SprayInversionError("damped Gauss-Newton stalled")
-        if np.max(np.linalg.norm(vs[act], axis=1)) > _MAX_FIBER_NORM:
-            raise SprayInversionError("iterate left the local inversion neighborhood")
         # A row that converged where its Jacobian lost most of its rank-r
         # singular value has crossed a fold of the spray, past the local
         # inversion neighborhood; it is never stepped again, so stop now.

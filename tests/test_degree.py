@@ -523,17 +523,16 @@ def test_non_finite_map_values_are_refused(n):
         sphere_degree(capped, n)
 
 
-def test_preimage_signs_reject_a_non_finite_determinant():
-    # The identity of S2, NaN on a sliver beside y that only the probe along
-    # the first frame direction enters: a NaN determinant is no sign.
-    y = normalize_rows(rng(0).standard_normal(3))
+def test_nan_at_a_sign_test_probe_refuses_the_map():
+    # The identity of S2, NaN only on a tiny ball around the sign test's probe
+    # at y - 1e-6 t_1, so no Newton row lands there.  A NaN probe is a
+    # non-finite map value like any other, not a reason to redraw y.
+    y = normalize_rows(rng(0).standard_normal(3))  # the first value at seed 0
     t1 = oriented_sphere_frame_many(y[None])[0, 0]
-    sliver = _nan_where(
-        identity_map,
-        lambda x: (np.linalg.norm(x - y, axis=1) < 1e-3) & ((x - y) @ t1 > 5e-7),
-    )
-    with pytest.raises(_RegularValueReject, match="nan"), np.errstate(invalid="ignore"):
-        _preimage_signs(sliver, y[None], y)  # det warns of the NaN it returns
+    probe = normalize_rows(y - 1e-6 * t1)
+    dot = _nan_where(identity_map, lambda x: np.linalg.norm(x - probe, axis=1) < 1e-8)
+    with pytest.raises(DegeneracyError, match="non-finite"):
+        sphere_degree(dot, 2, DegreeOptions(seed=0))
 
 
 def test_winding_number_refuses_a_non_finite_value():
@@ -1055,6 +1054,33 @@ def test_singular_matrix_map_raises_a_named_error(eval_many):
         bott_degree(f)
     with pytest.raises(DegeneracyError, match="singular or non-finite value"):
         unitary_degree(f)
+
+
+def test_nan_at_a_bott_probe_is_refused_at_the_first_level(monkeypatch):
+    # a_2 with NaN on a thin shell around one point of the first level's
+    # first rotated copy: the point's value is finite, its probes 1e-5 away
+    # are not.  The integral must refuse the map there, not escalate.
+    gen = rng(degree_mod._BOTT_ROTATION_SEED)
+    q, r = np.linalg.qr(gen.standard_normal((4, 4)))
+    x0 = sphere_quasi_uniform(degree_mod._BOTT_START, 3)[5] @ (q * np.sign(np.diag(r))).T
+
+    def shelled(z):
+        values = ak_matrix_many(z, 2)
+        gap = np.linalg.norm(interleave(z) - x0, axis=1)
+        values[(gap > 1e-7) & (gap < 3e-5)] = np.nan
+        return values
+
+    counts = []
+    draw = degree_mod.sphere_quasi_uniform
+
+    def spy(count, n):
+        counts.append(count)
+        return draw(count, n)
+
+    monkeypatch.setattr(degree_mod, "sphere_quasi_uniform", spy)
+    with pytest.raises(DegeneracyError, match="non-finite"):
+        bott_degree(MatrixSphereMap(k=2, p=2, eval_many=shelled, name="shelled"))
+    assert counts == [degree_mod._BOTT_START]
 
 
 def test_unitary_report_carries_the_integral():
