@@ -61,9 +61,12 @@ class DegreeExhaustedError(RuntimeError):
 class Homotopy:
     """A homotopy F(x, t) on domain x [0, 1] into the target variety.
 
-    ``f0_many`` is the exact rational map at t = 0 and must agree with
-    F(., 0) pointwise; ``eval_many(points, t)`` evaluates at a single
-    parameter value for a batch of domain points.
+    ``f0_many`` is the exact rational map the tracker starts from and the
+    approximant's base map; ``eval_many(points, t)`` evaluates at a single
+    parameter value for a batch of domain points.  The tracker evaluates F
+    only at the partition's nodes t > 0, never at t = 0, so nothing checks
+    that F(., 0) agrees with ``f0_many``: the result is homotopic to
+    ``f0_many`` through the spray, whatever F(., 0) is.
     """
 
     domain: VarietySpec
@@ -471,9 +474,7 @@ def approximation_error(g_many: Callable, f_many: Callable, grid: np.ndarray) ->
 @dataclass
 class ApproxConfig:
     """Pipeline settings.  ``seed`` only labels the report: the grid is
-    quasi-uniform and deterministic, so no stage draws random numbers.
-    Tracking runs under fixed limits: ``_MAX_INTERVALS`` here, and per solve
-    ``sprays._NEWTON_MAX_ITER`` (Newton) or ``sprays._MAX_FIBER_NORM`` (exact inverse)."""
+    quasi-uniform and deterministic, so no stage draws random numbers."""
 
     target_c0: float = 1e-3
     d_max: int = 20

@@ -181,8 +181,6 @@ def cmd_verify_spray(config: dict, seed: int, out) -> int:
     report = {
         **_header("verify-spray", config, seed),
         "pass": passed,
-        "max_violation": axioms.max_violation,
-        "per_sample": axioms.per_sample,
         "axioms": axioms,
         "dominance": dominance,
         "injectivity_radius": probe_injectivity_radius(spray, seed=seed),

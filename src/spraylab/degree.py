@@ -683,17 +683,18 @@ class _CompressedMap(MatrixSphereMap):
         return _compress_chain(self.base.eval_many(z), self.missed, cols)[:, : self.p]
 
 
-def _find_missed_point(f: MatrixSphereMap, z: np.ndarray) -> np.ndarray:
-    """A unit vector of C^p whose complex line the last-column map never meets.
+def _find_missed_point(cols: np.ndarray) -> np.ndarray:
+    """A unit vector of C^q whose complex line the sampled last columns (N, q) never meet.
 
-    The column map S^(2k-1) -> S^(2p-1) has image of dimension at most 2k-1
-    < 2p-1, so quasi-uniform candidates scored by their worst overlap with
-    the columns at the sphere samples z find a point with positive margin.
+    The column map S^(2k-1) -> S^(2q-1) has image of dimension at most 2k-1
+    < 2q-1, so quasi-uniform candidates scored by their worst overlap with
+    the sampled columns find a point with positive margin.
     """
-    cols = f.eval_columns(z, [f.p - 1])[:, :, 0]
-    cands = sphere_quasi_uniform_complex(_MISSED_CANDIDATES, f.p)
-    cands = cands[np.abs(cands[:, f.p - 1]) < 0.9]
-    overlap = np.max(np.abs(cols @ np.conj(cands).T), axis=0)
+    q = cols.shape[1]
+    cands = sphere_quasi_uniform_complex(_MISSED_CANDIDATES, q)
+    cands = cands[np.abs(cands[:, q - 1]) < 0.9]
+    conj = np.conj(cands).T  # row chunks keep the overlap's temporaries small
+    overlap = np.max([np.max(np.abs(r @ conj), axis=0) for r in np.array_split(cols, 8)], axis=0)
     best = int(np.argmin(overlap))
     if 1.0 - overlap[best] < _MISSED_MARGIN:
         raise ValueError(
@@ -720,16 +721,15 @@ def compress_to_k_block(f: MatrixSphereMap) -> MatrixSphereMap:
     """
     if not f.max_unitarity_defect() <= 1e-9:
         raise ValueError("compression requires unitary values on the sphere")
-    # The quasi-uniform sets are nested, so the block check's 64 samples are
-    # the first rows of the missed-point search's set.
-    z = sphere_quasi_uniform_complex(_MISSED_SAMPLES, f.k)
-    mats = f.eval_many(z[:64])
+    # f is evaluated once: each step's search carries the samples' last columns
+    # through the steps so far, and the block check reads the first 64 samples.
+    mats = f.eval_many(sphere_quasi_uniform_complex(_MISSED_SAMPLES, f.k))
     missed = []
     while f.p - len(missed) > f.k:
         q = f.p - len(missed)
-        missed.append(_find_missed_point(_CompressedMap(f, missed), z))
+        missed.append(_find_missed_point(_compress_chain(mats, missed, [q - 1])[:, :q, 0]))
         # The construction promises block-diagonal form; check it held.
-        full = _compress_chain(mats, missed, range(q))
+        full = _compress_chain(mats[:64], missed, range(q))
         defect = max(
             float(np.max(np.abs(full[:, :, q - 1] - np.eye(q)[q - 1]))),
             float(np.max(np.abs(full[:, q - 1, : q - 1]))),

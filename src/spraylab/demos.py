@@ -2,10 +2,8 @@
 
 Each builder returns the pieces the pipeline needs: the smooth input map,
 a homotopy connecting it to an exact rational map, the spray on the target,
-and its default ``ApproxConfig`` (target accuracy and degree cap; tracking
-runs under the fixed limits ``approx._MAX_INTERVALS``,
-``sprays._NEWTON_MAX_ITER`` for Newton solves and ``sprays._MAX_FIBER_NORM``
-for exact inverses only).  ``DEMOS`` maps each CLI demo name to its builder.
+and its default ``ApproxConfig`` (target accuracy and degree cap).  ``DEMOS``
+maps each CLI demo name to its builder.
 """
 
 from __future__ import annotations

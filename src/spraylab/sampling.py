@@ -24,10 +24,6 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def sample_sphere(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    return normalize_rows(gen.standard_normal((count, n + 1)))
-
-
 def sample_group(spec: VarietySpec, count: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-ish group samples: Cayley images of random skew matrices.
 
@@ -55,7 +51,7 @@ def sample_group(spec: VarietySpec, count: int, gen: np.random.Generator) -> np.
 def sample_variety(spec: VarietySpec, count: int, seed: int) -> np.ndarray:
     """Deterministic batch of points on ``spec``, shape (count, ambient_dim)."""
     if spec.kind == "sphere":
-        return sample_sphere(spec.n, count, rng(seed))
+        return normalize_rows(rng(seed).standard_normal((count, spec.n + 1)))
     return sample_group(spec, count, rng(seed))
 
 

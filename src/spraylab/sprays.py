@@ -51,7 +51,7 @@ _MAX_FIBER_NORM = 100.0  # radius of the fiber ball an exact inverse must land i
 # fiber Jacobian, at a Gauss-Newton solution to its value at v = 0; tested as rows converge.
 _MIN_SIGMA_RATIO = 0.1
 _DOMINANCE_FD_STEP = 1e-5  # see verify_dominating
-_RANK_TOL = 1e-6
+_RANK_TOL = 1e-6  # the rank and pseudo-inverse cut of _tangent_gram
 
 
 @dataclass
@@ -370,20 +370,15 @@ def verify_dominating(spray: Spray, n_samples: int = 500, seed: int = 0) -> Domi
     Central finite differences in the fiber argument (step
     ``_DOMINANCE_FD_STEP`` * (1 + |y|)), rows projected onto the base's tangent
     frame (:func:`variety_tangent_frame` of the sphere or group), rank from
-    singular values above ``_RANK_TOL`` times the largest.  The spray passes
-    when every sample reaches rank dim(base).
+    the cut of :func:`_tangent_gram`, which Newton inversion steps with too.
+    The spray passes when every sample reaches rank dim(base).
     """
     points = sample_variety(spray.base, n_samples, seed)
     steps = _DOMINANCE_FD_STEP * (1.0 + np.linalg.norm(points, axis=1))
     diff = fiber_differences(spray, points, np.zeros((n_samples, spray.fiber_dim)), steps)
     jac = np.swapaxes(diff / (2.0 * steps)[:, None, None], 1, 2)  # (N, ambient, fiber)
-    frames = variety_tangent_frame(points, spray.base)  # (N, dim, ambient)
-    proj = np.einsum("nra,naf->nrf", frames, jac)
-    sing = np.linalg.svd(proj, compute_uv=False)
-    top = sing[:, 0]
-    ranks = np.where(
-        top > 0, np.sum(sing >= _RANK_TOL * np.maximum(top, 1e-300)[:, None], axis=1), 0
-    )
+    *_, kept = _tangent_gram(jac, variety_tangent_frame(points, spray.base))
+    ranks = np.sum(kept, axis=1)
     passed = bool(np.all(ranks == spray.base.dim))
     return DominanceReport(
         kind=spray.kind,
@@ -481,15 +476,23 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
     return vs
 
 
+def _tangent_gram(jac: np.ndarray, frames: np.ndarray) -> tuple:
+    """J_T = T J for stacked Jacobians J and frames T, the ascending eigenpairs of G = J_T J_T^T,
+    and the kept mask: eigenvalues above ``_RANK_TOL``^2 times the largest, that is singular
+    values of J_T above ``_RANK_TOL`` times the largest (none when J_T = 0)."""
+    jt = frames @ jac
+    lam, vec = np.linalg.eigh(jt @ np.swapaxes(jt, 1, 2))
+    return jt, lam, vec, lam > _RANK_TOL**2 * lam[:, -1:]
+
+
 def _tangent_step(jac: np.ndarray, r: np.ndarray, frames: np.ndarray) -> tuple:
     """-pinv(J) r for stacked Jacobians J whose columns lie in the rows of ``frames``, and sigma_r.
 
-    With J_T = T J (r x fiber) and G = J_T J_T^T, pinv(J) r = J_T^T G^+ T r, where G^+ keeps
-    the eigenvalues above 1e-12 times the largest: the cut of ``np.linalg.pinv(J, rcond=1e-6)``.
+    pinv(J) r = J_T^T G^+ T r, with G^+ inverting the eigenvalues :func:`_tangent_gram` keeps:
+    the cut of ``np.linalg.pinv(J, rcond=_RANK_TOL)``.
     """
-    jt = frames @ jac
-    lam, vec = np.linalg.eigh(jt @ np.swapaxes(jt, 1, 2))  # ascending
-    inv = np.divide(1.0, lam, where=lam > 1e-12 * lam[:, -1:], out=np.zeros_like(lam))
+    jt, lam, vec, kept = _tangent_gram(jac, frames)
+    inv = np.divide(1.0, lam, where=kept, out=np.zeros_like(lam))
     coef = vec @ (inv[:, :, None] * (np.swapaxes(vec, 1, 2) @ (frames @ r[:, :, None])))
     return -(np.swapaxes(jt, 1, 2) @ coef)[:, :, 0], np.sqrt(np.maximum(lam[:, 0], 0.0))
 

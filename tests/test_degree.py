@@ -906,6 +906,19 @@ def test_compress_draws_the_missed_point_samples_once(monkeypatch):
     assert len(counts) == 6  # unitarity check, missed-point samples, 4 candidate sets
 
 
+def test_compress_evaluates_its_map_once():
+    f = a_k(4)
+    rows = []
+
+    def counted(z):
+        rows.append(z.shape[0])
+        return f.eval_many(z)
+
+    assert compress_to_k_block(replace(f, eval_many=counted)).p == 4
+    # The unitarity check, then the missed-point samples shared by all 4 steps.
+    assert rows == [256, 4096] and sum(rows) == 4352
+
+
 def test_compress_missed_point_on_column_line_raises():
     # The last column of a_3 at z = e1 is e4, so a missed point pinned at e4
     # puts that column on the complex line of -missed: the rotation field

@@ -10,6 +10,7 @@ from spraylab.geometry import (
     matrix_to_point,
     membership_residual_many,
     point_to_matrix,
+    sphere_tangent_basis_many,
     variety_tangent_frame,
 )
 from spraylab.sampling import normalize_rows, rng, sample_fiber, sample_variety
@@ -111,6 +112,44 @@ def test_sphere_sprays_are_continuous_across_frame_seams():
         vs = sample_fiber(spray.fiber_dim, 1, rng(23), 1.0)
         jump = np.max(np.abs(spray.eval_many(below, vs) - spray.eval_many(above, vs)))
         assert jump <= 1e-9, (spray.descriptor(), jump)
+
+
+def _frame_fiber_stereographic_spray():
+    """S2 stereographic spray with its fiber read in the per-point frame of
+    ``sphere_tangent_basis_many``: s(y, v) = stereo(y, T(y)^T v).  It is a
+    spray at every point, but it jumps wherever the frame's dropped axis changes."""
+
+    def eval_many(points, vs):
+        w = np.einsum("nij,ni->nj", sphere_tangent_basis_many(points), vs)
+        return sprays_mod._stereo_forward(points, w)
+
+    return Spray(kind="stereographic", base=S(2), fiber_dim=2, eval_many=eval_many)
+
+
+def test_frame_fiber_spray_jumps_across_a_frame_seam():
+    # |y0| = |y1| on the seam: the frame drops axis 0 on one side and axis 1 on the other.
+    shift = np.array([3.5e-13, -3.5e-13, 0.0])
+    head = np.array([0.6, 0.6, 0.529])
+    below, above = (normalize_rows((head + d)[None]) for d in (shift, -shift))
+    v = np.array([[1.0, 0.0]])
+    spray = _frame_fiber_stereographic_spray()
+    assert np.linalg.norm(below - above) <= 1e-12
+    assert np.linalg.norm(spray.eval_many(below, v) - spray.eval_many(above, v)) > 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="verify_spray_axioms checks independent samples only and verify_dominating reads "
+    "one derivative per sample, so neither sees a jump; ROADMAP item 10 adds a paired "
+    "continuity check",
+)
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_verification_refuses_a_spray_that_jumps_across_a_frame_seam(seed):
+    spray = _frame_fiber_stereographic_spray()
+    axioms = verify_spray_axioms(spray, n_samples=300, seed=seed)
+    dominance = verify_dominating(spray, n_samples=300, seed=seed)
+    assert not (axioms.passed and dominance.passed)
 
 
 def _tangential(vs, points):
@@ -272,6 +311,47 @@ def test_constant_spray_fails_dominance_with_rank_zero():
     dom = verify_dominating(constant_spray(S(2)), n_samples=50, seed=0)
     assert not dom.passed
     assert dom.max_rank == 0
+
+
+def _svd_ranks(spray, n_samples, seed):
+    """Per-sample reference: singular values of the tangent-projected fiber Jacobian,
+    rank = #(sigma >= 1e-6 sigma_max), and 0 when sigma_max = 0."""
+    points = sample_variety(spray.base, n_samples, seed)
+    steps = 1e-5 * (1.0 + np.linalg.norm(points, axis=1))
+    zeros = np.zeros((n_samples, spray.fiber_dim))
+    diff = sprays_mod.fiber_differences(spray, points, zeros, steps)
+    ranks = []
+    for y, d, h in zip(points, diff, steps):
+        frame = variety_tangent_frame(y[None], spray.base)[0]
+        sing = np.linalg.svd(frame @ (d.T / (2.0 * h)), compute_uv=False)
+        ranks.append(int(np.sum(sing >= 1e-6 * sing[0])) if sing[0] > 0 else 0)
+    return ranks
+
+
+def _rank_varying_so3_spray():
+    """SO(3) acting on S2 with generator 0 zeroed everywhere and generator 2 zeroed
+    where y0 > 0, scaled by 1e-7 (below the rank cut) where y0 <= 0 < y1 and by 1e-4
+    (above it) elsewhere; every generator is zeroed where y2 > 0.8.  Ranks 0, 1 and 2
+    all occur."""
+    so3 = group_action_spray(SO("SO", 3))
+
+    def eval_many(points, vs):
+        scale = np.ones_like(vs)
+        scale[:, 0] = 0.0
+        scale[:, 2] = np.where(points[:, 0] > 0, 0.0, np.where(points[:, 1] > 0, 1e-7, 1e-4))
+        scale[points[:, 2] > 0.8] = 0.0
+        return so3.eval_many(points, scale * vs)
+
+    return dataclasses.replace(so3, eval_many=eval_many)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_dominance_ranks_match_a_per_sample_svd_reference(seed):
+    planted = _rank_varying_so3_spray()
+    for spray in all_test_sprays() + [constant_spray(S(2)), planted]:
+        dom = verify_dominating(spray, n_samples=120, seed=seed)
+        assert dom.ranks == _svd_ranks(spray, 120, seed), spray.descriptor()
+    assert set(verify_dominating(planted, n_samples=120, seed=seed).ranks) == {0, 1, 2}
 
 
 @pytest.mark.parametrize(
