@@ -88,6 +88,7 @@ class TrackResult:
     node_residuals: list
     final_residual: float
     spray: Spray  # the iterated spray with one block per interval
+    base: np.ndarray  # F0(grid), where the iterated spray starts
 
 
 def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResult:
@@ -101,9 +102,9 @@ def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResu
     pure function, so this gives the partition and eta that rebuilding the
     chain from t = 0 would, with one solve per accepted interval and one per
     bisection.  The returned eta stacks the interval solutions in order;
-    feeding it to the iterated target spray from F0(x) lands on F(x, 1)
-    within TRACK_TOL.  Raises HomotopyTooWildError when the partition would
-    need more than ``_MAX_INTERVALS`` intervals.
+    feeding it to the iterated target spray from F0(x), returned as ``base``,
+    lands on F(x, 1) within TRACK_TOL.  Raises HomotopyTooWildError when the
+    partition would need more than ``_MAX_INTERVALS`` intervals.
     """
     grid = np.asarray(grid, dtype=float)
     base = homotopy.f0_many(grid)
@@ -131,13 +132,14 @@ def track_eta(homotopy: Homotopy, spray_y: Spray, grid: np.ndarray) -> TrackResu
 
     eta = np.hstack(blocks)
     spray = iterated_spray(spray_y, len(partition) - 1)
-    final = float(np.max(np.abs(spray.eval_many(base, eta) - homotopy.eval_many(grid, 1.0))))
+    final = float(np.max(np.abs(spray.eval_many(base, eta) - target)))  # target is F(grid, 1)
     return TrackResult(
         eta=eta,
         partition=partition,
         node_residuals=node_residuals,
         final_residual=final,
         spray=spray,
+        base=base,
     )
 
 
@@ -533,8 +535,7 @@ def approximate(
         raise ValueError(f"homotopy endpoint deviates from the input map by {dev:.3e}")
 
     track = track_eta(homotopy, spray_y, grid)
-    base = homotopy.f0_many(grid)
-    lip = _spray_fiber_lipschitz(track, base)
+    lip = _spray_fiber_lipschitz(track, track.base)
     target_resid = max(
         (cfg.target_c0 - track.final_residual) / (_FIT_MARGIN * max(lip, 1e-12)), 1e-15
     )
@@ -555,7 +556,7 @@ def approximate(
         tracking_residual=track.final_residual,
     )
     beta_grid = beta.eval_many(grid)
-    g_grid = track.spray.eval_many(base, beta_grid)  # approx.eval_many(grid)
+    g_grid = track.spray.eval_many(track.base, beta_grid)  # approx.eval_many(grid)
     errors = approximation_error(
         _answering(approx.eval_many, grid, g_grid), _answering(f_many, grid, f_grid), grid
     )

@@ -48,7 +48,7 @@ from .geometry import (
 from .sampling import rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
 
 _AK_CAP = 6  # largest k of a_k: its matrices grow as 2^(k-1)
-_CHECK_SAMPLES = 256  # sphere samples of min_abs_det and max_unitarity_defect
+_CHECK_SAMPLES = 256  # sphere samples of min_abs_det and of compression's unitarity check
 _WINDING_GRID = 1 << 16
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 25
@@ -109,12 +109,6 @@ class MatrixSphereMap:
     def min_abs_det(self) -> float:
         z = sphere_quasi_uniform_complex(_CHECK_SAMPLES, self.k)
         return float(np.min(np.abs(np.linalg.det(self.eval_many(z)))))
-
-    def max_unitarity_defect(self) -> float:
-        z = sphere_quasi_uniform_complex(_CHECK_SAMPLES, self.k)
-        unitary = VarietySpec.group("U", self.p)
-        points = matrix_to_point(self.eval_many(z), unitary)
-        return float(np.max(membership_residual_many(points, unitary)))
 
 
 def homogeneous_extension(f: MatrixSphereMap) -> Callable:
@@ -247,8 +241,9 @@ def verify_ak_identities(
     size-1 identity refers to the determinant of the realified matrix, which
     equals the squared modulus of the complex determinant, so k = 1 reports
     ||det|^2 / |z|^2 - 1|; blocks of size >= 2 use the complex determinant
-    directly.
+    directly.  k outside [1, ``_AK_CAP``] raises a_k's ValueError before any draw.
     """
+    ak = a_k(k).eval_many
     gen = rng(seed)
 
     def draw():
@@ -259,9 +254,9 @@ def verify_ak_identities(
     alpha = gen.uniform(-2.0, 2.0, n_samples)
     beta = gen.uniform(-2.0, 2.0, n_samples)
 
-    mixed = ak_matrix_many(alpha[:, None] * u + beta[:, None] * v, k)
-    mats = ak_matrix_many(u, k)
-    split = alpha[:, None, None] * mats + beta[:, None, None] * ak_matrix_many(v, k)
+    mixed = ak(alpha[:, None] * u + beta[:, None] * v)
+    mats = ak(u)
+    split = alpha[:, None, None] * mats + beta[:, None, None] * ak(v)
     linearity_max = float(np.max(np.abs(mixed - split)))
 
     nrm2 = np.sum(np.abs(u) ** 2, axis=1)
@@ -275,7 +270,7 @@ def verify_ak_identities(
         det_identity_max = float(np.max(np.abs(dets / nrm2 ** (2 ** (k - 2)) - 1.0)))
 
     sphere = sphere_quasi_uniform_complex(n_samples, k)
-    sphere_mats = ak_matrix_many(sphere, k)
+    sphere_mats = ak(sphere)
     target = VarietySpec.group("U" if k == 1 else "SU", 2 ** (k - 1))
     membership = membership_residual_many(matrix_to_point(sphere_mats, target), target)
     unitary_membership_max = float(np.max(membership))
@@ -715,19 +710,23 @@ def compress_to_k_block(f: MatrixSphereMap) -> MatrixSphereMap:
     asked for through the chain (column 0 alone for the degree formula).
 
     The missed points come from a quasi-uniform search, which is deterministic
-    and takes no seed.  The block structure of each step is verified on samples
-    through the same chain, with all columns.  ValueError is raised when a
-    sampled value is not unitary or not finite.
+    and takes no seed.  f is evaluated once, at the search's samples: the
+    unitarity check reads the first ``_CHECK_SAMPLES`` of them, and the search
+    carries columns k..p-1 of every sample, applying each step to them once.
+    The block structure of each step is verified on the first 64 samples
+    through the chain, with all columns.  ValueError is raised when a sampled
+    value is not unitary or not finite.
     """
-    if not f.max_unitarity_defect() <= 1e-9:
-        raise ValueError("compression requires unitary values on the sphere")
-    # f is evaluated once: each step's search carries the samples' last columns
-    # through the steps so far, and the block check reads the first 64 samples.
     mats = f.eval_many(sphere_quasi_uniform_complex(_MISSED_SAMPLES, f.k))
+    unitary = VarietySpec.group("U", f.p)
+    points = matrix_to_point(mats[:_CHECK_SAMPLES], unitary)
+    if not np.max(membership_residual_many(points, unitary)) <= 1e-9:
+        raise ValueError("compression requires unitary values on the sphere")
+    last = np.ascontiguousarray(np.transpose(mats[:, :, f.k :], (1, 2, 0)))  # (rows, cols, N)
     missed = []
-    while f.p - len(missed) > f.k:
-        q = f.p - len(missed)
-        missed.append(_find_missed_point(_compress_chain(mats, missed, [q - 1])[:, :q, 0]))
+    for q in range(f.p, f.k, -1):
+        missed.append(_find_missed_point(last[:q, q - 1 - f.k].T))
+        _compress_step(last[:q], last[:q, q - 1 - f.k].copy(), -missed[-1], q - 1 - f.k)
         # The construction promises block-diagonal form; check it held.
         full = _compress_chain(mats[:64], missed, range(q))
         defect = max(

@@ -9,6 +9,7 @@ group or of a sphere inside C^k is stored as [re z0, im z0, re z1, ...].
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -333,46 +334,33 @@ def tangent_probes(map_many, points: np.ndarray, steps: np.ndarray) -> np.ndarra
 def lie_algebra_basis(kind: str, m: int) -> np.ndarray:
     """Fixed deterministic basis of the Lie algebra of the given group kind.
 
-    O/SO: skew-symmetric E_ij - E_ji for i < j (lexicographic).
-    U: the m diagonal generators i*E_jj, then per pair i < j the two
-    generators E_ij - E_ji and i*(E_ij + E_ji).
-    SU: traceless diagonal generators i*(E_jj - E_(j+1)(j+1)), then the same
-    off-diagonal pairs as U.  O(1), SO(1) and SU(1) get an empty (0, m, m) stack.
+    U: the m diagonal generators i*E_jj; SU: the traceless diagonal
+    generators i*(E_jj - E_(j+1)(j+1)).  Then, per pair i < j in
+    lexicographic order, E_ij - E_ji, followed for U and SU by
+    i*(E_ij + E_ji); O and SO share so(m).  O(1), SO(1) and SU(1) get an
+    empty (0, m, m) stack.
     """
-    mats = []
-    if kind in ("O", "SO"):
-        for i in range(m):
-            for j in range(i + 1, m):
-                b = np.zeros((m, m))
-                b[i, j] = 1.0
-                b[j, i] = -1.0
-                mats.append(b)
-        dtype = float
-    elif kind in ("U", "SU"):
-        if kind == "U":
-            for j in range(m):
-                b = np.zeros((m, m), dtype=complex)
-                b[j, j] = 1j
-                mats.append(b)
-        else:
-            for j in range(m - 1):
-                b = np.zeros((m, m), dtype=complex)
-                b[j, j] = 1j
-                b[j + 1, j + 1] = -1j
-                mats.append(b)
-        for i in range(m):
-            for j in range(i + 1, m):
-                b = np.zeros((m, m), dtype=complex)
-                b[i, j] = 1.0
-                b[j, i] = -1.0
-                mats.append(b)
-                b = np.zeros((m, m), dtype=complex)
-                b[i, j] = 1j
-                b[j, i] = 1j
-                mats.append(b)
-        dtype = complex
-    else:
+    if kind not in _GROUP_KINDS:
         raise ValueError(f"no Lie algebra basis for kind {kind!r}")
+    dtype = complex if kind in ("U", "SU") else float
+    mats = []
+
+    def generator(*entries):
+        b = np.zeros((m, m), dtype=dtype)
+        for i, j, value in entries:
+            b[i, j] = value
+        mats.append(b)
+
+    if kind == "U":
+        for j in range(m):
+            generator((j, j, 1j))
+    elif kind == "SU":
+        for j in range(m - 1):
+            generator((j, j, 1j), (j + 1, j + 1, -1j))
+    for i, j in itertools.combinations(range(m), 2):
+        generator((i, j, 1.0), (j, i, -1.0))
+        if dtype is complex:
+            generator((i, j, 1j), (j, i, 1j))
     out = np.array(mats, dtype=dtype).reshape(-1, m, m)
     out.setflags(write=False)
     return out

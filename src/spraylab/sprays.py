@@ -163,9 +163,8 @@ def group_action_spray(
         raise ValueError(f"{group.label()} is not a group")
     if space is None:
         space = _default_space(group)
-    algebra_kind = "SO" if group.kind == "O" else group.kind
     m = group.m
-    fiber_dim = lie_algebra_basis(algebra_kind, m).shape[0]
+    fiber_dim = lie_algebra_basis(group.kind, m).shape[0]
 
     self_action = space == group
     if not self_action and space != _default_space(group):
@@ -185,7 +184,7 @@ def group_action_spray(
     def _group_elements(vs):
         if shrink_c is not None:
             vs = shrink_map(vs, shrink_c)
-        return cayley_many(embed_fiber_in_algebra(vs, algebra_kind, m))
+        return cayley_many(embed_fiber_in_algebra(vs, group.kind, m))
 
     if self_action:
 
@@ -208,7 +207,7 @@ def group_action_spray(
                 finite = False
             if not finite:
                 raise SprayInversionError("I + g is singular: the target is not Cayley-reachable")
-            coords, resid = algebra_coordinates_many(a, algebra_kind, m)
+            coords, resid = algebra_coordinates_many(a, group.kind, m)
             if not np.max(resid) <= 1e-8:
                 raise SprayInversionError(
                     "target group element is not in the Cayley-reachable neighborhood"

@@ -39,7 +39,10 @@ from spraylab.degree import (
 )
 from spraylab import degree as degree_mod
 from spraylab.geometry import (
+    VarietySpec,
     interleave,
+    matrix_to_point,
+    membership_residual_many,
     oriented_sphere_frame_many,
     sphere_tangent_basis_many,
     tangent_probes,
@@ -130,10 +133,16 @@ def test_ak_gram_identity_at_random_points():
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape), atol=1e-12)
 
 
+def _max_unitarity_defect(f):
+    unitary = VarietySpec.group("U", f.p)
+    values = f.eval_many(sphere_quasi_uniform_complex(256, f.k))
+    return float(np.max(membership_residual_many(matrix_to_point(values, unitary), unitary)))
+
+
 def test_ak_values_unitary_and_invertible():
     for k in (2, 3, 4):
         f = a_k(k)
-        assert f.max_unitarity_defect() <= 1e-12
+        assert _max_unitarity_defect(f) <= 1e-12
         assert f.min_abs_det() >= 1.0 - 1e-10
 
 
@@ -141,6 +150,15 @@ def test_ak_size_cap():
     with pytest.raises(ValueError):
         a_k(7)
     assert a_k(5).p == 16
+
+
+@pytest.mark.parametrize("k,message", [(0, "k must be >= 1"), (7, "exceeds the size cap 6")])
+def test_ak_identities_refuse_k_outside_the_cap_before_drawing(k, message, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(degree_mod, "rng", lambda seed: seeds.append(seed) or rng(seed))
+    with pytest.raises(ValueError, match=message):
+        verify_ak_identities(k, n_samples=8)
+    assert seeds == []
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +688,7 @@ def test_compress_a3_closed_form_column():
 def test_compress_output_is_unitary():
     reduced = compress_to_k_block(a_k(3))
     assert reduced.p == 3
-    assert reduced.max_unitarity_defect() <= 1e-10
+    assert _max_unitarity_defect(reduced) <= 1e-10
 
 
 def test_compressed_column_degree_is_two():
@@ -903,7 +921,7 @@ def test_compress_draws_the_missed_point_samples_once(monkeypatch):
     monkeypatch.setattr(degree_mod, "sphere_quasi_uniform_complex", spy)
     assert compress_to_k_block(a_k(4)).p == 4
     assert counts.count(4096) == 1
-    assert len(counts) == 6  # unitarity check, missed-point samples, 4 candidate sets
+    assert len(counts) == 5  # the missed-point samples, 4 candidate sets
 
 
 def test_compress_evaluates_its_map_once():
@@ -915,8 +933,47 @@ def test_compress_evaluates_its_map_once():
         return f.eval_many(z)
 
     assert compress_to_k_block(replace(f, eval_many=counted)).p == 4
-    # The unitarity check, then the missed-point samples shared by all 4 steps.
-    assert rows == [256, 4096] and sum(rows) == 4352
+    # The missed-point samples, shared by the unitarity check and all 4 steps.
+    assert rows == [4096]
+
+
+def _missed_points_by_rerun_chains(f):
+    # The search re-running the chain from step 0 for every step's last columns.
+    mats = f.eval_many(sphere_quasi_uniform_complex(4096, f.k))
+    missed = []
+    while f.p - len(missed) > f.k:
+        q = f.p - len(missed)
+        cols = degree_mod._compress_chain(mats, missed, [q - 1])[:, :q, 0]
+        missed.append(degree_mod._find_missed_point(cols))
+    return missed
+
+
+@pytest.mark.parametrize(
+    "f",
+    [a_k(3), a_k(4), a_k(5), sharp_product(power_map_matrix(2), a_k(2))],
+    ids=lambda f: f.name,
+)
+def test_compress_missed_points_match_rerun_chains_bitwise(f):
+    missed = compress_to_k_block(f).missed
+    expected = _missed_points_by_rerun_chains(f)
+    assert len(missed) == len(expected) == f.p - f.k
+    for point, ref in zip(missed, expected):
+        _assert_bitwise_equal(point, ref)
+
+
+def test_compress_applies_each_step_once_to_the_samples(monkeypatch):
+    widths = []
+    step = degree_mod._compress_step
+
+    def spy(x, c, b, m):
+        widths.append(c.shape[-1])
+        return step(x, c, b, m)
+
+    monkeypatch.setattr(degree_mod, "_compress_step", spy)
+    assert compress_to_k_block(a_k(5)).p == 5
+    # 11 steps, each applied once to the 4096 samples; the rest are block checks.
+    assert widths.count(4096) == 11
+    assert set(widths) == {64, 4096}
 
 
 def test_compress_missed_point_on_column_line_raises():

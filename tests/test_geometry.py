@@ -359,6 +359,79 @@ def test_batched_tangent_frames_match_per_point_loop(spec):
 
 
 # ---------------------------------------------------------------------------
+# Lie algebra bases
+# ---------------------------------------------------------------------------
+
+# Every generator as its nonzero entries (row, column, value), in basis order.
+# Group sprays read their fiber coordinates in this order.
+_LIE_TABLE = {
+    ("O", 1): [],
+    ("O", 2): [[(0, 1, 1), (1, 0, -1)]],
+    ("O", 3): [[(0, 1, 1), (1, 0, -1)], [(0, 2, 1), (2, 0, -1)], [(1, 2, 1), (2, 1, -1)]],
+    ("O", 4): [
+        [(0, 1, 1), (1, 0, -1)], [(0, 2, 1), (2, 0, -1)], [(0, 3, 1), (3, 0, -1)],
+        [(1, 2, 1), (2, 1, -1)], [(1, 3, 1), (3, 1, -1)], [(2, 3, 1), (3, 2, -1)],
+    ],
+    ("U", 1): [[(0, 0, 1j)]],
+    ("U", 2): [
+        [(0, 0, 1j)], [(1, 1, 1j)],
+        [(0, 1, 1), (1, 0, -1)], [(0, 1, 1j), (1, 0, 1j)],
+    ],
+    ("U", 3): [
+        [(0, 0, 1j)], [(1, 1, 1j)], [(2, 2, 1j)],
+        [(0, 1, 1), (1, 0, -1)], [(0, 1, 1j), (1, 0, 1j)],
+        [(0, 2, 1), (2, 0, -1)], [(0, 2, 1j), (2, 0, 1j)],
+        [(1, 2, 1), (2, 1, -1)], [(1, 2, 1j), (2, 1, 1j)],
+    ],
+    ("U", 4): [
+        [(0, 0, 1j)], [(1, 1, 1j)], [(2, 2, 1j)], [(3, 3, 1j)],
+        [(0, 1, 1), (1, 0, -1)], [(0, 1, 1j), (1, 0, 1j)],
+        [(0, 2, 1), (2, 0, -1)], [(0, 2, 1j), (2, 0, 1j)],
+        [(0, 3, 1), (3, 0, -1)], [(0, 3, 1j), (3, 0, 1j)],
+        [(1, 2, 1), (2, 1, -1)], [(1, 2, 1j), (2, 1, 1j)],
+        [(1, 3, 1), (3, 1, -1)], [(1, 3, 1j), (3, 1, 1j)],
+        [(2, 3, 1), (3, 2, -1)], [(2, 3, 1j), (3, 2, 1j)],
+    ],
+    ("SU", 1): [],
+    ("SU", 2): [
+        [(0, 0, 1j), (1, 1, -1j)],
+        [(0, 1, 1), (1, 0, -1)], [(0, 1, 1j), (1, 0, 1j)],
+    ],
+    ("SU", 3): [
+        [(0, 0, 1j), (1, 1, -1j)], [(1, 1, 1j), (2, 2, -1j)],
+        [(0, 1, 1), (1, 0, -1)], [(0, 1, 1j), (1, 0, 1j)],
+        [(0, 2, 1), (2, 0, -1)], [(0, 2, 1j), (2, 0, 1j)],
+        [(1, 2, 1), (2, 1, -1)], [(1, 2, 1j), (2, 1, 1j)],
+    ],
+    ("SU", 4): [
+        [(0, 0, 1j), (1, 1, -1j)], [(1, 1, 1j), (2, 2, -1j)], [(2, 2, 1j), (3, 3, -1j)],
+        [(0, 1, 1), (1, 0, -1)], [(0, 1, 1j), (1, 0, 1j)],
+        [(0, 2, 1), (2, 0, -1)], [(0, 2, 1j), (2, 0, 1j)],
+        [(0, 3, 1), (3, 0, -1)], [(0, 3, 1j), (3, 0, 1j)],
+        [(1, 2, 1), (2, 1, -1)], [(1, 2, 1j), (2, 1, 1j)],
+        [(1, 3, 1), (3, 1, -1)], [(1, 3, 1j), (3, 1, 1j)],
+        [(2, 3, 1), (3, 2, -1)], [(2, 3, 1j), (3, 2, 1j)],
+    ],
+}
+_LIE_TABLE.update({("SO", m): _LIE_TABLE[("O", m)] for m in range(1, 5)})  # so(m) for both
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["O", "SO", "U", "SU"])
+def test_lie_algebra_basis_matches_the_table(kind, m):
+    dtype = np.complex128 if kind in ("U", "SU") else np.float64
+    expected = np.zeros((len(_LIE_TABLE[(kind, m)]), m, m), dtype=dtype)
+    for b, entries in zip(expected, _LIE_TABLE[(kind, m)]):
+        for i, j, value in entries:
+            b[i, j] = value
+    basis = lie_algebra_basis(kind, m)
+    assert basis.dtype == dtype and basis.shape == expected.shape
+    assert not basis.flags.writeable
+    # Bitwise, signed zeros included.
+    assert basis.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # realification and canonical JSON
 # ---------------------------------------------------------------------------
 
