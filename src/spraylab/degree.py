@@ -10,8 +10,11 @@ convention a unitary-valued map f on S^(2k-1) has deg f = deg psi / (k-1)!,
 with psi the normalized first column of a k-by-k representative of f.  A
 count with an independent oracle searches one regular value: psi's against
 Bott's integral of f itself, which needs neither compression nor Newton, and
-a circle self-map's against its winding number.  Self-maps of higher spheres
-are counted at two regular values.
+a circle self-map's against its winding number.  Self-maps of S2, S3 and S4
+are counted on a cached simplicial mesh of the sphere (Stenger, Numer. Math.
+25, 1975), which has no basin to miss; Newton, started once in each simplex
+that covers the regular value, must find preimages whose signs add up to
+that count.  Self-maps of higher spheres are counted at two regular values.
 
 Maps presented with larger matrix size are compressed to one, one size step
 at a time, which preserves the homotopy class because each rotation field is
@@ -27,6 +30,7 @@ a step updates those that outlive it, and its own last one only if asked.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -45,7 +49,14 @@ from .geometry import (
     sphere_tangent_basis_many,
     tangent_probes,
 )
-from .sampling import rng, sphere_quasi_uniform, sphere_quasi_uniform_complex
+from .sampling import (
+    SphereMesh,
+    mesh_size,
+    rng,
+    sphere_mesh,
+    sphere_quasi_uniform,
+    sphere_quasi_uniform_complex,
+)
 
 _AK_CAP = 6  # largest k of a_k: its matrices grow as 2^(k-1)
 _CHECK_SAMPLES = 256  # sphere samples of min_abs_det and of compression's unitarity check
@@ -69,11 +80,19 @@ _BOTT_STEP = 1e-5
 _BOTT_TOL = 0.1  # largest copy spread and largest |mean - round(mean)| that certify
 _BOTT_MIN_SINGULAR = 1e-10  # smallest sigma_min / sigma_max of a value of the map
 _BOTT_CHUNK_ENTRIES = 1 << 17  # complex matrix entries of a chunk's widest stack
+_MESH_DIMS = (2, 3, 4)  # the sphere dimensions whose degree is a mesh count
+_MESH_START = 4  # cells per facet edge of the first mesh level, at every n
+_MESH_CAP = 1 << 21  # simplices of the finest mesh: S2 to m = 256, S3 to 32, S4 to 8
+_MESH_GATE = 1.0  # largest simplex spread of a level whose count certifies (see _mesh_degree)
+_MESH_MIN_WEIGHT = 1e-9  # smallest |barycentric weight| of a solved simplex; hits weigh O(1)
+_MESH_MIN_DET = 1e-14  # smallest |det| of a solved simplex's vertex images
+_MESH_CHUNK = 1 << 15  # simplices a count gathers the images of at once
 
 
 class DegeneracyError(RuntimeError):
     """No usable regular value after the allowed number of redraws, a matrix
-    map with a (numerically) singular value, or a map with a non-finite value."""
+    map with a (numerically) singular value, a map with a non-finite value,
+    or a sphere map too steep for the finest mesh its degree may be counted on."""
 
 
 class InconsistencyError(RuntimeError):
@@ -304,7 +323,7 @@ def verify_ak_identities(
 @dataclass
 class DegreeOptions:
     seed: int = 0
-    n_starts: Optional[int] = None  # defaults to 200 * n
+    n_starts: Optional[int] = None  # defaults to 200 * n; refused where the degree is a mesh count
     max_dim: int = 5
 
     def __post_init__(self):
@@ -327,6 +346,20 @@ class DegreeReport:
     newton_max_residual: Optional[float] = None
     n_starts: Optional[int] = None
     redraws: int = 0
+
+
+@dataclass
+class MeshDegreeReport(DegreeReport):
+    """A sphere degree at 2 <= n <= 4: Newton's count at the mesh count's hits.
+
+    ``mesh_cells`` is m of the two mesh levels, m and 2m cells per facet
+    edge, whose counts agreed; ``mesh_spread`` is the larger of their
+    spreads; ``lipschitz_source`` names what stood in for L diam(sigma).
+    """
+
+    mesh_cells: Optional[int] = None
+    mesh_spread: Optional[float] = None
+    lipschitz_source: Optional[str] = None
 
 
 @dataclass
@@ -468,62 +501,87 @@ def _closest_pair_distance(points: np.ndarray) -> float:
     return float(np.sqrt(max(2.0 - 2.0 * np.max(gram), 0.0)))
 
 
-def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
-    """Signed preimage count at one regular value, redrawing rejected values.
+def _count_at(map_many, n, y, starts, opts, own_preimages=False) -> DegreeReport:
+    """Signed preimage count of y from the Newton starts; _RegularValueReject if y is unusable.
 
-    A value is rejected when a preimage's Jacobian is near-singular or when
-    two distinct preimages lie within ``_MIN_SEPARATION``: Newton smears the
+    y is rejected when a preimage's Jacobian is near-singular or when two
+    distinct preimages lie within ``_MIN_SEPARATION``: Newton smears the
     single preimage of a value near a fold into a cluster of "preimages"
-    whose Jacobians are small but not small enough to be caught.
+    whose Jacobians are small but not small enough to be caught.  With
+    ``own_preimages`` y is also rejected unless every start converges, each
+    to a preimage of its own.
     """
-    redraws = 0
-    while True:
-        y = normalize_rows(gen.standard_normal(n + 1))
+    x, resid, owner = _newton_preimages(map_many, y, starts)
+    joined = np.flatnonzero(owner >= 0)
+    # Each preimage is reported at the lexicographically first row that joined it.
+    ranked = joined[np.lexsort(np.round(x[joined], 9).T[::-1])]
+    reps = ranked[np.sort(np.unique(owner[ranked], return_index=True)[1])]
+    preimages, counts = x[reps], np.bincount(owner[joined])[owner[reps]]
+    if own_preimages and (joined.size < len(starts) or np.any(counts > 1)):
+        raise _RegularValueReject("a start did not converge to a preimage of its own")
+    gap = _closest_pair_distance(preimages)
+    if gap < _MIN_SEPARATION:
+        raise _RegularValueReject(f"two preimages {gap:.3e} apart: y is near a fold")
+    signs, dets = _preimage_signs(map_many, preimages, y)
+    residual = (np.max(resid[joined]) if joined.size else np.min(resid)) if resid.size else None
+    return DegreeReport(
+        value=int(sum(signs)),
+        method="preimage_count",
+        n=n,
+        seed=opts.seed,
+        regular_value=[float(v) for v in y],
+        preimages=[[float(c) for c in p] for p in preimages],
+        signs=signs,
+        basin_counts=counts.tolist(),
+        newton_max_residual=None if residual is None else float(residual),
+        n_starts=len(starts),
+    )
+
+
+def _at_a_regular_value(gen, n, attempt):
+    """(attempt(y), redraws) at the next draw y of gen that ``attempt`` does not reject."""
+    for redraws in range(_MAX_REDRAWS + 1):
         try:
-            x, resid, owner = _newton_preimages(map_many, y, starts)
-            joined = np.flatnonzero(owner >= 0)
-            # Each preimage is reported at the lexicographically first row that joined it.
-            ranked = joined[np.lexsort(np.round(x[joined], 9).T[::-1])]
-            reps = ranked[np.sort(np.unique(owner[ranked], return_index=True)[1])]
-            preimages, counts = x[reps], np.bincount(owner[joined])[owner[reps]]
-            gap = _closest_pair_distance(preimages)
-            if gap < _MIN_SEPARATION:
-                raise _RegularValueReject(f"two preimages {gap:.3e} apart: y is near a fold")
-            signs, dets = _preimage_signs(map_many, preimages, y)
-            return DegreeReport(
-                value=int(sum(signs)),
-                method="preimage_count",
-                n=n,
-                seed=opts.seed,
-                regular_value=[float(v) for v in y],
-                preimages=[[float(c) for c in p] for p in preimages],
-                signs=signs,
-                basin_counts=counts.tolist(),
-                newton_max_residual=float(np.max(resid[joined]) if joined.size else np.min(resid)),
-                n_starts=len(starts),
-                redraws=redraws,
-            )
+            return attempt(normalize_rows(gen.standard_normal(n + 1))), redraws
         except _RegularValueReject:
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                message = f"no regular value found after {_MAX_REDRAWS} redraws"
-                raise DegeneracyError(message) from None
+            pass
+    raise DegeneracyError(f"no regular value found after {_MAX_REDRAWS} redraws")
+
+
+def _preimage_count_once(map_many, n, gen, starts, opts) -> DegreeReport:
+    """Signed preimage count at one regular value, redrawing rejected values."""
+    report, redraws = _at_a_regular_value(
+        gen, n, lambda y: _count_at(map_many, n, y, starts, opts)
+    )
+    return replace(report, redraws=redraws)
 
 
 def preimage_count_degree(
-    map_many: Callable, n: int, opts: DegreeOptions, cross_check: Optional[int] = None
+    map_many: Callable,
+    n: int,
+    opts: DegreeOptions,
+    cross_check: Optional[int] = None,
+    located: Optional[tuple] = None,
 ) -> DegreeReport:
     """Signed preimage count of a regular value, cross-checked at a second value.
 
     A caller holding an independent value of the degree passes it as
-    ``cross_check``, which takes the second regular value's place.  A
-    non-finite map value, at a Newton row or a probe, raises DegeneracyError.
+    ``cross_check``, which takes the second regular value's place.  A caller
+    that has also located the preimages of a value y passes, with the
+    cross-check, ``located`` = (y, starts) with one Newton start per
+    preimage: y alone is searched, every start must converge to a preimage
+    of its own, and a y the search rejects raises ``_RegularValueReject``
+    for the caller to draw the next.  A non-finite map value, at a Newton
+    row or a probe, raises DegeneracyError.
     """
     map_many = _finite(map_many)
-    starts = sphere_quasi_uniform(200 * n if opts.n_starts is None else opts.n_starts, n)
-    gen = rng(opts.seed)
-    first = _preimage_count_once(map_many, n, gen, starts, opts)
-    if cross_check is not None:
+    if located is None:
+        starts = sphere_quasi_uniform(200 * n if opts.n_starts is None else opts.n_starts, n)
+        gen = rng(opts.seed)
+        first = _preimage_count_once(map_many, n, gen, starts, opts)
+    else:
+        first = _count_at(map_many, n, *located, opts, own_preimages=True)
+    if cross_check is not None or located is not None:
         if first.value != cross_check:
             raise InconsistencyError(
                 f"preimage count {first.value} disagrees with the cross-check {cross_check}"
@@ -539,6 +597,144 @@ def preimage_count_degree(
     )
 
 
+@dataclass
+class _MeshLevel:
+    """A mesh with the map's values at its vertices and its largest simplex spread."""
+
+    mesh: SphereMesh
+    images: np.ndarray
+    spread: float
+
+
+def _mesh_level(map_many: Callable, n: int, m: int) -> _MeshLevel:
+    """Evaluate ``map_many`` once at the vertices of ``sphere_mesh(n, m)``.
+
+    A simplex's spread is the largest distance between two of its vertex
+    images, so the mesh's largest one is the largest over its edges: the
+    differences between a facet's image grid and its shifts by e_T.
+    """
+    mesh = sphere_mesh(n, m)
+    images = map_many(mesh.vertices)
+    grid = images[mesh.facets].reshape((len(mesh.facets),) + (m + 1,) * n + (n + 1,))
+    spread2 = 0.0
+    for size in range(1, n + 1):
+        for axes in itertools.combinations(range(1, n + 1), size):
+            low = tuple(slice(0, m) if a in axes else slice(None) for a in range(n + 1))
+            high = tuple(slice(1, None) if a in axes else slice(None) for a in range(n + 1))
+            step = grid[high] - grid[low]
+            spread2 = max(spread2, float(np.max(np.einsum("...i,...i->...", step, step))))
+    return _MeshLevel(mesh, images, math.sqrt(spread2))
+
+
+def _mesh_count(level: _MeshLevel, y: np.ndarray) -> tuple:
+    """Signed count of the simplices whose image cone holds y, and a Newton start in each.
+
+    A simplex is a hit when the barycentric solve [f(v_0)..f(v_n)] lam = y
+    has lam > 0, and it counts sign det[f(v)] sign det[v]: a product that
+    does not depend on the order of the vertices.  A hit's cone meets the
+    sphere in the spherical simplex of its images, and a cap of chord
+    radius below sqrt 2 is convex, so y lies within the simplex's spread of
+    f(v_0) when the spread is below sqrt 2 (the level's spread is under the
+    gate).  Only those simplices are solved, a chunk at a time, after the
+    vertices farther than the level's spread from y are ruled out.  y is
+    rejected when a solved simplex has a weight within ``_MESH_MIN_WEIGHT``
+    of 0, so y is on or next to a face, or images with |det| at most
+    ``_MESH_MIN_DET``.  Returns (count, starts): the hits' barycentric
+    points, projected to the sphere, in simplex order.
+    """
+    mesh, images = level.mesh, level.images
+    near = np.linalg.norm(images - y, axis=1) <= level.spread
+    candidates = np.flatnonzero(near[mesh.simplices[:, 0]])
+    count, starts = 0, []
+    for chunk in np.split(candidates, range(_MESH_CHUNK, len(candidates), _MESH_CHUNK)):
+        corners = mesh.simplices[chunk]
+        img = images[corners]  # (c, n+1, n+1): row i is f(v_i)
+        sq = np.einsum("cij,cij->ci", img, img)
+        gram = img @ np.swapaxes(img, 1, 2)
+        spread2 = np.max(sq[:, :, None] + sq[:, None, :] - 2.0 * gram, axis=(1, 2))
+        solved = np.sum((img[:, 0] - y) ** 2, axis=1) <= spread2
+        cols, corners = np.swapaxes(img[solved], 1, 2), corners[solved]
+        dets = np.linalg.det(cols)
+        if np.any(np.abs(dets) <= _MESH_MIN_DET):
+            raise _RegularValueReject("a simplex near y has degenerate images")
+        lam = np.linalg.solve(cols, np.broadcast_to(y, (len(cols), y.size))[..., None])[..., 0]
+        least = np.min(lam, axis=1)
+        if np.any(np.abs(least) < _MESH_MIN_WEIGHT):
+            raise _RegularValueReject("y lies on a face of a simplex's image")
+        hit = least > 0
+        count += int(np.sum(np.sign(dets[hit]) * mesh.signs[chunk[solved][hit]]))
+        weights = lam[hit] / np.sum(lam[hit], axis=1, keepdims=True)
+        starts.append(np.einsum("ci,cij->cj", weights, mesh.vertices[corners[hit]]))
+    starts = np.concatenate(starts) if starts else np.empty((0, y.size))
+    return count, normalize_rows(starts)
+
+
+def _mesh_degree(map_many: Callable, n: int, opts: DegreeOptions) -> MeshDegreeReport:
+    """Degree at 2 <= n <= 4: a simplicial count, refined by Newton from its hits.
+
+    The map is evaluated once per mesh level, at the vertices.  Levels have
+    ``_MESH_START`` cells per facet edge and double; a level's count is
+    taken only when its spread is under ``_MESH_GATE``, and the count
+    certifies when two consecutive levels give the same one.  A level past
+    ``_MESH_CAP`` simplices raises DegeneracyError.
+
+    The gate: on a simplex sigma the piecewise-linear map P is a weighted
+    mean of the vertex images, so at each x of sigma, for unit values,
+    f(x) . P(x) >= 1 - max_i |f(x) - f(v_i)|^2 / 2.  That is positive when
+    L diam(sigma) < sqrt 2, for L a Lipschitz constant of f.  Then f and P
+    are never antipodal, normalize((1 - t) f + t P) is a homotopy from f to
+    P / |P|, and the count, the degree of P / |P|, is deg f.  The spread is
+    the variation L diam(sigma) bounds, measured at the vertices only, so it
+    stands in for L diam(sigma); the gate s < 1 keeps the argument while the
+    true variation over sigma is up to sqrt 2 times the measured spread.
+
+    The regular value y is the first draw of ``rng(opts.seed)``, redrawn
+    when the count or the Newton search rejects it.  Newton starts from the
+    finer level's hits through :func:`preimage_count_degree`, with the mesh
+    count as the cross-check: each hit must converge to a preimage of its
+    own, and the signs at the preimages must sum to the count.
+    """
+    map_many = _finite(map_many)
+    levels = {}
+
+    def level(m: int) -> _MeshLevel:
+        if m not in levels:
+            if mesh_size(n, m) > _MESH_CAP:
+                spread = levels[m // 2].spread
+                raise DegeneracyError(
+                    f"no two consecutive mesh levels under the spread gate {_MESH_GATE} agreed"
+                    f" by {m // 2} cells per edge on S{n} (spread {spread:.3f} there)"
+                )
+            levels[m] = _mesh_level(map_many, n, m)
+        return levels[m]
+
+    def count(y: np.ndarray) -> tuple:
+        m, coarse = _MESH_START, None
+        while True:
+            fine = level(m)
+            if fine.spread < _MESH_GATE:
+                value, starts = _mesh_count(fine, y)
+                if coarse is not None and coarse[0] == value:
+                    return value, starts, m // 2, max(coarse[1], fine.spread)
+                coarse = (value, fine.spread)
+            else:
+                coarse = None
+            m *= 2
+
+    def attempt(y: np.ndarray) -> MeshDegreeReport:
+        value, starts, cells, spread = count(y)
+        refined = preimage_count_degree(map_many, n, opts, cross_check=value, located=(y, starts))
+        return MeshDegreeReport(
+            **{**vars(refined), "method": "mesh_count"},
+            mesh_cells=cells,
+            mesh_spread=spread,
+            lipschitz_source="sampled_spread",
+        )
+
+    report, redraws = _at_a_regular_value(rng(opts.seed), n, attempt)
+    return replace(report, redraws=redraws)
+
+
 def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = None) -> DegreeReport:
     """Topological degree of a smooth self-map of the n-sphere.
 
@@ -546,12 +742,21 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
     sphere points.  n = 1 integrates the winding number over a fine grid
     and counts signed preimages of one regular value against it, as the
     cross-check; the count's report is returned relabelled "winding" with
-    the winding residual.  n >= 2 counts signed preimages of a regular
-    value, with rejection of near-singular values and a second independent
-    regular value as a consistency check.
+    the winding residual.  2 <= n <= 4 counts the simplices of a cached
+    sphere mesh whose images cover a regular value, on two levels, and
+    Newton refines the hits into preimages whose signs must sum to the
+    count (:func:`_mesh_degree`; method "mesh_count").  There ``n_starts``
+    means nothing, so setting it raises ValueError.  n >= 5 counts signed
+    preimages of a regular value from quasi-uniform starts, with rejection
+    of near-singular values and a second independent regular value as a
+    consistency check.
     """
     opts = opts or DegreeOptions()
     _check_dimension(n, opts)
+    if n in _MESH_DIMS:
+        if opts.n_starts is not None:
+            raise ValueError(f"n_starts does not apply on S{n}, whose degree is a mesh count")
+        return _mesh_degree(map_many, n, opts)
     if n > 1:
         return preimage_count_degree(map_many, n, opts)
     value, residual = winding_number(map_many)
@@ -938,18 +1143,19 @@ def quaternion_power_map(d: int) -> Callable:
     """q -> q^d on the unit quaternions, a self-map of S^3 of degree d.
 
     Rows are (a, b, c, e) for a + bi + cj + ek; negative d powers q^-1 = conj(q).
-    The power is |d| Hamilton products (a, v)(a', v') = (aa' - v.v', av' + a'v + v x v').
+    Powers of q = (a, v) stay in span{1, v}: q^k = (t_k, u_k v), and the
+    Hamilton product q^k q = (a t_k - |v|^2 u_k, (t_k + a u_k) v) is the
+    recurrence that gives them, |d| times.
     """
 
     def many(x: np.ndarray) -> np.ndarray:
-        base = np.asarray(x, dtype=float) * (1.0 if d >= 0 else np.array([1.0, -1.0, -1.0, -1.0]))
-        out = np.zeros_like(base)
-        out[:, 0] = 1.0
+        x = np.asarray(x, dtype=float)
+        a, v = x[:, 0], x[:, 1:] * (1.0 if d >= 0 else -1.0)
+        vv = np.einsum("ij,ij->i", v, v)
+        t, u = np.ones_like(a), np.zeros_like(a)
         for _ in range(abs(d)):
-            a, v = out[:, :1], out[:, 1:]
-            real = a * base[:, :1] - np.sum(v * base[:, 1:], axis=1, keepdims=True)
-            out = np.hstack([real, a * base[:, 1:] + base[:, :1] * v + np.cross(v, base[:, 1:])])
-        return out
+            t, u = a * t - vv * u, t + a * u
+        return np.column_stack([t, u[:, None] * v])
 
     return many
 

@@ -1,7 +1,11 @@
-"""Seeded random samplers on the supported varieties and quasi-uniform sphere sets."""
+"""Seeded random samplers on the supported varieties, quasi-uniform sphere sets
+and the cached simplicial sphere meshes."""
 
 from __future__ import annotations
 
+import itertools
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -18,6 +22,7 @@ from .geometry import (
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 _INV_NORMAL_CDF = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+_MESH_ROTATION_SEED = 1975  # the sphere meshes' fixed rotation; no regular value draws from it
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -108,3 +113,82 @@ def sphere_quasi_uniform(count: int, n: int) -> np.ndarray:
 def sphere_quasi_uniform_complex(count: int, k: int) -> np.ndarray:
     """Quasi-uniform points on the unit sphere of C^k, returned as complex rows."""
     return deinterleave(sphere_quasi_uniform(count, 2 * k - 1))
+
+
+@dataclass(frozen=True)
+class SphereMesh:
+    """A triangulation of S^n: the cube [-1, 1]^(n+1)'s boundary, projected radially.
+
+    Each of the 2(n+1) facets carries the Freudenthal triangulation of its
+    m-by-...-by-m grid of cells: n! simplices per cell, one per order in
+    which a path from the cell's low corner to its high corner takes the n
+    unit steps.  ``vertices`` (V, n+1) are the unit rows, shared
+    between facets and turned by one fixed rotation; ``simplices`` (S, n+1)
+    index them; ``signs`` (S,) is sign det[v_0..v_n], the orientation of each
+    simplex's cone; ``facets`` (2(n+1), (m+1)^n) numbers each facet's lattice
+    points in C order of its n free coordinates.  The edges of the
+    simplices join the facet points p and p + e_T for every nonempty set T
+    of the facet's axes.  Every array is read-only.
+    """
+
+    vertices: np.ndarray
+    simplices: np.ndarray
+    signs: np.ndarray
+    facets: np.ndarray
+
+
+def mesh_size(n: int, m: int) -> int:
+    """Simplices of ``sphere_mesh(n, m)``: 2(n+1) facets of m^n cells of n! simplices."""
+    return 2 * (n + 1) * math.factorial(n) * m**n
+
+
+@lru_cache(maxsize=16)
+def sphere_mesh(n: int, m: int) -> SphereMesh:
+    """The cached mesh of S^n with m cells per edge of each cube facet.
+
+    Lattice points are named by their global id, the ravelled index of their
+    coordinates in {0..m}^(n+1), and numbered in increasing id.  One facet's
+    triangulation is built once, as facet-lattice indices, and each facet
+    maps it to vertex numbers by one lookup.  A Freudenthal simplex's
+    orientation is the same in every cell of a facet (its vertices differ by
+    unit steps, so det[v_0..v_n] = h^n v_0[axis] times the sign of the step
+    order), and radial projection and a rotation keep it, so the signs of
+    one cell are computed and repeated.  The lattice is turned by a fixed
+    rotation, the Cayley image of a seeded skew matrix: under symmetric maps
+    such as q -> q^2, lattice-aligned vertices gave simplices singular
+    images.  Built on first use; the 16 meshes last asked for are kept.
+    """
+    side = m + 1
+    local = side ** np.arange(n - 1, -1, -1)  # strides of a facet's n coordinates
+    orders = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    steps = np.zeros((len(orders), n + 1, n), dtype=np.int64)
+    steps[np.arange(len(orders))[:, None], np.arange(1, n + 1), orders] = 1
+    paths = np.cumsum(steps, axis=1) @ local  # (n!, n+1) facet indices of the first cell
+    corners = np.indices((m,) * n).reshape(n, -1).T @ local
+    cell_simplices = (corners[:, None, None] + paths).reshape(-1, n + 1)
+
+    points = np.indices((side,) * n).reshape(n, -1).T
+    strides = side ** np.arange(n, -1, -1)
+    global_ids = []  # per facet, the global ids of its lattice points
+    for axis in range(n + 1):
+        free = np.delete(np.arange(n + 1), axis)
+        for value in (0, m):
+            global_ids.append(points @ strides[free] + value * strides[axis])
+    on_surface = np.zeros(side ** (n + 1), dtype=bool)
+    on_surface[np.concatenate(global_ids)] = True
+    ids = np.flatnonzero(on_surface)
+    lattice = np.stack(np.unravel_index(ids, (side,) * (n + 1)), axis=1)
+    coeffs = rng(_MESH_ROTATION_SEED).uniform(-1.0, 1.0, (1, n * (n + 1) // 2))
+    rotation = cayley_many(embed_fiber_in_algebra(coeffs, "SO", n + 1))[0]
+    vertices = normalize_rows(2.0 * lattice / m - 1.0) @ rotation.T
+
+    facets = np.stack([np.searchsorted(ids, g) for g in global_ids]).astype(np.int32)
+    simplices = np.empty((len(facets), len(cell_simplices), n + 1), dtype=np.int32)
+    for facet, numbers in zip(simplices, facets):
+        np.take(numbers, cell_simplices, out=facet)
+    first = vertices[simplices[:, : len(orders)]]  # (facets, n!, n+1, n+1)
+    signs = np.sign(np.linalg.det(first)).astype(np.int8)[:, None]
+    simplices, signs = simplices.reshape(-1, n + 1), np.repeat(signs, m**n, axis=1).ravel()
+    for array in (vertices, simplices, signs, facets):
+        array.setflags(write=False)
+    return SphereMesh(vertices, simplices, signs, facets)

@@ -587,6 +587,21 @@ def test_pipeline_s2_demo_smoke():
     assert sphere_degree(approx.eval_many, 2).value == 1
 
 
+def test_s2_demo_degree_check_evaluates_few_map_rows():
+    # The mesh count evaluates the map at the vertices of two small levels;
+    # a 400-start Newton search at two regular values took 14 026 rows.
+    demo = DEMOS["s2-bump-identity"]()
+    approx = approximate(demo.f_many, demo.homotopy, demo.spray, demo.cfg)
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return approx.eval_many(x)
+
+    assert sphere_degree(counted, 2).value == 1
+    assert sum(rows) <= 3000
+
+
 @pytest.mark.parametrize("name", ["s1-power-2-wiggle", "s2-bump-identity"])
 def test_pipeline_assembles_on_the_target(name):
     # g(x) = s^k(F0(x), beta(x)) with s^k the iterate of the target's own spray.

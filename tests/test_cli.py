@@ -145,6 +145,14 @@ def test_degree_fermat(tmp_path):
     assert report["report"]["preimages"]
 
 
+def test_degree_refuses_n_starts_where_the_degree_is_a_mesh_count(tmp_path):
+    # On S2 to S4 the degree is a mesh count, which reads no n_starts.
+    code, report, _ = run_cli(tmp_path, "degree", {"map": "identity", "n": 2, "n_starts": 5})
+    assert (code, report) == (EXIT_USAGE, None)
+    code, report, _ = run_cli(tmp_path, "degree", {"map": "identity", "n": 1, "n_starts": 5})
+    assert code == EXIT_OK and report["report"]["n_starts"] == 5
+
+
 def test_degree_sharp_product(tmp_path):
     cfg = {"map": "sharp", "f": {"map": "power", "d": 2}, "g": {"map": "a_k", "k": 1}}
     code, report, _ = run_cli(tmp_path, "degree", cfg)

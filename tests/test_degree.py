@@ -208,18 +208,148 @@ def test_quaternion_power_degree(d):
         assert sphere_degree(quaternion_power_map(d), 3, DegreeOptions(seed=seed)).value == d
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the Newton search misses a preimage basin of q^d")
 @pytest.mark.parametrize("d,seed", [(11, 2), (11, 4), (12, 3), (12, 5)])
 def test_high_quaternion_powers_never_get_a_wrong_degree(d, seed):
-    # Known wrong answers (10, 10, 11, 11), pinned at their seeds: a degree
-    # must be right or refused.  The mesh count of item 1 turns these into
-    # passes, and then the marker goes.
+    # A quasi-uniform Newton search read 10, 10, 11 and 11 here: it missed a
+    # basin.  The mesh count has no basin to miss, so a degree must be right
+    # or refused.
     try:
         value = sphere_degree(quaternion_power_map(d), 3, DegreeOptions(seed=seed)).value
     except (DegeneracyError, InconsistencyError):
         return
     assert value == d
+
+
+# q^20 after a reflection of R^4, with a bump added in the target along e_2
+# and renormalized: |bump| <= 0.9 < 1, so the sum never vanishes and the
+# map is homotopic to q^20 o R, of degree -20.  A 400-start Newton search
+# read -16 at seed 0.
+_MIRROR_NORMAL = normalize_rows(np.array([0.3, -0.7, 0.5, 0.4]))
+_REFLECTION = np.eye(4) - 2.0 * np.outer(_MIRROR_NORMAL, _MIRROR_NORMAL)  # det -1
+_BUMP_CENTER = normalize_rows(np.array([0.2, 0.6, -0.3, 0.7]))
+
+
+def _asymmetric_minus_twenty(x):
+    out = quaternion_power_map(20)(x @ _REFLECTION.T)
+    out[:, 2] += 0.9 * np.exp(-4.0 * np.sum((x - _BUMP_CENTER) ** 2, axis=1))
+    return normalize_rows(out)
+
+
+@pytest.mark.parametrize(
+    "f, n, expected",
+    [
+        pytest.param(_asymmetric_minus_twenty, 3, -20, marks=pytest.mark.slow),
+        pytest.param(quaternion_power_map(-3), 3, -3, marks=pytest.mark.slow),
+        (fermat_power_self_map(5), 4, 1),
+    ],
+    ids=["asymmetric-minus-twenty", "q^-3", "fermat-5-on-S4"],
+)
+def test_mesh_degrees_are_right_or_refused(f, n, expected):
+    for seed in range(8):
+        try:
+            value = sphere_degree(f, n, DegreeOptions(seed=seed)).value
+        except (DegeneracyError, InconsistencyError):
+            continue
+        assert value == expected, seed
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 4), (4, 2)])
+def test_mesh_counts_the_identity_once_and_the_antipodal_map_with_its_sign(n, m):
+    identity = degree_mod._mesh_level(identity_map, n, m)
+    antipodal = degree_mod._mesh_level(antipodal_map, n, m)
+    for y in normalize_rows(rng(n).standard_normal((64, n + 1))):
+        count, starts = degree_mod._mesh_count(identity, y)
+        assert count == 1 and len(starts) == 1
+        assert degree_mod._mesh_count(antipodal, y)[0] == (-1) ** (n + 1)
+
+
+@pytest.mark.parametrize(
+    "f, n, m", [(quaternion_power_map(2), 3, 8), (fermat_power_self_map(3), 2, 8)],
+    ids=["q^2", "fermat-3"],
+)
+def test_mesh_count_does_not_depend_on_the_vertex_order(f, n, m):
+    level = degree_mod._mesh_level(f, n, m)
+    mesh = level.mesh
+    gen = rng(1)
+    order = np.argsort(gen.random(mesh.simplices.shape), axis=1)
+    simplices = np.take_along_axis(mesh.simplices, order, axis=1)
+    signs = np.sign(np.linalg.det(mesh.vertices[simplices])).astype(np.int8)
+    shuffled = replace(level, mesh=replace(mesh, simplices=simplices, signs=signs))
+    assert not np.array_equal(signs, mesh.signs)
+    degree = sphere_degree(f, n).value
+    for y in normalize_rows(gen.standard_normal((8, n + 1))):
+        assert degree_mod._mesh_count(shuffled, y)[0] == degree_mod._mesh_count(level, y)[0] == degree
+
+
+def test_mesh_count_rejects_a_value_on_a_face():
+    # The identity's image of a vertex is that vertex, on a face of every
+    # simplex around it.
+    level = degree_mod._mesh_level(identity_map, 3, 4)
+    with pytest.raises(_RegularValueReject, match="on a face"):
+        degree_mod._mesh_count(level, level.mesh.vertices[7])
+
+
+def test_a_map_into_a_cap_counts_zero_without_a_preimage():
+    def into_a_cap(x):
+        return normalize_rows(x + np.array([1.5, 0.0, 0.0]))
+
+    reports = [sphere_degree(into_a_cap, 2, DegreeOptions(seed=seed)) for seed in range(4)]
+    assert all(report.value == 0 for report in reports)
+    # The cap is x_0 >= sqrt(5) / 3; a y below it has no preimage and no hit.
+    missed = [r for r in reports if r.regular_value[0] < 0.7]
+    assert missed and all((r.n_starts, r.preimages) == (0, []) for r in missed)
+
+
+def test_mesh_report_fields():
+    report = sphere_degree(quaternion_power_map(2), 3, DegreeOptions(seed=4))
+    assert isinstance(report, degree_mod.MeshDegreeReport)
+    assert (report.value, report.method, report.cross_check_value) == (2, "mesh_count", 2)
+    # One Newton start per hit simplex, each converging to a preimage of its own.
+    assert report.n_starts == len(report.preimages) == 2 and report.basin_counts == [1, 1]
+    assert report.mesh_cells == 8 and report.mesh_spread < degree_mod._MESH_GATE
+    assert report.lipschitz_source == "sampled_spread"
+    assert report.newton_max_residual <= 1e-10
+    assert report.regular_value == list(normalize_rows(rng(4).standard_normal(4)))
+
+
+def test_mesh_levels_evaluate_the_map_once_each():
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return quaternion_power_map(3)(x)
+
+    report = sphere_degree(counted, 3)
+    cells = [4, 8, 16, 32]
+    assert report.mesh_cells == 16
+    vertices = [len(degree_mod.sphere_mesh(3, m).vertices) for m in cells]
+    assert rows[: len(cells)] == vertices
+    assert max(rows[len(cells):]) <= report.n_starts
+
+
+def test_mesh_refuses_past_its_cap(monkeypatch):
+    monkeypatch.setattr(degree_mod, "_MESH_CAP", degree_mod.mesh_size(3, 16))
+    with pytest.raises(DegeneracyError, match="agreed by 16 cells per edge on S3"):
+        sphere_degree(quaternion_power_map(5), 3)
+
+
+def test_mesh_count_disagreeing_with_newton_raises(monkeypatch):
+    real = degree_mod._mesh_count
+
+    def one_too_many(level, y):
+        count, starts = real(level, y)
+        return count + 1, starts
+
+    monkeypatch.setattr(degree_mod, "_mesh_count", one_too_many)
+    with pytest.raises(InconsistencyError, match="preimage count 1 disagrees with the cross-check 2"):
+        sphere_degree(identity_map, 2)
+
+
+def test_sphere_degree_refuses_n_starts_where_it_counts_on_a_mesh():
+    for n in (2, 3, 4):
+        with pytest.raises(ValueError, match=f"n_starts does not apply on S{n}"):
+            sphere_degree(identity_map, n, DegreeOptions(n_starts=5))
+    assert sphere_degree(circle_power_map(2), 1, DegreeOptions(n_starts=50)).n_starts == 50
 
 
 def test_degree_invariant_under_small_perturbation():
@@ -311,12 +441,14 @@ def test_fold_value_is_rejected_by_preimage_separation():
         (lambda: preimage_count_degree(circle_power_map(2), 1, DegreeOptions()), 2),
         (lambda: sphere_degree(circle_power_map(2), 1), 2),
         (lambda: unitary_degree(power_map_matrix(-2)), -2),
+        (lambda: sphere_degree(antipodal_map, 2), -1),
     ],
-    ids=["preimage_count", "sphere_degree", "unitary_degree"],
+    ids=["preimage_count", "sphere_degree", "unitary_degree", "sphere_degree-mesh"],
 )
 def test_redrawn_regular_value_is_reported(degree_of, expected, monkeypatch):
     # On S1 the report is the preimage count's, relabelled around the winding
     # number; its redraws must survive that, also through the column formula.
+    # On S2 a y the Newton refinement rejects is redrawn, mesh count and all.
     rejected = []
 
     def reject_first(*args):
