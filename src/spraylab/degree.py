@@ -41,8 +41,7 @@ from .geometry import (
     VarietySpec,
     deinterleave,
     interleave,
-    matrix_to_point,
-    membership_residual_many,
+    membership_residual_matrices,
     normalize_rows,
     oriented_sphere_frame_many,
     radial_to_fermat,
@@ -80,6 +79,7 @@ _BOTT_STEP = 1e-5
 _BOTT_TOL = 0.1  # largest copy spread and largest |mean - round(mean)| that certify
 _BOTT_MIN_SINGULAR = 1e-10  # smallest sigma_min / sigma_max of a value of the map
 _BOTT_CHUNK_ENTRIES = 1 << 17  # complex matrix entries of a chunk's widest stack
+_AK_BLOCK_ENTRIES = 1 << 15  # complex matrix entries of one stack of an a_k identity block
 _MESH_DIMS = (2, 3, 4)  # the sphere dimensions whose degree is a mesh count
 _MESH_START = 4  # cells per facet edge of the first mesh level, at every n
 _MESH_CAP = 1 << 21  # simplices of the finest mesh: S2 to m = 256, S3 to 32, S4 to 8
@@ -92,7 +92,8 @@ _MESH_CHUNK = 1 << 15  # simplices a count gathers the images of at once
 class DegeneracyError(RuntimeError):
     """No usable regular value after the allowed number of redraws, a matrix
     map with a (numerically) singular value, a map with a non-finite value,
-    or a sphere map too steep for the finest mesh its degree may be counted on."""
+    or a sphere map too steep for the finest mesh its degree may be counted on
+    or for the winding number's grid."""
 
 
 class InconsistencyError(RuntimeError):
@@ -261,8 +262,13 @@ def verify_ak_identities(
     equals the squared modulus of the complex determinant, so k = 1 reports
     ||det|^2 / |z|^2 - 1|; blocks of size >= 2 use the complex determinant
     directly.  k outside [1, ``_AK_CAP``] raises a_k's ValueError before any draw.
+    The samples are drawn up front and checked in blocks of at most
+    ``_AK_BLOCK_ENTRIES`` matrix entries per stack, so memory does not grow
+    with n_samples 4^(k-1); a maximum does not depend on how it is split.
     """
     ak = a_k(k).eval_many
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     gen = rng(seed)
 
     def draw():
@@ -272,27 +278,25 @@ def verify_ak_identities(
     u, v = draw(), draw()
     alpha = gen.uniform(-2.0, 2.0, n_samples)
     beta = gen.uniform(-2.0, 2.0, n_samples)
-
-    mixed = ak(alpha[:, None] * u + beta[:, None] * v)
-    mats = ak(u)
-    split = alpha[:, None, None] * mats + beta[:, None, None] * ak(v)
-    linearity_max = float(np.max(np.abs(mixed - split)))
-
-    nrm2 = np.sum(np.abs(u) ** 2, axis=1)
-    gram = mats @ np.conj(np.swapaxes(mats, 1, 2)) - nrm2[:, None, None] * np.eye(2 ** (k - 1))
-    gram_identity_max = float(np.max(np.abs(gram)))
-
-    dets = np.linalg.det(mats)
-    if k == 1:
-        det_identity_max = float(np.max(np.abs(np.abs(dets) ** 2 / nrm2 - 1.0)))
-    else:
-        det_identity_max = float(np.max(np.abs(dets / nrm2 ** (2 ** (k - 2)) - 1.0)))
-
     sphere = sphere_quasi_uniform_complex(n_samples, k)
-    sphere_mats = ak(sphere)
-    target = VarietySpec.group("U" if k == 1 else "SU", 2 ** (k - 1))
-    membership = membership_residual_many(matrix_to_point(sphere_mats, target), target)
-    unitary_membership_max = float(np.max(membership))
+    size = 2 ** (k - 1)
+    target = VarietySpec.group("U" if k == 1 else "SU", size)
+    maxima = np.zeros(4)  # linearity, Gram, determinant, membership
+    rows = max(1, _AK_BLOCK_ENTRIES // size**2)
+    for b in (slice(s, s + rows) for s in range(0, n_samples, rows)):
+        mats = ak(u[b])
+        split = alpha[b, None, None] * mats + beta[b, None, None] * ak(v[b])
+        linearity = np.abs(ak(alpha[b, None] * u[b] + beta[b, None] * v[b]) - split)
+        nrm2 = np.sum(np.abs(u[b]) ** 2, axis=1)
+        gram = mats @ np.conj(np.swapaxes(mats, 1, 2)) - nrm2[:, None, None] * np.eye(size)
+        dets = np.linalg.det(mats)
+        if k == 1:  # the realified determinant
+            dets = np.abs(dets) ** 2
+        det_error = np.abs(dets / nrm2 ** max(1, size // 2) - 1.0)
+        membership = membership_residual_matrices(ak(sphere[b]), target)
+        block = [np.max(linearity), np.max(np.abs(gram)), np.max(det_error), np.max(membership)]
+        maxima = np.maximum(maxima, block)
+    linearity_max, gram_identity_max, det_identity_max, unitary_membership_max = map(float, maxima)
 
     membership_tol = 1e-12
     passed = (
@@ -397,13 +401,21 @@ def _finite(map_many: Callable, refusal: str = "the map has a non-finite value")
 
 
 def winding_number(map_many: Callable) -> tuple:
-    """Winding number of a circle self-map from summed angular increments; finite values only."""
+    """Winding number of a circle self-map from summed angular increments; finite values only.
+
+    Wrapped increments always sum to an integer, so a grid step that turns by
+    pi or more would give a wrong one: DegeneracyError refuses a map whose
+    images at two neighbouring grid angles are a chord of ``_MESH_GATE`` apart.
+    """
     theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_GRID, endpoint=False)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
     img = _finite(map_many)(pts)
     ang = np.arctan2(img[:, 1], img[:, 0])
     inc = np.diff(np.append(ang, ang[0]))
     inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+    chord = 2.0 * np.sin(np.max(np.abs(inc)) / 2.0)
+    if chord >= _MESH_GATE:
+        raise DegeneracyError(f"a winding grid step moves by a chord {chord:.3f} >= {_MESH_GATE}")
     total = float(np.sum(inc)) / (2.0 * np.pi)
     residual = abs(total - round(total))
     if residual > 1e-3:
@@ -924,8 +936,7 @@ def compress_to_k_block(f: MatrixSphereMap) -> MatrixSphereMap:
     """
     mats = f.eval_many(sphere_quasi_uniform_complex(_MISSED_SAMPLES, f.k))
     unitary = VarietySpec.group("U", f.p)
-    points = matrix_to_point(mats[:_CHECK_SAMPLES], unitary)
-    if not np.max(membership_residual_many(points, unitary)) <= 1e-9:
+    if not np.max(membership_residual_matrices(mats[:_CHECK_SAMPLES], unitary)) <= 1e-9:
         raise ValueError("compression requires unitary values on the sphere")
     last = np.ascontiguousarray(np.transpose(mats[:, :, f.k :], (1, 2, 0)))  # (rows, cols, N)
     missed = []

@@ -159,7 +159,11 @@ def membership_residual_many(points: np.ndarray, spec: VarietySpec) -> np.ndarra
         )
     if spec.kind == "sphere":
         return np.abs(np.einsum("ni,ni->n", p, p) - 1.0)
-    q = point_to_matrix(p, spec)
+    return membership_residual_matrices(point_to_matrix(p, spec), spec)
+
+
+def membership_residual_matrices(q: np.ndarray, spec: VarietySpec) -> np.ndarray:
+    """Per-matrix membership residuals for a (N, m, m) stack in the group ``spec``."""
     gram = q @ np.conj(np.swapaxes(q, -1, -2)) - np.eye(spec.m)
     resid = np.max(np.abs(gram), axis=(1, 2))
     if spec.kind in ("SO", "SU"):

@@ -53,6 +53,7 @@ from spraylab.sampling import (
     sphere_quasi_uniform,
     sphere_quasi_uniform_complex,
 )
+from spraylab.serialize import dumps_canonical
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +119,58 @@ def test_sharp_recursion_extends_to_higher_k():
     np.testing.assert_allclose(sp.eval_many(z), ak_matrix_many(z, 3), atol=1e-14)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_ak_identwhile_suite(k):
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_ak_identity_suite(k):
     report = verify_ak_identities(k, n_samples=500, seed=0)
     assert report.passed, report
+
+
+# One row per block, and one block holding every sample.
+_AK_BLOCKS = [1, 1 << 30]
+
+
+@pytest.mark.parametrize("entries", _AK_BLOCKS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_ak_identity_report_does_not_depend_on_the_block_size(k, entries, monkeypatch):
+    # 37 samples are not a multiple of any block, so the last block is short.
+    blocked = dumps_canonical(verify_ak_identities(k, n_samples=37, seed=3))
+    monkeypatch.setattr(degree_mod, "_AK_BLOCK_ENTRIES", entries)
+    assert dumps_canonical(verify_ak_identities(k, n_samples=37, seed=3)) == blocked
+
+
+@pytest.mark.parametrize("entries", _AK_BLOCKS + [16**3])
+@pytest.mark.parametrize("k", [2, 5])
+def test_ak_identities_fail_on_a_wrong_value_at_the_last_sample(k, entries, monkeypatch):
+    # a_k is wrong only at the last row of each stack the check evaluates in
+    # one block: u, v, their combination and the sphere points.  At k = 5,
+    # 16^3 entries make blocks of 16 rows, so the last sample is in a tail of 5.
+    last = []
+
+    def record(z, k):
+        last.append(z[-1].copy())
+        return ak_matrix_many(z, k)
+
+    monkeypatch.setattr(degree_mod, "_AK_BLOCK_ENTRIES", 1 << 30)
+    monkeypatch.setattr(degree_mod, "ak_matrix_many", record)
+    assert verify_ak_identities(k, n_samples=37, seed=3).passed
+    monkeypatch.undo()
+
+    def wrong(z, k):
+        mats = ak_matrix_many(z, k)
+        hit = np.any([np.all(z == row, axis=1) for row in last], axis=0)
+        mats[hit] *= 1.0 + 1e-6
+        return mats
+
+    monkeypatch.setattr(degree_mod, "_AK_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(degree_mod, "ak_matrix_many", wrong)
+    report = verify_ak_identities(k, n_samples=37, seed=3)
+    assert not report.passed
+    assert min(report.gram_identity_max, report.unitary_membership_max) > 1e-7, report
+
+
+def test_ak_identities_refuse_no_samples():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        verify_ak_identities(2, n_samples=0)
 
 
 def test_ak_gram_identity_at_random_points():
@@ -689,6 +738,18 @@ def test_winding_number_refuses_a_non_finite_value():
     arc = _nan_where(circle_power_map(2), lambda x: x[:, 0] > 0.999)
     with pytest.raises(DegeneracyError, match="non-finite"):
         winding_number(arc)
+
+
+@pytest.mark.parametrize("d", [10923, 33000, 40000, -40000])
+def test_winding_number_refuses_a_grid_step_of_a_sixth_turn_or_more(d):
+    # Wrapped increments sum to an integer, so a step past pi went unseen:
+    # z^40000 read -25536 and z^33000 read -32536, each with residual 0.
+    with pytest.raises(DegeneracyError, match="winding grid step"):
+        winding_number(circle_power_map(d))
+    with pytest.raises(DegeneracyError, match="winding grid step"):
+        sphere_degree(circle_power_map(d), 1)
+    # 10922 / 65536 of a turn per step is just under a sixth.
+    assert winding_number(circle_power_map(np.sign(d) * 10922))[0] == np.sign(d) * 10922
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from spraylab.geometry import (
     lie_algebra_basis,
     matrix_to_point,
     membership_residual_many,
+    membership_residual_matrices,
     point_to_matrix,
     oriented_sphere_frame_many,
     radial_to_fermat,
@@ -22,7 +23,7 @@ from spraylab.geometry import (
     variety_tangent_frame,
 )
 from spraylab.sampling import sample_variety
-from spraylab.serialize import dumps_canonical
+from spraylab.serialize import dumps_canonical, parse_variety_label
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +67,17 @@ def test_sampled_points_pass_membership_everywhere():
     for spec in specs:
         pts = sample_variety(spec, 200, 0)
         assert np.max(membership_residual_many(pts, spec)) <= 1e-12, spec.label()
+
+
+@pytest.mark.parametrize("label", ["O(3)", "SO(4)", "U(1)", "U(2)", "SU(3)", "SU(16)"])
+def test_matrix_membership_equals_point_membership_bit_for_bit(label):
+    # The degree oracles check matrix stacks directly, with no round trip
+    # through ambient coordinates; perturbed points give nonzero residuals.
+    spec = parse_variety_label(label)
+    pts = sample_variety(spec, 50, 0)
+    pts = pts + 1e-6 * np.random.default_rng(1).standard_normal(pts.shape)
+    direct = membership_residual_matrices(point_to_matrix(pts, spec), spec)
+    assert direct.tobytes() == membership_residual_many(pts, spec).tobytes()
 
 
 def test_su_membership_checks_determinant():
