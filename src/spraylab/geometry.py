@@ -258,13 +258,11 @@ def shrink_map(v: np.ndarray, c: float) -> np.ndarray:
 def unshrink_map(w: np.ndarray, c: float) -> np.ndarray:
     """Inverse of :func:`shrink_map` over the last axis, on its image ball |w| < c/2 (small branch)."""
     w = np.asarray(w, dtype=float)
-    r = np.sqrt(_squared_norms(w))[..., None]
-    disc = c * c - 4.0 * r * r
+    disc = c * c - 4.0 * _squared_norms(w)[..., None]
     if np.any(disc < 0):
         raise ValueError("vector lies outside the image of the shrink map")
-    r = np.where(r == 0.0, 1.0, r)  # w = 0 maps to itself; t below is then 0
-    t = (c - np.sqrt(disc)) / (2.0 * r)
-    return w * (t / r)
+    # |v| = (c - sqrt(disc)) / (2 |w|), written without the cancellation at small |w|.
+    return w * (2.0 / (c + np.sqrt(disc)))
 
 
 def radial_to_fermat(x: np.ndarray, exponent: int) -> np.ndarray:

@@ -157,7 +157,11 @@ def group_action_spray(
     an optional shrink precomposition v -> c v / (1 + |v|^2) is available
     for the partially-defined-parametrization setting.  SU(m) acts on itself
     only for m <= 2; m >= 3 raises ValueError, since the Cayley transform of
-    su(m) has determinant 1 only at m = 2.
+    su(m) has determinant 1 only at m = 2.  Both actions invert exactly: on
+    itself through g = q y^H, on the sphere by the minimal-norm v solving the
+    linear A(v)(y + t) = y - t, refused at t = -y and past the spray's fold
+    (see :func:`solve_fiber_many`).  With ``shrink_c`` the solution goes
+    through :func:`unshrink_map`; a target outside its image is out of reach.
     """
     if not group.is_group:
         raise ValueError(f"{group.label()} is not a group")
@@ -180,6 +184,14 @@ def group_action_spray(
             f"{group.label()} cannot act on itself: Cayley transforms of su({m}) leave it"
         )
     complex_vec = group.is_complex and not self_action
+
+    def _unshrunk(us):
+        if shrink_c is None:
+            return us
+        try:
+            return unshrink_map(us, shrink_c)
+        except ValueError as exc:  # outside the shrink map's image: out of the spray's reach
+            raise SprayInversionError(str(exc)) from None
 
     def _group_elements(vs):
         if shrink_c is not None:
@@ -212,11 +224,14 @@ def group_action_spray(
                 raise SprayInversionError(
                     "target group element is not in the Cayley-reachable neighborhood"
                 )
-            if shrink_c is not None:
-                coords = unshrink_map(coords, shrink_c)
-            return coords
+            return _unshrunk(coords)
 
     else:
+        # R_k: the basis B_k acting on the sphere's ambient (for U/SU, realified) coordinates.
+        basis = lie_algebra_basis(group.kind, m)
+        if complex_vec:
+            unit = deinterleave(np.eye(2 * m))  # row j: real axis j as a vector of C^m
+            basis = np.swapaxes(interleave(unit @ np.swapaxes(basis, 1, 2)), 1, 2)
 
         def eval_many(points, vs):
             q = _group_elements(vs)
@@ -225,7 +240,30 @@ def group_action_spray(
                 return interleave(np.einsum("nij,nj->ni", q, z))
             return np.einsum("nij,nj->ni", q, points)
 
-        inverse_many = None
+        def inverse_many(points, targets):
+            # With w = y + t, C(A) y = t reads A w = y - t: linear in v through the columns
+            # R_k w, which span w's orthogonal complement, as y - t lies in it.  Adding w w^T
+            # to their Gram matrix keeps the minimal-norm solution; it is singular at t = -y.
+            w = points + targets
+            cols = np.einsum("kij,nj->nik", basis, w)
+            gram = cols @ np.swapaxes(cols, 1, 2) + w[:, :, None] * w[:, None, :]
+            try:
+                coef = np.linalg.solve(gram, (points - targets)[:, :, None])
+            except np.linalg.LinAlgError:
+                raise SprayInversionError("target is antipodal to the base point") from None
+            us = (np.swapaxes(cols, 1, 2) @ coef)[:, :, 0]
+            vs = _unshrunk(us)
+            # Fold test: D_v s = -(I + A)^(-1) [R_k w], times the shrink map's derivative
+            # (whose factor c cancels in the ratio), and -2 [R_k y] at v = 0.  Its columns
+            # are tangent, so sigma_r^2 is the second eigenvalue of their Gram matrix.
+            jac = np.linalg.solve(np.eye(w.shape[1]) + np.tensordot(us, basis, (1, 0)), cols)
+            if shrink_c is not None:
+                q = 1.0 + np.sum(vs * vs, axis=1)[:, None, None]
+                jac = (jac - 2.0 * (jac @ vs[:, :, None]) * vs[:, None, :] / q) / q
+            jac = np.concatenate([jac, 2.0 * np.einsum("kij,nj->nik", basis, points)])
+            lam = np.linalg.eigvalsh(jac @ np.swapaxes(jac, 1, 2))[:, 1].reshape(2, -1)
+            _check_fold(np.sqrt(lam[0] / lam[1]))
+            return vs
 
     return Spray(
         kind="group_action",
@@ -402,13 +440,15 @@ def verify_dominating(spray: Spray, n_samples: int = 500, seed: int = 0) -> Domi
 def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Fiber vectors xi with s(y, xi) = q per row, for q near the image of the zero section.
 
-    A spray with an exact inverse uses it, then checks max |xi| against
-    ``_MAX_FIBER_NORM``, which bounds exact inverses only, and the max-abs
-    image residual against 1e-8.  Otherwise one masked, damped Gauss-Newton
-    runs from xi = 0 over all rows: only rows whose residual norm is above
-    1e-11 are evaluated and stepped.  Each active row gets central-difference
-    Jacobian columns with step 1e-7 * (1 + |xi_row|) (all probes in one
-    :func:`fiber_differences` call), the minimal-norm step of
+    An empty batch returns (0, fiber_dim).  A spray with an exact inverse uses
+    it, then checks max |xi| against ``_MAX_FIBER_NORM``, which bounds exact
+    inverses only, and the max-abs image residual against 1e-8; a group's
+    sphere inverse also applies the fold test below to its analytic Jacobian.
+    Sprays without one (iterated, constant) run one masked, damped
+    Gauss-Newton from xi = 0 over all rows: only rows whose residual norm is
+    above 1e-11 are evaluated and stepped.  Each active row gets
+    central-difference Jacobian columns with step 1e-7 * (1 + |xi_row|) (all
+    probes in one :func:`fiber_differences` call), the minimal-norm step of
     :func:`_tangent_step` in the tangent frame at s(y, xi), and its own
     halving line search.  Raises SprayInversionError for the whole batch when
     any row stalls below step 1/1024, has not converged after
@@ -421,6 +461,8 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
     """
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
+    if points.shape[0] == 0:
+        return np.zeros((0, spray.fiber_dim))
     if spray.inverse_many is not None:
         vs = spray.inverse_many(points, targets)
         norms = np.linalg.norm(vs, axis=1)
@@ -463,16 +505,19 @@ def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> n
         # A row that converged where its Jacobian lost most of its rank-r
         # singular value has crossed a fold of the spray, past the local
         # inversion neighborhood; it is never stepped again, so stop now.
-        ratio = np.min(np.divide(sigma, sigma0, where=rn <= _NEWTON_TOL, out=np.ones_like(rn)))
-        if not ratio >= _MIN_SIGMA_RATIO:
-            raise SprayInversionError(
-                f"fiber Jacobian lost conditioning (sigma_r ratio {ratio:.3e})"
-            )
+        _check_fold(np.divide(sigma, sigma0, where=rn <= _NEWTON_TOL, out=np.ones_like(rn)))
     if not np.all(rn <= _NEWTON_TOL):
         raise SprayInversionError(
             f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {np.max(rn):.3e})"
         )
     return vs
+
+
+def _check_fold(ratios: np.ndarray) -> None:
+    """Refuse a solve whose least per-row sigma_r ratio is below ``_MIN_SIGMA_RATIO`` (or NaN)."""
+    ratio = np.min(ratios, initial=np.inf)
+    if not ratio >= _MIN_SIGMA_RATIO:
+        raise SprayInversionError(f"fiber Jacobian lost conditioning (sigma_r ratio {ratio:.3e})")
 
 
 def _tangent_gram(jac: np.ndarray, frames: np.ndarray) -> tuple:
@@ -499,9 +544,11 @@ def _tangent_step(jac: np.ndarray, r: np.ndarray, frames: np.ndarray) -> tuple:
 def probe_injectivity_radius(spray: Spray, seed: int = 0) -> float:
     """Largest probed fiber radius at which inverse_many(eval_many(y, v)) recovers v.
 
-    Returns 0.0 when no probed radius round-trips (or the spray has no
-    inverse).  This is an empirical stand-in for an injectivity bound the
-    construction itself does not provide.
+    Returns 0.0 when no probed radius round-trips: the spray has no inverse,
+    or its fiber has a kernel (a group acting on a sphere of lower dimension),
+    so the inverse returns the minimal-norm preimage, not v.  This is an
+    empirical stand-in for an injectivity bound the construction itself does
+    not provide.
     """
     if spray.inverse_many is None:
         return 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -21,8 +22,14 @@ from spraylab.approx import (
 )
 from spraylab.degree import sphere_degree
 from spraylab.demos import DEMOS
-from spraylab.geometry import VarietySpec, membership_residual_many, sphere_tangent_basis_many
-from spraylab.sampling import normalize_rows, rng, sphere_quasi_uniform
+from spraylab.geometry import (
+    VarietySpec,
+    matrix_to_point,
+    membership_residual_many,
+    point_to_matrix,
+    sphere_tangent_basis_many,
+)
+from spraylab.sampling import normalize_rows, rng, sample_variety, sphere_quasi_uniform
 from spraylab.serialize import dumps_canonical
 from spraylab.sprays import (
     SprayInversionError,
@@ -102,6 +109,22 @@ def test_track_resumes_after_bisection(monkeypatch, max_fiber_norm, intervals):
     assert result.final_residual <= approx_mod.TRACK_TOL
 
 
+def test_track_bisects_an_interval_out_of_a_shrunk_spray_reach():
+    # Left translation of SU(2) by diag(e^(0.8it), e^(-0.8it)).  With c = 0.5 a
+    # shrunk su(2) vector reaches eigen-angles below 2 atan(0.25) ~ 0.49, so the
+    # interval [0, 1] is out of reach: the inverse refuses it and [0, 1] bisects.
+    su2 = VarietySpec.group("SU", 2)
+
+    def at_time(x, t):
+        g = np.diag([np.exp(0.8j * t), np.exp(-0.8j * t)])
+        return matrix_to_point(g @ point_to_matrix(x, su2), su2)
+
+    h = Homotopy(su2, su2, at_time, _identity, {"name": "identity"})
+    result = track_eta(h, group_action_spray(su2, su2, 0.5), sample_variety(su2, 64, 3))
+    assert result.partition == [0.0, 0.5, 1.0]
+    assert result.final_residual <= approx_mod.TRACK_TOL
+
+
 def test_track_newton_only_spray_so3_on_s2():
     axis = np.array([0.3, -0.2, 0.9]) / np.linalg.norm([0.3, -0.2, 0.9])
 
@@ -109,7 +132,7 @@ def test_track_newton_only_spray_so3_on_s2():
         c, s = np.cos(0.3 * t), np.sin(0.3 * t)
         return c * x + s * np.cross(axis, x) + (1.0 - c) * (x @ axis)[:, None] * axis
 
-    spray = group_action_spray(VarietySpec.group("SO", 3))
+    spray = dataclasses.replace(group_action_spray(VarietySpec.group("SO", 3)), inverse_many=None)
     assert spray.inverse_many is None
     h = Homotopy(SPHERE2, SPHERE2, at_time, _identity, {"name": "identity"})
     result = track_eta(h, spray, sphere_quasi_uniform(128, 2))
@@ -153,7 +176,7 @@ def test_solve_past_the_fold_stops_once_a_converged_row_fails(monkeypatch):
     # soon as such a row converges, not after every other row has.
     h = _z_rotation_homotopy(3.1406)
     grid = sphere_quasi_uniform(1024, 2)
-    spray = group_action_spray(VarietySpec.group("SO", 3))
+    spray = dataclasses.replace(group_action_spray(VarietySpec.group("SO", 3)), inverse_many=None)
     calls = []
     original = sprays_mod.fiber_differences
 

@@ -240,6 +240,13 @@ def test_unshrink_roundtrip():
     np.testing.assert_allclose(unshrink_map(w, 0.8), v, atol=1e-12)
 
 
+def test_unshrink_is_accurate_far_inside_the_image():
+    # Small |w| against c: (c - sqrt(c^2 - 4|w|^2)) / (2|w|) would cancel to ~1e-11.
+    v = np.array([[0.3, -0.4, 0.1], [3e-4, 1e-4, -2e-4]])
+    np.testing.assert_allclose(unshrink_map(shrink_map(v, 40.0), 40.0), v, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(unshrink_map(np.zeros((1, 3)), 40.0), np.zeros((1, 3)))
+
+
 def test_shrink_rejects_bad_input():
     with pytest.raises(ValueError):
         shrink_map(np.array([np.nan]), 1.0)

@@ -32,6 +32,11 @@ SO = VarietySpec.group
 S = VarietySpec.sphere
 
 
+def _newton_only(spray):
+    """The spray with its exact inverse dropped, so solve_fiber_many runs Gauss-Newton."""
+    return dataclasses.replace(spray, inverse_many=None)
+
+
 def all_test_sprays():
     return [
         stereographic_spray(1),
@@ -462,7 +467,7 @@ def test_local_inverse_near_antipode_diverges():
 
 
 def test_local_inverse_newton_fallback_on_sphere_action():
-    spray = group_action_spray(SO("SO", 3))
+    spray = _newton_only(group_action_spray(SO("SO", 3)))
     y = sample_variety(spray.base, 1, 15)
     q = spray.eval_many(y, np.array([[0.2, -0.1, 0.3]]))
     v = solve_fiber_many(spray, y, q)
@@ -522,7 +527,7 @@ def test_exact_inverse_off_by_a_small_step_fails_to_verify():
 
 
 def test_newton_divergence_error(monkeypatch):
-    spray = group_action_spray(SO("SO", 3))
+    spray = _newton_only(group_action_spray(SO("SO", 3)))
     y = np.array([[0.0, 0.0, 1.0]])
     monkeypatch.setattr(sprays_mod, "_NEWTON_MAX_ITER", 4)
     with pytest.raises(SprayInversionError):
@@ -537,7 +542,7 @@ def test_newton_divergence_error(monkeypatch):
 
 
 def _so3_solve_case():
-    spray = group_action_spray(SO("SO", 3))
+    spray = _newton_only(group_action_spray(SO("SO", 3)))
     pts = sample_variety(spray.base, 16, 30)
     return spray, pts, spray.eval_many(pts, sample_fiber(3, 16, rng(31), 0.3))
 
@@ -561,7 +566,7 @@ def test_self_action_target_off_the_group_is_not_cayley_reachable():
 
 
 def test_batched_newton_matches_single_row_solves():
-    spray = group_action_spray(SO("SO", 3))
+    spray = _newton_only(group_action_spray(SO("SO", 3)))
     pts = sample_variety(spray.base, 64, 20)
     targets = spray.eval_many(pts, sample_fiber(3, 64, rng(21), 1.0))
     batch = solve_fiber_many(spray, pts, targets)
@@ -592,10 +597,10 @@ def test_tangent_step_matches_numpy_pinv(space, fiber):
 @pytest.mark.parametrize(
     "spray",
     [
-        group_action_spray(SO("SO", 4)),
-        group_action_spray(SO("U", 2)),
-        group_action_spray(SO("SU", 3)),
-        group_action_spray(SO("SO", 3), shrink_c=0.5),
+        _newton_only(group_action_spray(SO("SO", 4))),
+        _newton_only(group_action_spray(SO("U", 2))),
+        _newton_only(group_action_spray(SO("SU", 3))),
+        _newton_only(group_action_spray(SO("SO", 3), shrink_c=0.5)),
     ],
     ids=["so4-s3", "u2-s3", "su3-s5", "so3-s2-shrink"],
 )
@@ -617,9 +622,95 @@ def test_newton_solve_on_a_constant_spray_fails_without_warnings():
             solve_fiber_many(spray, pts, targets)
 
 
+@pytest.mark.parametrize(
+    "spray",
+    [
+        stereographic_spray(2),
+        group_action_spray(SO("SU", 2), SO("SU", 2)),
+        group_action_spray(SO("SO", 3)),
+        _newton_only(group_action_spray(SO("SO", 3))),
+    ],
+    ids=["stereographic", "self-action", "sphere-action", "newton"],
+)
+def test_solve_on_an_empty_batch_returns_no_rows(spray):
+    empty = np.zeros((0, spray.base.ambient_dim))
+    assert solve_fiber_many(spray, empty, empty).shape == (0, spray.fiber_dim)
+
+
+def test_shrink_self_action_out_of_reach_is_an_inversion_error():
+    # A shrunk su(2) vector has norm below c/2 = 0.25, so the spray reaches no
+    # element g = diag(e^(0.8i), e^(-0.8i)) away from the base point.
+    group = SO("SU", 2)
+    spray = group_action_spray(group, group, 0.5)
+    y = sample_variety(group, 4, 33)
+    far = matrix_to_point(np.diag([np.exp(0.8j), np.exp(-0.8j)]) @ point_to_matrix(y, group), group)
+    with pytest.raises(SprayInversionError, match="outside the image of the shrink map"):
+        solve_fiber_many(spray, y, far)
+
+
+def _pairs_up_to_angle(space, n, seed, max_angle=3.0):
+    """n base points on a sphere and targets at geodesic angles up to ``max_angle`` from them."""
+    y = sample_variety(space, n, seed)
+    gen = rng(seed + 1)
+    d = normalize_rows(_tangential(gen.standard_normal(y.shape), y))
+    angle = gen.uniform(0.0, max_angle, (n, 1))
+    return y, np.cos(angle) * y + np.sin(angle) * d
+
+
+def _fd_sigma_r(spray, points, vs):
+    # sigma_r of the finite-difference fiber Jacobian, read as Gauss-Newton reads it.
+    h = 1e-7 * (1.0 + np.linalg.norm(vs, axis=1))
+    diff = sprays_mod.fiber_differences(spray, points, vs, h)
+    jac = np.swapaxes(diff, 1, 2) / (2.0 * h)[:, None, None]
+    frames = variety_tangent_frame(spray.eval_many(points, vs), spray.base)
+    return np.sqrt(sprays_mod._tangent_gram(jac, frames)[1][:, 0])
+
+
+@pytest.mark.parametrize(
+    "spray",
+    [
+        group_action_spray(SO("SO", 3)),
+        group_action_spray(SO("SO", 4)),
+        group_action_spray(SO("U", 2)),
+        group_action_spray(SO("SU", 3)),
+        group_action_spray(SO("SO", 3), shrink_c=40.0),
+    ],
+    ids=["so3-s2", "so4-s3", "u2-s3", "su3-s5", "so3-s2-shrink"],
+)
+def test_sphere_action_inverse_is_exact_minimal_and_reads_the_fold(spray, monkeypatch):
+    # Angles up to 3 reach past the fold (sigma_r ratio ~ cos(angle / 2)^2), so both
+    # paths' fold tests record their ratios here instead of refusing the batch; the
+    # exact inverse's come first.
+    ratios = []
+    monkeypatch.setattr(sprays_mod, "_check_fold", ratios.append)
+    y, t = _pairs_up_to_angle(spray.base, 4096, 34)
+    vs = spray.inverse_many(y, t)
+    assert np.max(np.abs(spray.eval_many(y, vs) - t)) <= 1e-14
+    newton = solve_fiber_many(_newton_only(spray), y, t)
+    norms, newton_norms = np.linalg.norm(vs, axis=1), np.linalg.norm(newton, axis=1)
+    assert np.max(norms - newton_norms) <= 1e-9
+    if spray.params["group"]["kind"] == "SO":
+        # U and SU leave a kernel direction Gauss-Newton need not end minimal in; SO does
+        # not.  Newton stops at residual 1e-11, which at |v| ~ 14 pins v to ~1e-8 only.
+        assert np.max(np.linalg.norm(vs - newton, axis=1) / (1.0 + newton_norms)) <= 1e-8
+    fd_ratio = _fd_sigma_r(spray, y, vs) / _fd_sigma_r(spray, y, np.zeros_like(vs))
+    assert np.max(np.abs(ratios[0] - fd_ratio)) <= 1e-6
+    assert np.min(ratios[0]) < sprays_mod._MIN_SIGMA_RATIO  # some pairs are past the fold
+
+
+def test_sphere_action_inverse_refuses_an_antipodal_target():
+    spray = group_action_spray(SO("U", 2))
+    y = sample_variety(spray.base, 3, 35)
+    with pytest.raises(SprayInversionError, match="antipodal"):
+        spray.inverse_many(y, -y)
+
+
 def test_probe_injectivity_radius_reaches_three():
     assert probe_injectivity_radius(stereographic_spray(2)) >= 3.0
-    assert probe_injectivity_radius(group_action_spray(SO("SO", 3))) == 0.0  # no inverse
+    # The SO(3) fiber has a kernel: the inverse returns the minimal-norm preimage, not v.
+    assert probe_injectivity_radius(group_action_spray(SO("SO", 3))) == 0.0
+    # su(2) has no kernel on S3: v round-trips until the fold test refuses it.
+    assert probe_injectivity_radius(group_action_spray(SO("SU", 2))) == 3.0
 
 
 def test_probe_injectivity_radius_stops_at_the_first_failed_radius():
