@@ -583,9 +583,12 @@ def preimage_count_degree(
     cross-check, ``located`` = (y, starts) with one Newton start per
     preimage: y alone is searched, every start must converge to a preimage
     of its own, and a y the search rejects raises ``_RegularValueReject``
-    for the caller to draw the next.  A non-finite map value, at a Newton
-    row or a probe, raises DegeneracyError.
+    for the caller to draw the next; ``located`` without ``cross_check``
+    raises ValueError.  A non-finite map value, at a Newton row or a probe,
+    raises DegeneracyError.
     """
+    if located is not None and cross_check is None:
+        raise ValueError("located preimages need a cross_check to count against")
     map_many = _finite(map_many)
     if located is None:
         starts = sphere_quasi_uniform(200 * n if opts.n_starts is None else opts.n_starts, n)
@@ -593,7 +596,7 @@ def preimage_count_degree(
         first = _preimage_count_once(map_many, n, gen, starts, opts)
     else:
         first = _count_at(map_many, n, *located, opts, own_preimages=True)
-    if cross_check is not None or located is not None:
+    if cross_check is not None:
         if first.value != cross_check:
             raise InconsistencyError(
                 f"preimage count {first.value} disagrees with the cross-check {cross_check}"
@@ -706,7 +709,7 @@ def _mesh_degree(map_many: Callable, n: int, opts: DegreeOptions) -> MeshDegreeR
     count as the cross-check: each hit must converge to a preimage of its
     own, and the signs at the preimages must sum to the count.
     """
-    map_many = _finite(map_many)
+    guarded = _finite(map_many)
     levels = {}
 
     def level(m: int) -> _MeshLevel:
@@ -717,7 +720,7 @@ def _mesh_degree(map_many: Callable, n: int, opts: DegreeOptions) -> MeshDegreeR
                     f"no two consecutive mesh levels under the spread gate {_MESH_GATE} agreed"
                     f" by {m // 2} cells per edge on S{n} (spread {spread:.3f} there)"
                 )
-            levels[m] = _mesh_level(map_many, n, m)
+            levels[m] = _mesh_level(guarded, n, m)
         return levels[m]
 
     def count(y: np.ndarray) -> tuple:

@@ -374,21 +374,6 @@ def embed_fiber_in_algebra(v: np.ndarray, kind: str, m: int) -> np.ndarray:
     return np.tensordot(np.asarray(v, dtype=float), basis, axes=(-1, 0))
 
 
-@lru_cache(maxsize=None)
-def _algebra_flat(kind: str, m: int) -> tuple:
-    """Realified flat Lie algebra basis rows and their pseudo-inverse."""
-    flat = matrix_to_point(lie_algebra_basis(kind, m), VarietySpec.group(kind, m))
-    return flat, np.linalg.pinv(flat)
-
-
-def algebra_coordinates_many(a: np.ndarray, kind: str, m: int) -> tuple:
-    """Batched basis coordinates of (N, m, m) algebra elements, with residuals."""
-    flat, pinv = _algebra_flat(kind, m)
-    vec = matrix_to_point(a, VarietySpec.group(kind, m))
-    coords = vec @ pinv
-    return coords, np.max(np.abs(coords @ flat - vec), axis=1)
-
-
 def variety_tangent_frame(points: np.ndarray, spec: VarietySpec) -> np.ndarray:
     """Orthonormal tangent frames at rows of ``points`` on any supported variety.
 

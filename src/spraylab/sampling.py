@@ -174,9 +174,8 @@ def sphere_mesh(n: int, m: int) -> SphereMesh:
         free = np.delete(np.arange(n + 1), axis)
         for value in (0, m):
             global_ids.append(points @ strides[free] + value * strides[axis])
-    on_surface = np.zeros(side ** (n + 1), dtype=bool)
-    on_surface[np.concatenate(global_ids)] = True
-    ids = np.flatnonzero(on_surface)
+    ids = np.sort(np.concatenate(global_ids))
+    ids = ids[np.append(True, ids[1:] != ids[:-1])]  # a point on several facets, once
     lattice = np.stack(np.unravel_index(ids, (side,) * (n + 1)), axis=1)
     coeffs = rng(_MESH_ROTATION_SEED).uniform(-1.0, 1.0, (1, n * (n + 1) // 2))
     rotation = cayley_many(embed_fiber_in_algebra(coeffs, "SO", n + 1))[0]

@@ -27,7 +27,6 @@ from .geometry import (
     matrix_to_point,
     membership_residual_many,
     point_to_matrix,
-    algebra_coordinates_many,
     shrink_map,
     unshrink_map,
     variety_tangent_frame,
@@ -157,18 +156,22 @@ def group_action_spray(
     an optional shrink precomposition v -> c v / (1 + |v|^2) is available
     for the partially-defined-parametrization setting.  SU(m) acts on itself
     only for m <= 2; m >= 3 raises ValueError, since the Cayley transform of
-    su(m) has determinant 1 only at m = 2.  Both actions invert exactly: on
-    itself through g = q y^H, on the sphere by the minimal-norm v solving the
-    linear A(v)(y + t) = y - t, refused at t = -y and past the spray's fold
-    (see :func:`solve_fiber_many`).  With ``shrink_c`` the solution goes
-    through :func:`unshrink_map`; a target outside its image is out of reach.
+    su(m) has determinant 1 only at m = 2.  Both actions invert exactly by
+    one equation: C(A(v)) y = t, for y and t read as matrices on the group,
+    reads A(v)(y + t) = y - t, linear in v.  On the group its solution is
+    unique while y + t = (I + g) y is invertible, g = t y^H, and a singular
+    system or a residual above 1e-8 is refused as not Cayley-reachable.  On
+    the sphere the equation has a kernel, so the minimal-norm v is returned,
+    refused at t = -y and past the spray's fold (see
+    :func:`solve_fiber_many`).  With ``shrink_c`` the solution goes through
+    :func:`unshrink_map`; a target outside its image is out of reach.
     """
     if not group.is_group:
         raise ValueError(f"{group.label()} is not a group")
     if space is None:
         space = _default_space(group)
     m = group.m
-    fiber_dim = lie_algebra_basis(group.kind, m).shape[0]
+    basis = lie_algebra_basis(group.kind, m)
 
     self_action = space == group
     if not self_action and space != _default_space(group):
@@ -206,29 +209,26 @@ def group_action_spray(
             return matrix_to_point(q @ ymat, group)
 
         def inverse_many(points, targets):
-            ymat = point_to_matrix(points, group)
-            qmat = point_to_matrix(targets, group)
-            # g y = q, and y is orthogonal or unitary, so g = q y^H.
-            g = qmat @ np.conj(np.swapaxes(ymat, -1, -2))
-            # I + g is singular when g has eigenvalue -1 (a half-turn in SO(3)):
-            # cayley_many then gives non-finite entries (m = 2, 3) or raises.
+            # With Y, Q the matrices of y and t, C(A) Y = Q reads A (Y + Q) = Y - Q: linear in
+            # v through the columns B_k (Y + Q), independent while Y + Q = (I + g) Y is invertible.
+            # Stacked into one (d m, m) matrix, the B_k take every B_k (Y + Q) in one product.
+            bw = basis.reshape(-1, m) @ point_to_matrix(points + targets, group)
+            cols = matrix_to_point(bw.reshape(len(bw), -1, m, m), group)  # (N, d, ambient)
+            rhs = (points - targets)[:, :, None]
             try:
-                a = cayley_many(g)
-                finite = np.all(np.isfinite(a))
+                us = np.linalg.solve(cols @ np.swapaxes(cols, 1, 2), cols @ rhs)
             except np.linalg.LinAlgError:
-                finite = False
-            if not finite:
-                raise SprayInversionError("I + g is singular: the target is not Cayley-reachable")
-            coords, resid = algebra_coordinates_many(a, group.kind, m)
-            if not np.max(resid) <= 1e-8:
+                raise SprayInversionError(
+                    "I + g is singular: the target is not Cayley-reachable"
+                ) from None
+            if not np.max(np.abs(np.swapaxes(cols, 1, 2) @ us - rhs)) <= 1e-8:
                 raise SprayInversionError(
                     "target group element is not in the Cayley-reachable neighborhood"
                 )
-            return _unshrunk(coords)
+            return _unshrunk(us[:, :, 0])
 
     else:
         # R_k: the basis B_k acting on the sphere's ambient (for U/SU, realified) coordinates.
-        basis = lie_algebra_basis(group.kind, m)
         if complex_vec:
             unit = deinterleave(np.eye(2 * m))  # row j: real axis j as a vector of C^m
             basis = np.swapaxes(interleave(unit @ np.swapaxes(basis, 1, 2)), 1, 2)
@@ -268,7 +268,7 @@ def group_action_spray(
     return Spray(
         kind="group_action",
         base=space,
-        fiber_dim=fiber_dim,
+        fiber_dim=len(basis),
         eval_many=eval_many,
         inverse_many=inverse_many,
         params={

@@ -269,6 +269,46 @@ def test_high_quaternion_powers_never_get_a_wrong_degree(d, seed):
     assert value == d
 
 
+_BUBBLE_CENTER = normalize_rows(np.array([-0.59006, -0.219403, 0.768311, 0.115715]))
+
+
+def _bubble_map(rho):
+    """The identity of S3 outside the geodesic cap of radius rho about c; inside, the point
+    at distance s rho from c in the unit tangent direction u goes to cos(a) c + sin(a) u,
+    a = 2 pi (1 - s) + rho s.  The cap wraps once more around S3: degree -1 for every rho."""
+
+    def many(x):
+        cos_d = np.clip(x @ _BUBBLE_CENTER, -1.0, 1.0)
+        s = np.arccos(cos_d)[:, None] / rho
+        tangent = x - cos_d[:, None] * _BUBBLE_CENTER
+        norm = np.linalg.norm(tangent, axis=1, keepdims=True)
+        u = np.divide(tangent, norm, out=np.zeros_like(tangent), where=norm > 0)
+        alpha = 2.0 * np.pi * (1.0 - s) + rho * s
+        return np.where(s < 1.0, np.cos(alpha) * _BUBBLE_CENTER + np.sin(alpha) * u, x)
+
+    return many
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_wide_bubble_map_has_degree_minus_one(seed):
+    report = sphere_degree(_bubble_map(1.0), 3, DegreeOptions(seed=seed))
+    assert (report.value, report.mesh_cells) == (-1, 16)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the mesh gate reads vertex spreads only, so a cap narrower than a cell is"
+    " invisible and levels 4/8 certify 1; ROADMAP item 18 certifies with a Lipschitz bound",
+)
+def test_a_narrow_bubble_map_never_gets_a_wrong_degree():
+    for seed in range(8):
+        try:
+            value = sphere_degree(_bubble_map(0.05), 3, DegreeOptions(seed=seed)).value
+        except (DegeneracyError, InconsistencyError):
+            continue
+        assert value == -1, seed
+
+
 # q^20 after a reflection of R^4, with a bump added in the target along e_2
 # and renormalized: |bump| <= 0.9 < 1, so the sum never vanishes and the
 # map is homotopic to q^20 o R, of degree -20.  A 400-start Newton search
@@ -392,6 +432,32 @@ def test_mesh_count_disagreeing_with_newton_raises(monkeypatch):
     monkeypatch.setattr(degree_mod, "_mesh_count", one_too_many)
     with pytest.raises(InconsistencyError, match="preimage count 1 disagrees with the cross-check 2"):
         sphere_degree(identity_map, 2)
+
+
+def test_located_preimages_without_a_cross_check_are_refused_before_any_evaluation():
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return identity_map(x)
+
+    y = normalize_rows(np.array([0.3, -0.4, 0.8]))
+    with pytest.raises(ValueError, match="need a cross_check"):
+        preimage_count_degree(counted, 2, DegreeOptions(), located=(y, y[None]))
+    assert rows == []
+
+
+def test_mesh_degree_guards_no_map_twice(monkeypatch):
+    real, guarded = degree_mod._finite, []
+
+    def recording(map_many, *args):
+        assert not any(map_many is g for g in guarded), "a guarded map was guarded again"
+        guarded.append(real(map_many, *args))
+        return guarded[-1]
+
+    monkeypatch.setattr(degree_mod, "_finite", recording)
+    assert sphere_degree(quaternion_power_map(2), 3, DegreeOptions(seed=4)).value == 2
+    assert len(guarded) == 2  # the mesh levels' map and the Newton search's
 
 
 def test_sphere_degree_refuses_n_starts_where_it_counts_on_a_mesh():

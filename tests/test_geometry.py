@@ -163,7 +163,7 @@ def _skew_batch(seed, n, m, complex_):
 @pytest.mark.parametrize("m", [2, 3])
 def test_cayley_cofactor_form_matches_a_solve(m, complex_):
     a = _skew_batch(31, 64, m, complex_)
-    q = _cayley_by_solve(a)  # orthogonal / unitary: the self-action inverse's input
+    q = _cayley_by_solve(a)  # orthogonal / unitary: the formula holds off the skew matrices too
     assert np.max(np.abs(cayley_many(a) - q)) <= 1e-14
     assert np.max(np.abs(cayley_many(q) - _cayley_by_solve(q))) <= 1e-14
 

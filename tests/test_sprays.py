@@ -7,10 +7,12 @@ import pytest
 import spraylab.sprays as sprays_mod
 from spraylab.geometry import (
     VarietySpec,
+    lie_algebra_basis,
     matrix_to_point,
     membership_residual_many,
     point_to_matrix,
     sphere_tangent_basis_many,
+    unshrink_map,
     variety_tangent_frame,
 )
 from spraylab.sampling import normalize_rows, rng, sample_fiber, sample_variety
@@ -505,13 +507,43 @@ def test_exact_inverse_nan_fails_its_checks():
 
 def test_self_action_with_shrink_inverts_through_unshrink():
     # Below |v| = 1 the shrink map is injective, so the exact inverse undoes
-    # it: Cayley transform, algebra coordinates, then unshrink_map.
+    # it: the linear solve for the shrunk vector, then unshrink_map.
     spray = group_action_spray(SO("SU", 2), SO("SU", 2), 0.5)
     y = sample_variety(spray.base, 32, 21)
     v = sample_fiber(spray.fiber_dim, 32, rng(22), 0.9)
     q = spray.eval_many(y, v)
     np.testing.assert_allclose(spray.inverse_many(y, q), v, atol=1e-10)
     np.testing.assert_allclose(solve_fiber_many(spray, y, q), v, atol=1e-10)
+
+
+def _self_action_inverse_reference(group, points, targets, shrink_c):
+    """The Cayley-involution inverse: g = q y^H, A = C(g) by a solve, then basis coordinates."""
+    ymat, qmat = point_to_matrix(points, group), point_to_matrix(targets, group)
+    g = qmat @ np.conj(np.swapaxes(ymat, -1, -2))
+    eye = np.eye(group.m)
+    a = np.linalg.solve(eye + g, eye - g)  # I + g and I - g commute
+    flat = matrix_to_point(lie_algebra_basis(group.kind, group.m), group)
+    coords = np.linalg.lstsq(flat.T, matrix_to_point(a, group).T, rcond=None)[0].T
+    return coords if shrink_c is None else unshrink_map(coords, shrink_c)
+
+
+@pytest.mark.parametrize(
+    "kind, m, shrink_c",
+    [("SO", 3, None), ("SO", 4, None), ("O", 3, None), ("U", 2, None), ("U", 3, None),
+     ("SU", 2, None), ("SU", 2, 0.5)],
+    ids=["so3", "so4", "o3", "u2", "u3", "su2", "su2-shrink"],
+)
+def test_self_action_inverse_matches_the_cayley_involution_reference(kind, m, shrink_c):
+    group = SO(kind, m)
+    spray = group_action_spray(group, group, shrink_c)
+    y = sample_variety(group, 4096, 36)
+    v = sample_fiber(spray.fiber_dim, 4096, rng(37), 6.0 if shrink_c is None else 0.95)
+    q = spray.eval_many(y, v)
+    back = spray.inverse_many(y, q)
+    reference = _self_action_inverse_reference(group, y, q, shrink_c)
+    scale = 1.0 + np.linalg.norm(v, axis=1)
+    assert np.max(np.linalg.norm(back - reference, axis=1) / scale) <= 1e-12
+    assert np.max(np.abs(back - v)) <= 1e-12
 
 
 def test_exact_inverse_off_by_a_small_step_fails_to_verify():
