@@ -1,12 +1,13 @@
 """Explicit dominating sprays, numerical verification of the spray axioms,
-and local inversion near the zero section.
+and exact local inversion near the zero section.
 
 Every spray here lives on a sphere or a classical group and is trivialized:
 the total space is base x R^fiber_dim, the zero section is (y, 0), and
 ``eval_many(y, v)`` is a regular map, batched over rows, landing back in the
 base.  Fiber coordinates never depend on a per-point tangent frame:
 such frames have seams on spheres, and a spray read in one would jump across
-them.  Dominance is checked against the base's own tangent frames.
+them.  Dominance is checked against the base's own tangent frames.  Every
+spray kind inverts exactly; an iterated spray solves in its first block.
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ class AntipodeError(SprayInversionError):
     """The stereographic inverse is undefined at the antipode."""
 
 
-_NEWTON_TOL = 1e-11  # see solve_fiber_many
-_NEWTON_FD_STEP = 1e-7
-_NEWTON_MAX_ITER = 50
 _MAX_FIBER_NORM = 100.0  # radius of the fiber ball an exact inverse must land in
 # Smallest accepted ratio of sigma_r, the least singular value of a row's tangent-projected
-# fiber Jacobian, at a Gauss-Newton solution to its value at v = 0; tested as rows converge.
+# fiber Jacobian, at a sphere-action inverse's solution to its value at v = 0.
 _MIN_SIGMA_RATIO = 0.1
 _DOMINANCE_FD_STEP = 1e-5  # see verify_dominating
-_RANK_TOL = 1e-6  # the rank and pseudo-inverse cut of _tangent_gram
+_RANK_TOL = 1e-6  # the rank cut of _tangent_gram
 
 
 @dataclass
@@ -162,12 +160,14 @@ def group_action_spray(
     unique while y + t = (I + g) y is invertible, g = t y^H, and a singular
     system or a residual above 1e-8 is refused as not Cayley-reachable.  On
     the sphere the equation has a kernel, so the minimal-norm v is returned,
-    refused at t = -y and past the spray's fold (see
-    :func:`solve_fiber_many`).  With ``shrink_c`` the solution goes through
-    :func:`unshrink_map`; a target outside its image is out of reach.
+    refused at t = -y and past the spray's fold (see :func:`_check_fold`).
+    ``shrink_c`` must be finite and > 0; with it the solution goes through
+    :func:`unshrink_map`, and a target outside its image is out of reach.
     """
     if not group.is_group:
         raise ValueError(f"{group.label()} is not a group")
+    if shrink_c is not None and not (np.isfinite(shrink_c) and shrink_c > 0):
+        raise ValueError(f"shrink_c must be finite and > 0, got {shrink_c}")
     if space is None:
         space = _default_space(group)
     m = group.m
@@ -289,7 +289,7 @@ def iterated_spray(spray: Spray, k: int) -> Spray:
 
     s_k(z, (v_1, ..., v_k)) = s(s(...s(z, v_1)..., v_(k-1)), v_k); with all
     blocks zero this returns z, and with only the first block nonzero it
-    reproduces the base spray.
+    reproduces the base spray, so the base's inverse (if any) inverts it in the first block.
     """
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
@@ -301,23 +301,30 @@ def iterated_spray(spray: Spray, k: int) -> Spray:
             cur = spray.eval_many(cur, vs[:, i * m : (i + 1) * m])
         return cur
 
+    def inverse_many(points, targets):
+        vs = np.zeros((points.shape[0], k * m))
+        vs[:, :m] = spray.inverse_many(points, targets)
+        return vs
+
     return Spray(
         kind="iterated",
         base=spray.base,
         fiber_dim=k * m,
         eval_many=eval_many,
         params={"k": k, "inner": spray.descriptor()},
+        inverse_many=None if spray.inverse_many is None else inverse_many,
     )
 
 
 def constant_spray(spec: VarietySpec) -> Spray:
-    """Degenerate test fixture: s(y, v) = y.  Satisfies the axioms, never dominates."""
+    """Degenerate test fixture: s(y, v) = y.  Satisfies the axioms, never dominates; inverse 0."""
     return Spray(
         kind="constant",
         base=spec,
         fiber_dim=spec.dim,
         eval_many=lambda points, vs: points.copy(),
         params={"fiber_dim": spec.dim},
+        inverse_many=lambda points, targets: np.zeros((points.shape[0], spec.dim)),
     )
 
 
@@ -362,7 +369,9 @@ def verify_spray_axioms(
     tol: float = 1e-10,
     fiber_radius: float = 10.0,
 ) -> SprayAxiomReport:
-    """Check s(y, 0) = y and target closure on seeded samples; report, never raise."""
+    """Check s(y, 0) = y and target closure on seeded samples; report (n_samples < 1 raises)."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     points = sample_variety(spray.base, n_samples, seed)
     at_zero = spray.eval_many(points, np.zeros((n_samples, spray.fiber_dim)))
     zero_dev = np.max(np.abs(at_zero - points), axis=1)
@@ -407,14 +416,16 @@ def verify_dominating(spray: Spray, n_samples: int = 500, seed: int = 0) -> Domi
     Central finite differences in the fiber argument (step
     ``_DOMINANCE_FD_STEP`` * (1 + |y|)), rows projected onto the base's tangent
     frame (:func:`variety_tangent_frame` of the sphere or group), rank from
-    the cut of :func:`_tangent_gram`, which Newton inversion steps with too.
-    The spray passes when every sample reaches rank dim(base).
+    the cut of :func:`_tangent_gram`.  The spray passes when every sample
+    reaches rank dim(base).  ``n_samples`` < 1 raises ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     points = sample_variety(spray.base, n_samples, seed)
     steps = _DOMINANCE_FD_STEP * (1.0 + np.linalg.norm(points, axis=1))
     diff = fiber_differences(spray, points, np.zeros((n_samples, spray.fiber_dim)), steps)
     jac = np.swapaxes(diff / (2.0 * steps)[:, None, None], 1, 2)  # (N, ambient, fiber)
-    *_, kept = _tangent_gram(jac, variety_tangent_frame(points, spray.base))
+    _, kept = _tangent_gram(jac, variety_tangent_frame(points, spray.base))
     ranks = np.sum(kept, axis=1)
     passed = bool(np.all(ranks == spray.base.dim))
     return DominanceReport(
@@ -440,76 +451,29 @@ def verify_dominating(spray: Spray, n_samples: int = 500, seed: int = 0) -> Domi
 def solve_fiber_many(spray: Spray, points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Fiber vectors xi with s(y, xi) = q per row, for q near the image of the zero section.
 
-    An empty batch returns (0, fiber_dim).  A spray with an exact inverse uses
-    it, then checks max |xi| against ``_MAX_FIBER_NORM``, which bounds exact
-    inverses only, and the max-abs image residual against 1e-8; a group's
-    sphere inverse also applies the fold test below to its analytic Jacobian.
-    Sprays without one (iterated, constant) run one masked, damped
-    Gauss-Newton from xi = 0 over all rows: only rows whose residual norm is
-    above 1e-11 are evaluated and stepped.  Each active row gets
-    central-difference Jacobian columns with step 1e-7 * (1 + |xi_row|) (all
-    probes in one :func:`fiber_differences` call), the minimal-norm step of
-    :func:`_tangent_step` in the tangent frame at s(y, xi), and its own
-    halving line search.  Raises SprayInversionError for the whole batch when
-    any row stalls below step 1/1024, has not converged after
-    ``_NEWTON_MAX_ITER`` iterations, or converged where its Jacobian has lost
-    conditioning (tested as rows converge): sigma_r, r = ``spray.base.dim``,
-    of its last Jacobian below 0.1 times its value at xi = 0, the paper's
-    test that the spray is still a local diffeomorphism in xi.  The caller is
-    expected to refine its homotopy partition on that signal.  The result
-    depends only on the arguments, so equal calls return bitwise-equal vectors.
+    xi is the spray's exact inverse; a spray without one raises ValueError before any
+    evaluation.  An empty batch returns (0, fiber_dim).  SprayInversionError refuses the whole
+    batch when max |xi| exceeds ``_MAX_FIBER_NORM``, the max-abs image residual exceeds 1e-8, or
+    a group's sphere inverse finds a row past the fold (:func:`_check_fold`); the caller is
+    expected to refine its homotopy partition on that signal.  Equal calls return
+    bitwise-equal vectors.
     """
+    if spray.inverse_many is None:
+        raise ValueError(f"a {spray.kind} spray without inverse_many cannot be solved")
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if points.shape[0] == 0:
         return np.zeros((0, spray.fiber_dim))
-    if spray.inverse_many is not None:
-        vs = spray.inverse_many(points, targets)
-        norms = np.linalg.norm(vs, axis=1)
-        # Written as not (x <= bound) so that a NaN fails too.
-        if not np.max(norms) <= _MAX_FIBER_NORM:
-            raise SprayInversionError(
-                f"exact inverse outside the local neighborhood (max |v| = {np.max(norms):.3e})"
-            )
-        resid = np.max(np.abs(spray.eval_many(points, vs) - targets))
-        if not resid <= 1e-8:
-            raise SprayInversionError(f"exact inverse failed to verify (residual {resid:.3e})")
-        return vs
-    vs = np.zeros((points.shape[0], spray.fiber_dim))
-    resid = spray.eval_many(points, vs) - targets
-    rn = np.linalg.norm(resid, axis=1)
-    sigma = np.ones(points.shape[0])  # sigma_r of each row's latest Jacobian
-    sigma0 = None
-    for _ in range(_NEWTON_MAX_ITER):
-        act = np.flatnonzero(~(rn <= _NEWTON_TOL))  # a NaN residual stays active
-        if act.size == 0:
-            break
-        y, v, r = points[act], vs[act], resid[act]
-        h = _NEWTON_FD_STEP * (1.0 + np.linalg.norm(v, axis=1))
-        jac = np.swapaxes(fiber_differences(spray, y, v, h), 1, 2) / (2.0 * h)[:, None, None]
-        frames = variety_tangent_frame(targets[act] + r, spray.base)  # at s(y, v)
-        delta, sigma[act] = _tangent_step(jac, r, frames)
-        sigma0 = sigma.copy() if sigma0 is None else sigma0
-        searching, step = np.arange(act.size), 1.0
-        while searching.size:
-            v_new = v[searching] + step * delta[searching]
-            r_new = spray.eval_many(y[searching], v_new) - targets[act[searching]]
-            rn_new = np.linalg.norm(r_new, axis=1)
-            better = rn_new < rn[act[searching]]
-            rows = act[searching[better]]
-            vs[rows], resid[rows], rn[rows] = v_new[better], r_new[better], rn_new[better]
-            searching = searching[~better]
-            step *= 0.5
-            if searching.size and step < 1.0 / 1024.0:
-                raise SprayInversionError("damped Gauss-Newton stalled")
-        # A row that converged where its Jacobian lost most of its rank-r
-        # singular value has crossed a fold of the spray, past the local
-        # inversion neighborhood; it is never stepped again, so stop now.
-        _check_fold(np.divide(sigma, sigma0, where=rn <= _NEWTON_TOL, out=np.ones_like(rn)))
-    if not np.all(rn <= _NEWTON_TOL):
+    vs = spray.inverse_many(points, targets)
+    norms = np.linalg.norm(vs, axis=1)
+    # Written as not (x <= bound) so that a NaN fails too.
+    if not np.max(norms) <= _MAX_FIBER_NORM:
         raise SprayInversionError(
-            f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {np.max(rn):.3e})"
+            f"exact inverse outside the local neighborhood (max |v| = {np.max(norms):.3e})"
         )
+    resid = np.max(np.abs(spray.eval_many(points, vs) - targets))
+    if not resid <= 1e-8:
+        raise SprayInversionError(f"exact inverse failed to verify (residual {resid:.3e})")
     return vs
 
 
@@ -521,34 +485,21 @@ def _check_fold(ratios: np.ndarray) -> None:
 
 
 def _tangent_gram(jac: np.ndarray, frames: np.ndarray) -> tuple:
-    """J_T = T J for stacked Jacobians J and frames T, the ascending eigenpairs of G = J_T J_T^T,
-    and the kept mask: eigenvalues above ``_RANK_TOL``^2 times the largest, that is singular
+    """The ascending eigenvalues of G = J_T J_T^T, J_T = T J for stacked Jacobians J and frames
+    T, and the kept mask: eigenvalues above ``_RANK_TOL``^2 times the largest, that is singular
     values of J_T above ``_RANK_TOL`` times the largest (none when J_T = 0)."""
     jt = frames @ jac
-    lam, vec = np.linalg.eigh(jt @ np.swapaxes(jt, 1, 2))
-    return jt, lam, vec, lam > _RANK_TOL**2 * lam[:, -1:]
-
-
-def _tangent_step(jac: np.ndarray, r: np.ndarray, frames: np.ndarray) -> tuple:
-    """-pinv(J) r for stacked Jacobians J whose columns lie in the rows of ``frames``, and sigma_r.
-
-    pinv(J) r = J_T^T G^+ T r, with G^+ inverting the eigenvalues :func:`_tangent_gram` keeps:
-    the cut of ``np.linalg.pinv(J, rcond=_RANK_TOL)``.
-    """
-    jt, lam, vec, kept = _tangent_gram(jac, frames)
-    inv = np.divide(1.0, lam, where=kept, out=np.zeros_like(lam))
-    coef = vec @ (inv[:, :, None] * (np.swapaxes(vec, 1, 2) @ (frames @ r[:, :, None])))
-    return -(np.swapaxes(jt, 1, 2) @ coef)[:, :, 0], np.sqrt(np.maximum(lam[:, 0], 0.0))
+    lam = np.linalg.eigvalsh(jt @ np.swapaxes(jt, 1, 2))
+    return lam, lam > _RANK_TOL**2 * lam[:, -1:]
 
 
 def probe_injectivity_radius(spray: Spray, seed: int = 0) -> float:
     """Largest probed fiber radius at which inverse_many(eval_many(y, v)) recovers v.
 
-    Returns 0.0 when no probed radius round-trips: the spray has no inverse,
-    or its fiber has a kernel (a group acting on a sphere of lower dimension),
-    so the inverse returns the minimal-norm preimage, not v.  This is an
-    empirical stand-in for an injectivity bound the construction itself does
-    not provide.
+    Returns 0.0 when no probed radius round-trips: the spray has no inverse, or its fiber has
+    a kernel (a group acting on a sphere of lower dimension, an iterate with k >= 2, a constant
+    spray), so the inverse returns another preimage, not v.  This is an empirical stand-in for
+    an injectivity bound the construction itself does not provide.
     """
     if spray.inverse_many is None:
         return 0.0

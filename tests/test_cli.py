@@ -73,6 +73,23 @@ def test_verify_su3_self_action_is_a_usage_error(tmp_path):
     assert code == EXIT_USAGE and report is None
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        # json reads "shrink_c": 1e400 as inf.
+        {"kind": "group", "group": "SO(3)", "shrink_c": float("inf")},
+        {"kind": "stereographic", "n": 2, "samples": 0},
+        {"kind": "stereographic", "n": 2, "dominance_samples": 0},
+    ],
+    ids=["shrink-inf", "samples-0", "dominance-samples-0"],
+)
+def test_verify_spray_refuses_a_bad_shrink_scale_or_sample_count(tmp_path, capsys, config):
+    code, report, _ = run_cli(tmp_path, "verify-spray", config)
+    assert code == EXIT_USAGE and report is None
+    err = capsys.readouterr().err
+    assert "shrink_c must be finite and > 0" in err or "n_samples must be >= 1, got 0" in err
+
+
 def test_verify_constant_spray_fails_with_rank_zero(tmp_path):
     code, report, _ = run_cli(tmp_path, "verify-spray", {"kind": "constant", "n": 2, "samples": 50})
     assert code == EXIT_FAIL

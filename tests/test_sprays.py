@@ -7,6 +7,8 @@ import pytest
 import spraylab.sprays as sprays_mod
 from spraylab.geometry import (
     VarietySpec,
+    deinterleave,
+    interleave,
     lie_algebra_basis,
     matrix_to_point,
     membership_residual_many,
@@ -32,11 +34,6 @@ from spraylab.sprays import (
 
 SO = VarietySpec.group
 S = VarietySpec.sphere
-
-
-def _newton_only(spray):
-    """The spray with its exact inverse dropped, so solve_fiber_many runs Gauss-Newton."""
-    return dataclasses.replace(spray, inverse_many=None)
 
 
 def all_test_sprays():
@@ -80,6 +77,16 @@ def test_axiom_report_passes():
         report = verify_spray_axioms(spray, n_samples=300, seed=0)
         assert report.passed, (spray.kind, report.max_violation)
         assert len(report.per_sample) == 300
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+@pytest.mark.parametrize("verify", [verify_spray_axioms, verify_dominating])
+def test_verification_refuses_fewer_than_one_sample(verify, n_samples, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(sprays_mod, "sample_variety", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
+        verify(stereographic_spray(2), n_samples=n_samples)
+    assert drawn == []
 
 
 def test_corrupted_spray_fails_with_planted_violation():
@@ -263,6 +270,12 @@ def test_group_spray_with_shrink_still_a_spray():
 def test_group_spray_dimension_mismatch():
     with pytest.raises(ValueError):
         group_action_spray(SO("SO", 3), S(3))
+
+
+@pytest.mark.parametrize("shrink_c", [0.0, -2.0, np.inf, np.nan], ids=["0", "-2", "inf", "nan"])
+def test_group_spray_refuses_a_shrink_scale_that_is_not_finite_and_positive(shrink_c):
+    with pytest.raises(ValueError, match="shrink_c must be finite and > 0"):
+        group_action_spray(SO("SO", 3), shrink_c=shrink_c)
 
 
 def test_group_spray_rejects_a_label_for_a_space():
@@ -468,16 +481,6 @@ def test_local_inverse_near_antipode_diverges():
         solve_fiber_many(spray, y, q)
 
 
-def test_local_inverse_newton_fallback_on_sphere_action():
-    spray = _newton_only(group_action_spray(SO("SO", 3)))
-    y = sample_variety(spray.base, 1, 15)
-    q = spray.eval_many(y, np.array([[0.2, -0.1, 0.3]]))
-    v = solve_fiber_many(spray, y, q)
-    # The fiber is 3-dimensional over a 2-dimensional base, so only the
-    # image point is pinned down, not the fiber vector itself.
-    assert np.max(np.abs(spray.eval_many(y, v) - q)) <= 1e-10
-
-
 def test_local_inverse_self_action_exact():
     spray = group_action_spray(SO("SU", 2), SO("SU", 2))
     y = sample_variety(spray.base, 1, 16)
@@ -558,10 +561,9 @@ def test_exact_inverse_off_by_a_small_step_fails_to_verify():
         solve_fiber_many(off, y, q)
 
 
-def test_newton_divergence_error(monkeypatch):
-    spray = _newton_only(group_action_spray(SO("SO", 3)))
+def test_newton_divergence_error():
+    spray = group_action_spray(SO("SO", 3))
     y = np.array([[0.0, 0.0, 1.0]])
-    monkeypatch.setattr(sprays_mod, "_NEWTON_MAX_ITER", 4)
     with pytest.raises(SprayInversionError):
         solve_fiber_many(spray, y, -y)
     # One unreachable row fails the whole batch, even when the others converge.
@@ -570,19 +572,6 @@ def test_newton_divergence_error(monkeypatch):
     targets[5] = -pts[5]
     solve_fiber_many(spray, pts[:5], targets[:5])
     with pytest.raises(SprayInversionError):
-        solve_fiber_many(spray, pts, targets)
-
-
-def _so3_solve_case():
-    spray = _newton_only(group_action_spray(SO("SO", 3)))
-    pts = sample_variety(spray.base, 16, 30)
-    return spray, pts, spray.eval_many(pts, sample_fiber(3, 16, rng(31), 0.3))
-
-
-def test_newton_out_of_iterations_is_an_inversion_error(monkeypatch):
-    spray, pts, targets = _so3_solve_case()
-    monkeypatch.setattr(sprays_mod, "_NEWTON_MAX_ITER", 1)
-    with pytest.raises(SprayInversionError, match="no convergence after 1 iterations"):
         solve_fiber_many(spray, pts, targets)
 
 
@@ -598,7 +587,7 @@ def test_self_action_target_off_the_group_is_not_cayley_reachable():
 
 
 def test_batched_newton_matches_single_row_solves():
-    spray = _newton_only(group_action_spray(SO("SO", 3)))
+    spray = group_action_spray(SO("SO", 3))
     pts = sample_variety(spray.base, 64, 20)
     targets = spray.eval_many(pts, sample_fiber(3, 64, rng(21), 1.0))
     batch = solve_fiber_many(spray, pts, targets)
@@ -607,37 +596,17 @@ def test_batched_newton_matches_single_row_solves():
     assert np.max(np.abs(spray.eval_many(pts, batch) - spray.eval_many(pts, single))) <= 1e-10
 
 
-@pytest.mark.parametrize("space,fiber", [(S(2), 3), (S(3), 6)], ids=["s2", "s3"])
-def test_tangent_step_matches_numpy_pinv(space, fiber):
-    # Exactly tangent-valued Jacobians J = T^T A of rank r and rank r - 1.
-    gen = rng(22)
-    r_dim = space.dim
-    frames = variety_tangent_frame(sample_variety(space, 64, 23), space)
-    full = gen.standard_normal((64, r_dim, fiber))
-    low = gen.standard_normal((64, r_dim, r_dim - 1)) @ gen.standard_normal((64, r_dim - 1, fiber))
-    resid = gen.standard_normal((64, space.ambient_dim))
-    for coeffs, full_rank in ((full, True), (low, False)):
-        jac = np.swapaxes(frames, 1, 2) @ coeffs
-        delta, sigma = sprays_mod._tangent_step(jac, resid, frames)
-        ref = -(np.linalg.pinv(jac, rcond=1e-6) @ resid[:, :, None])[:, :, 0]
-        assert np.max(np.linalg.norm(delta - ref, axis=1) / np.linalg.norm(ref, axis=1)) <= 1e-10
-        if full_rank:
-            ref_sigma = np.linalg.svd(jac)[1][:, r_dim - 1]
-            np.testing.assert_allclose(sigma, ref_sigma, rtol=1e-10, atol=0)
-
-
 @pytest.mark.parametrize(
     "spray",
     [
-        _newton_only(group_action_spray(SO("SO", 4))),
-        _newton_only(group_action_spray(SO("U", 2))),
-        _newton_only(group_action_spray(SO("SU", 3))),
-        _newton_only(group_action_spray(SO("SO", 3), shrink_c=0.5)),
+        group_action_spray(SO("SO", 4)),
+        group_action_spray(SO("U", 2)),
+        group_action_spray(SO("SU", 3)),
+        group_action_spray(SO("SO", 3), shrink_c=0.5),
     ],
     ids=["so4-s3", "u2-s3", "su3-s5", "so3-s2-shrink"],
 )
 def test_newton_solve_reaches_targets_beyond_so3(spray):
-    assert spray.inverse_many is None
     pts = sample_variety(spray.base, 32, 24)
     targets = spray.eval_many(pts, sample_fiber(spray.fiber_dim, 32, rng(25), 0.3))
     vs = solve_fiber_many(spray, pts, targets)
@@ -660,13 +629,39 @@ def test_newton_solve_on_a_constant_spray_fails_without_warnings():
         stereographic_spray(2),
         group_action_spray(SO("SU", 2), SO("SU", 2)),
         group_action_spray(SO("SO", 3)),
-        _newton_only(group_action_spray(SO("SO", 3))),
+        iterated_spray(group_action_spray(SO("SO", 3)), 2),
+        constant_spray(S(2)),
     ],
-    ids=["stereographic", "self-action", "sphere-action", "newton"],
+    ids=["stereographic", "self-action", "sphere-action", "iterated", "constant"],
 )
 def test_solve_on_an_empty_batch_returns_no_rows(spray):
     empty = np.zeros((0, spray.base.ambient_dim))
     assert solve_fiber_many(spray, empty, empty).shape == (0, spray.fiber_dim)
+
+
+def test_iterated_spray_solves_in_its_first_block_and_no_inverse_is_refused():
+    inner = group_action_spray(SO("SU", 2))  # su(2) on S3 has no kernel: v round-trips
+    spray = iterated_spray(inner, 3)
+    y = sample_variety(spray.base, 32, 38)
+    v = sample_fiber(inner.fiber_dim, 32, rng(39), 1.0)
+    first_block = np.concatenate([v, np.zeros((32, 2 * inner.fiber_dim))], axis=1)
+    back = solve_fiber_many(spray, y, spray.eval_many(y, first_block))
+    np.testing.assert_allclose(back, first_block, atol=1e-12)
+    # A target reached through all three blocks is solved in the first one.
+    q = spray.eval_many(y, sample_fiber(spray.fiber_dim, 32, rng(40), 0.3))
+    vs = solve_fiber_many(spray, y, q)
+    assert np.max(np.abs(spray.eval_many(y, vs) - q)) <= 1e-12
+    assert np.all(vs[:, inner.fiber_dim :] == 0.0)
+    # Without an inner inverse there is none to iterate, and nothing is evaluated.
+    calls = []
+    bare = dataclasses.replace(
+        inner, eval_many=lambda p, v: calls.append(1) or inner.eval_many(p, v), inverse_many=None
+    )
+    assert iterated_spray(bare, 3).inverse_many is None
+    for unsolvable in (bare, iterated_spray(bare, 3)):
+        with pytest.raises(ValueError, match="without inverse_many"):
+            solve_fiber_many(unsolvable, y, q)
+    assert calls == []
 
 
 def test_shrink_self_action_out_of_reach_is_an_inversion_error():
@@ -690,12 +685,26 @@ def _pairs_up_to_angle(space, n, seed, max_angle=3.0):
 
 
 def _fd_sigma_r(spray, points, vs):
-    # sigma_r of the finite-difference fiber Jacobian, read as Gauss-Newton reads it.
+    # sigma_r of the finite-difference fiber Jacobian in the tangent frame at s(y, v).
     h = 1e-7 * (1.0 + np.linalg.norm(vs, axis=1))
     diff = sprays_mod.fiber_differences(spray, points, vs, h)
     jac = np.swapaxes(diff, 1, 2) / (2.0 * h)[:, None, None]
     frames = variety_tangent_frame(spray.eval_many(points, vs), spray.base)
-    return np.sqrt(sprays_mod._tangent_gram(jac, frames)[1][:, 0])
+    return np.sqrt(sprays_mod._tangent_gram(jac, frames)[0][:, 0])
+
+
+def _minimal_norm_reference(spray, points, targets):
+    """pinv of the columns B_k (y + t), applied to y - t, then unshrunk: the minimal-norm v."""
+    group = spray.params["group"]
+    basis = lie_algebra_basis(group["kind"], group["m"])
+    w = points + targets
+    if spray.base.ambient_dim == group["m"]:  # O/SO(m) on S^(m-1)
+        cols = np.einsum("kij,nj->nik", basis, w)
+    else:  # U/SU(m) on the realified S^(2m-1)
+        cols = np.swapaxes(interleave(np.einsum("kij,nj->nki", basis, deinterleave(w))), 1, 2)
+    us = (np.linalg.pinv(cols) @ (points - targets)[:, :, None])[:, :, 0]
+    shrink_c = spray.params["shrink_c"]
+    return us if shrink_c is None else unshrink_map(us, shrink_c)
 
 
 @pytest.mark.parametrize(
@@ -710,21 +719,16 @@ def _fd_sigma_r(spray, points, vs):
     ids=["so3-s2", "so4-s3", "u2-s3", "su3-s5", "so3-s2-shrink"],
 )
 def test_sphere_action_inverse_is_exact_minimal_and_reads_the_fold(spray, monkeypatch):
-    # Angles up to 3 reach past the fold (sigma_r ratio ~ cos(angle / 2)^2), so both
-    # paths' fold tests record their ratios here instead of refusing the batch; the
-    # exact inverse's come first.
+    # Angles up to 3 reach past the fold (sigma_r ratio ~ cos(angle / 2)^2), so the
+    # fold test records its ratios here instead of refusing the batch.
     ratios = []
     monkeypatch.setattr(sprays_mod, "_check_fold", ratios.append)
     y, t = _pairs_up_to_angle(spray.base, 4096, 34)
     vs = spray.inverse_many(y, t)
     assert np.max(np.abs(spray.eval_many(y, vs) - t)) <= 1e-14
-    newton = solve_fiber_many(_newton_only(spray), y, t)
-    norms, newton_norms = np.linalg.norm(vs, axis=1), np.linalg.norm(newton, axis=1)
-    assert np.max(norms - newton_norms) <= 1e-9
-    if spray.params["group"]["kind"] == "SO":
-        # U and SU leave a kernel direction Gauss-Newton need not end minimal in; SO does
-        # not.  Newton stops at residual 1e-11, which at |v| ~ 14 pins v to ~1e-8 only.
-        assert np.max(np.linalg.norm(vs - newton, axis=1) / (1.0 + newton_norms)) <= 1e-8
+    reference = _minimal_norm_reference(spray, y, t)
+    scale = 1.0 + np.linalg.norm(vs, axis=1)
+    assert np.max(np.linalg.norm(vs - reference, axis=1) / scale) <= 1e-12
     fd_ratio = _fd_sigma_r(spray, y, vs) / _fd_sigma_r(spray, y, np.zeros_like(vs))
     assert np.max(np.abs(ratios[0] - fd_ratio)) <= 1e-6
     assert np.min(ratios[0]) < sprays_mod._MIN_SIGMA_RATIO  # some pairs are past the fold
