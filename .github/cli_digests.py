@@ -8,8 +8,10 @@ configs through ``verify-spray``, ``map`` through ``degree``, ``demo``
 through ``approximate``) as ``python3 -m spraylab.cli COMMAND --config FILE
 --seed SEED --out FILE`` with ``PYTHONPATH=<checkout>/src``, in both
 checkouts.  For each config and seed it prints, as Markdown, whether the
-exit codes and the reports' sha256 digests match.  It only reports: a run
-that cannot start or times out is named, and it always exits with 0.
+exit codes and the reports' sha256 digests match, and each child's peak RSS
+in both checkouts, from the resource usage ``os.wait4`` returns for it (Linux
+reports ``ru_maxrss`` in KiB).  It only reports: a run that cannot start or
+times out is named, and it always exits with 0.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 COMMANDS = {"kind": "verify-spray", "map": "degree", "demo": "approximate"}
@@ -36,22 +39,37 @@ def config_examples(checkout: str) -> list:
 
 
 def run_report(checkout: str, command: str, config_path: Path, seed: str, out: Path) -> tuple:
-    """(exit code or a failure note, sha256 of the written report or None)."""
+    """(exit code or a failure note, sha256 of the written report or None,
+    the child's peak RSS in MB or None)."""
     out.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
     args = [sys.executable, "-m", "spraylab.cli", command, "--config", str(config_path)]
     try:
-        code = subprocess.run(
+        child = subprocess.Popen(
             args + ["--seed", seed, "--out", str(out)],
             env=env,
             cwd=checkout,
-            capture_output=True,
-            timeout=TIMEOUT_S,
-        ).returncode
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        return type(exc).__name__, None
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+    except OSError as exc:
+        return type(exc).__name__, None, None
+    # The child is reaped here, not by Popen, so that its rusage can be read.
+    deadline = time.monotonic() + TIMEOUT_S
+    while not (reaped := os.wait4(child.pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            child.kill()
+            child.returncode = os.waitstatus_to_exitcode(os.wait4(child.pid, 0)[1])
+            return "TimeoutExpired", None, None
+        time.sleep(0.02)
+    _, status, usage = reaped
+    child.returncode = os.waitstatus_to_exitcode(status)
     digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-    return code, digest
+    return child.returncode, digest, usage.ru_maxrss / 1024.0
+
+
+def _rss(mb) -> str:
+    return "n/a" if mb is None else f"{mb:.1f}"
 
 
 def main(argv: list) -> None:
@@ -71,7 +89,8 @@ def main(argv: list) -> None:
                     reports = "differ"
                 else:
                     reports = "equal" if ours[1] else "written by neither"
-                print(f"{command} {text} seed {seed}: exit codes {codes}, reports {reports}")
+                rss = f"peak RSS {_rss(ours[2])} vs {_rss(theirs[2])} MB"
+                print(f"{command} {text} seed {seed}: exit codes {codes}, reports {reports}, {rss}")
     print("```")
 
 

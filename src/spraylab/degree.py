@@ -10,7 +10,8 @@ convention a unitary-valued map f on S^(2k-1) has deg f = deg psi / (k-1)!,
 with psi the normalized first column of a k-by-k representative of f.  A
 count with an independent oracle searches one regular value: psi's against
 Bott's integral of f itself, which needs neither compression nor Newton, and
-a circle self-map's against its winding number.  Self-maps of S2, S3 and S4
+a circle self-map's from the crossings of its winding number's grid, which
+locate every preimage Newton refines.  Self-maps of S2, S3 and S4
 are counted on a cached simplicial mesh of the sphere (Stenger, Numer. Math.
 25, 1975), which has no basin to miss; Newton, started once in each simplex
 that covers the regular value, must find preimages whose signs add up to
@@ -60,6 +61,7 @@ from .sampling import (
 _AK_CAP = 6  # largest k of a_k: its matrices grow as 2^(k-1)
 _CHECK_SAMPLES = 256  # sphere samples of min_abs_det and of compression's unitarity check
 _WINDING_GRID = 1 << 16
+_WINDING_BLOCK = 1 << 12  # grid angles per map call; a divisor of _WINDING_GRID
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 25
 _FD_STEP = 1e-6
@@ -327,7 +329,10 @@ def verify_ak_identities(
 @dataclass
 class DegreeOptions:
     seed: int = 0
-    n_starts: Optional[int] = None  # defaults to 200 * n; refused where the degree is a mesh count
+    # Quasi-uniform Newton starts, 200 * n by default.  Refused on S1 to S4,
+    # whose degree is a grid crossing count or a mesh count that locates its
+    # preimages, and so on a k = 1 unitary map, whose psi is an S1 map.
+    n_starts: Optional[int] = None
     max_dim: int = 5
 
     def __post_init__(self):
@@ -400,19 +405,39 @@ def _finite(map_many: Callable, refusal: str = "the map has a non-finite value")
     return guarded
 
 
+def _wrap_angles(a: np.ndarray) -> np.ndarray:
+    """a wrapped into [-pi, pi), in place."""
+    a += np.pi
+    np.mod(a, 2.0 * np.pi, out=a)
+    a -= np.pi
+    return a
+
+
 def winding_number(map_many: Callable) -> tuple:
     """Winding number of a circle self-map from summed angular increments; finite values only.
 
-    Wrapped increments always sum to an integer, so a grid step that turns by
-    pi or more would give a wrong one: DegeneracyError refuses a map whose
-    images at two neighbouring grid angles are a chord of ``_MESH_GATE`` apart.
+    The ``_WINDING_GRID`` angles are evaluated ``_WINDING_BLOCK`` at a time,
+    blocks that tile the grid exactly, and only the image angles and the
+    wrapped increments are kept.  Wrapped increments always sum to an
+    integer, so a grid step that turns by pi or more would give a wrong one:
+    DegeneracyError refuses a map whose images at two neighbouring grid
+    angles are a chord of ``_MESH_GATE`` apart.
+
+    Returns (value, residual, crossings).  ``crossings(y)`` is the signed
+    count of the grid steps whose images pass y, +1 turning forward, and one
+    Newton start per crossing, the angle interpolated linearly within its
+    step.  A step that passes y changes the sign of y's angle past the image
+    by less than pi, since a step turns by less than pi / 3; a sign change
+    by more is the image passing -y.  So the count is the winding number.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_GRID, endpoint=False)
-    pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    img = _finite(map_many)(pts)
-    ang = np.arctan2(img[:, 1], img[:, 0])
-    inc = np.diff(np.append(ang, ang[0]))
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+    guarded = _finite(map_many)
+    step = 2.0 * np.pi / _WINDING_GRID
+    ang = np.empty(_WINDING_GRID)
+    for start in range(0, _WINDING_GRID, _WINDING_BLOCK):
+        theta = np.arange(start, start + _WINDING_BLOCK) * step
+        img = guarded(np.column_stack([np.cos(theta), np.sin(theta)]))
+        ang[start : start + _WINDING_BLOCK] = np.arctan2(img[:, 1], img[:, 0])
+    inc = _wrap_angles(np.diff(np.append(ang, ang[0])))
     chord = 2.0 * np.sin(np.max(np.abs(inc)) / 2.0)
     if chord >= _MESH_GATE:
         raise DegeneracyError(f"a winding grid step moves by a chord {chord:.3f} >= {_MESH_GATE}")
@@ -420,7 +445,19 @@ def winding_number(map_many: Callable) -> tuple:
     residual = abs(total - round(total))
     if residual > 1e-3:
         raise InconsistencyError(f"winding sum {total} is not close to an integer")
-    return int(round(total)), residual
+
+    def crossings(y: np.ndarray) -> tuple:
+        past = _wrap_angles(np.arctan2(y[1], y[0]) - ang)  # y's angle past each image
+        ahead = past > 0
+        steps = np.flatnonzero(ahead != np.roll(ahead, -1))
+        before, after = past[steps], past[(steps + 1) % _WINDING_GRID]
+        near = np.abs(before - after) < np.pi
+        steps, before, after = steps[near], before[near], after[near]
+        theta = (steps + before / (before - after)) * step
+        signs = np.where(before > 0, 1, -1)
+        return int(np.sum(signs)), np.column_stack([np.cos(theta), np.sin(theta)])
+
+    return int(round(total)), residual, crossings
 
 
 def _newton_preimages(map_many, y, starts):
@@ -754,29 +791,41 @@ def sphere_degree(map_many: Callable, n: int, opts: Optional[DegreeOptions] = No
     """Topological degree of a smooth self-map of the n-sphere.
 
     ``map_many`` maps batched ambient rows (N, n+1) of sphere points to
-    sphere points.  n = 1 integrates the winding number over a fine grid
-    and counts signed preimages of one regular value against it, as the
-    cross-check; the count's report is returned relabelled "winding" with
-    the winding residual.  2 <= n <= 4 counts the simplices of a cached
-    sphere mesh whose images cover a regular value, on two levels, and
-    Newton refines the hits into preimages whose signs must sum to the
-    count (:func:`_mesh_degree`; method "mesh_count").  There ``n_starts``
-    means nothing, so setting it raises ValueError.  n >= 5 counts signed
-    preimages of a regular value from quasi-uniform starts, with rejection
-    of near-singular values and a second independent regular value as a
-    consistency check.
+    sphere points.  n = 1 sums the winding number over a fine grid of
+    angles, and the grid steps whose images pass a regular value y locate
+    its preimages: their signed count must equal the winding number, and
+    Newton, started once per crossing, must find preimages whose signs sum
+    to it (:func:`winding_number`); the report is the count's, relabelled
+    "winding" with the winding residual.  2 <= n <= 4 counts the simplices
+    of a cached sphere mesh whose images cover a regular value, on two
+    levels, and Newton refines the hits into preimages whose signs must sum
+    to the count (:func:`_mesh_degree`; method "mesh_count").  On S1 to S4
+    ``n_starts`` means nothing, so setting it raises ValueError.  n >= 5
+    counts signed preimages of a regular value from quasi-uniform starts,
+    with rejection of near-singular values and a second independent regular
+    value as a consistency check.
     """
     opts = opts or DegreeOptions()
     _check_dimension(n, opts)
-    if n in _MESH_DIMS:
-        if opts.n_starts is not None:
-            raise ValueError(f"n_starts does not apply on S{n}, whose degree is a mesh count")
-        return _mesh_degree(map_many, n, opts)
-    if n > 1:
+    if n > max(_MESH_DIMS):
         return preimage_count_degree(map_many, n, opts)
-    value, residual = winding_number(map_many)
-    counted = preimage_count_degree(map_many, n, opts, cross_check=value)
-    return replace(counted, method="winding", winding_residual=residual)
+    if opts.n_starts is not None:
+        kind = "crossing" if n == 1 else "mesh"
+        raise ValueError(f"n_starts does not apply on S{n}, whose degree is a {kind} count")
+    if n > 1:
+        return _mesh_degree(map_many, n, opts)
+    value, residual, crossings = winding_number(map_many)
+
+    def attempt(y: np.ndarray) -> DegreeReport:
+        count, starts = crossings(y)
+        if count != value:
+            raise InconsistencyError(
+                f"crossing count {count} disagrees with the winding number {value}"
+            )
+        return preimage_count_degree(map_many, 1, opts, cross_check=value, located=(y, starts))
+
+    report, redraws = _at_a_regular_value(rng(opts.seed), 1, attempt)
+    return replace(report, method="winding", winding_residual=residual, redraws=redraws)
 
 
 # ---------------------------------------------------------------------------
@@ -1095,8 +1144,9 @@ def unitary_degree(
     requires unitary values; see :func:`compress_to_k_block`).  The result
     is deg psi / (k-1)!, with psi the normalized first column.
 
-    k = 1 takes psi's degree from :func:`sphere_degree`: one regular value's
-    preimage count, checked by the winding number over a fine grid.  Bott's
+    k = 1 takes psi's degree from :func:`sphere_degree`: the winding number
+    over a fine grid, whose crossings of one regular value Newton refines
+    into preimages whose signs must sum to it.  Bott's
     sampled mean is not used there: it can settle on a wrong integer with a
     small spread when the map turns steeply between its points.  For k >= 2
     psi's preimages are counted at one regular value, and the count must

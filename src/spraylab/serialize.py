@@ -45,8 +45,17 @@ def decimal_string(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_JSON_LEAVES = frozenset({float, int, str, bool, type(None)})
+
+
 def jsonable(obj):
-    """Recursively convert dataclasses and numpy scalars into JSON-safe objects."""
+    """Recursively convert dataclasses and numpy scalars into JSON-safe objects.
+
+    Plain Python leaves, matched by exact type, are returned as they are;
+    subclasses such as numpy's float64 are converted below.
+    """
+    if type(obj) in _JSON_LEAVES:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

@@ -163,11 +163,18 @@ def test_degree_fermat(tmp_path):
 
 
 def test_degree_refuses_n_starts_where_the_degree_is_a_mesh_count(tmp_path):
-    # On S2 to S4 the degree is a mesh count, which reads no n_starts.
-    code, report, _ = run_cli(tmp_path, "degree", {"map": "identity", "n": 2, "n_starts": 5})
-    assert (code, report) == (EXIT_USAGE, None)
-    code, report, _ = run_cli(tmp_path, "degree", {"map": "identity", "n": 1, "n_starts": 5})
-    assert code == EXIT_OK and report["report"]["n_starts"] == 5
+    # On S1 the degree is a grid crossing count and on S2 to S4 a mesh count;
+    # neither reads n_starts, and a k = 1 matrix map's psi is an S1 map.
+    for config in (
+        {"map": "identity", "n": 2, "n_starts": 5},
+        {"map": "identity", "n": 1, "n_starts": 5},
+        {"map": "power", "d": 2, "n_starts": 5},
+    ):
+        code, report, _ = run_cli(tmp_path, "degree", config)
+        assert (code, report) == (EXIT_USAGE, None)
+    # psi of a k >= 2 map is still counted from n_starts quasi-uniform starts.
+    code, report, _ = run_cli(tmp_path, "degree", {"map": "a_k", "k": 2, "n_starts": 50})
+    assert code == EXIT_OK and report["report"]["n_starts"] == 50
 
 
 def test_degree_sharp_product(tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from spraylab.degree import (
     winding_number,
 )
 from spraylab import degree as degree_mod
+from spraylab.approx import PolynomialMap, sphere_exponents
 from spraylab.geometry import (
     VarietySpec,
     interleave,
@@ -223,7 +225,7 @@ def test_circle_degrees_both_methods(d):
 
 
 def test_winding_number_residual_small():
-    value, residual = winding_number(circle_power_map(3))
+    value, residual, _ = winding_number(circle_power_map(3))
     assert value == 3 and residual <= 1e-9
 
 
@@ -461,10 +463,14 @@ def test_mesh_degree_guards_no_map_twice(monkeypatch):
 
 
 def test_sphere_degree_refuses_n_starts_where_it_counts_on_a_mesh():
-    for n in (2, 3, 4):
+    # S1 counts the winding grid's crossings and S2 to S4 a mesh's hits, so
+    # neither starts a quasi-uniform search; psi of a k = 1 map is an S1 map.
+    for n in (1, 2, 3, 4):
         with pytest.raises(ValueError, match=f"n_starts does not apply on S{n}"):
             sphere_degree(identity_map, n, DegreeOptions(n_starts=5))
-    assert sphere_degree(circle_power_map(2), 1, DegreeOptions(n_starts=50)).n_starts == 50
+    with pytest.raises(ValueError, match="n_starts does not apply on S1, whose degree is a crossing"):
+        unitary_degree(power_map_matrix(2), DegreeOptions(n_starts=5))
+    assert sphere_degree(identity_map, 5, DegreeOptions(n_starts=50)).n_starts == 50
 
 
 def test_degree_invariant_under_small_perturbation():
@@ -504,8 +510,22 @@ def test_disagreeing_regular_values_raise(monkeypatch):
 
 
 def test_winding_disagreeing_with_the_preimage_count_raises(monkeypatch):
-    # The winding number is the count's cross-check, so a disagreement is refused.
-    monkeypatch.setattr(degree_mod, "winding_number", lambda map_many: (3, 0.0))
+    # The winding number is the cross-check of both the grid's crossing count
+    # and Newton's count from the crossings, so either disagreement is refused.
+    real = winding_number
+
+    def winding_three(map_many):
+        return (3, 0.0, real(map_many)[2])
+
+    monkeypatch.setattr(degree_mod, "winding_number", winding_three)
+    with pytest.raises(InconsistencyError, match="crossing count 2 disagrees with the winding number 3"):
+        sphere_degree(circle_power_map(2), 1)
+
+    def crossings_three(map_many):
+        crossings = real(map_many)[2]
+        return (3, 0.0, lambda y: (3, crossings(y)[1]))
+
+    monkeypatch.setattr(degree_mod, "winding_number", crossings_three)
     with pytest.raises(InconsistencyError, match="preimage count 2 disagrees with the cross-check 3"):
         sphere_degree(circle_power_map(2), 1)
 
@@ -590,22 +610,27 @@ def test_circle_report_carries_the_preimage_search(degree_of):
     # A circle report keeps every field of the preimage count it ran, as
     # reports on higher spheres do: basins, start count, Newton residual.
     # Both add the residual of the winding number that checked the count.
+    # Newton starts once per crossing of the grid, and z^2 and z^-2 turn one
+    # way, so every start is a preimage of its own.
     report = degree_of()
     assert report.winding_residual is not None and report.winding_residual <= 1e-3
     if report.method == "unitary_formula":
         assert report.integral_mean is report.integral_spread is report.integral_points is None
-    assert report.n_starts == 200
-    assert len(report.basin_counts) == len(report.preimages) == abs(report.cross_check_value)
-    assert sum(report.basin_counts) <= report.n_starts
+    assert report.n_starts == len(report.preimages) == abs(report.cross_check_value) == 2
+    assert report.basin_counts == [1, 1]
     assert report.newton_max_residual <= 1e-10
 
 
 def test_circle_report_is_the_relabelled_preimage_count():
+    # The count Newton refines from the crossings of the seed's first value.
     opts = DegreeOptions(seed=5)
-    counted = preimage_count_degree(circle_power_map(-3), 1, opts)
+    value, residual, crossings = winding_number(circle_power_map(-3))
+    y = normalize_rows(rng(5).standard_normal(2))
+    located = (y, crossings(y)[1])
+    counted = preimage_count_degree(circle_power_map(-3), 1, opts, cross_check=value, located=located)
     report = sphere_degree(circle_power_map(-3), 1, opts)
-    residual = winding_number(circle_power_map(-3))[1]
     assert report == replace(counted, method="winding", winding_residual=residual)
+    assert report.regular_value == list(y) and report.redraws == 0
 
 
 def _dedup_reference(points, radius):
@@ -816,6 +841,93 @@ def test_winding_number_refuses_a_grid_step_of_a_sixth_turn_or_more(d):
         sphere_degree(circle_power_map(d), 1)
     # 10922 / 65536 of a turn per step is just under a sixth.
     assert winding_number(circle_power_map(np.sign(d) * 10922))[0] == np.sign(d) * 10922
+
+
+def _unblocked_winding(map_many):
+    # The winding sum over the whole grid in one batch: the reference the blocks must reproduce.
+    theta = np.linspace(0.0, 2.0 * np.pi, degree_mod._WINDING_GRID, endpoint=False)
+    img = map_many(np.column_stack([np.cos(theta), np.sin(theta)]))
+    ang = np.arctan2(img[:, 1], img[:, 0])
+    inc = np.diff(np.append(ang, ang[0]))
+    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+    total = float(np.sum(inc)) / (2.0 * np.pi)
+    return int(round(total)), abs(total - round(total))
+
+
+def _polynomial_circle_map(degree):
+    # A normalized PolynomialMap of the given degree on S1: (x, y) plus small
+    # terms in every column of the basis, so it has degree 1.
+    exponents = sphere_exponents(2, degree)
+    coefficients = 0.01 * rng(3).standard_normal((len(exponents), 2))
+    coefficients[exponents.index((1, 0)), 0] += 1.0
+    coefficients[exponents.index((0, 1)), 1] += 1.0
+    poly = PolynomialMap(input_dim=2, output_dim=2, degree=degree, coefficients=coefficients)
+    return lambda x: normalize_rows(poly.eval_many(x))
+
+
+def _folded_circle_map(x):
+    # theta -> theta + 2 sin(theta): degree 1, turning back on |theta| > 2 pi / 3,
+    # so a value near the fold has three preimages of signs +1, -1, +1.
+    theta = np.arctan2(x[:, 1], x[:, 0])
+    a = theta + 2.0 * np.sin(theta)
+    return np.column_stack([np.cos(a), np.sin(a)])
+
+
+@pytest.mark.parametrize(
+    "map_many",
+    [circle_power_map(3), circle_power_map(-7), _folded_circle_map, _polynomial_circle_map(20)],
+    ids=["z^3", "z^-7", "folded", "polynomial-20"],
+)
+def test_blocked_winding_number_matches_one_batch_bit_for_bit(map_many):
+    # The blocks tile the grid, so each image, increment and the sum are the same doubles.
+    rows = []
+
+    def recorded(x):
+        rows.append(len(x))
+        return map_many(x)
+
+    value, residual, _ = winding_number(recorded)
+    block, grid = degree_mod._WINDING_BLOCK, degree_mod._WINDING_GRID
+    assert rows == [block] * (grid // block) and grid % block == 0
+    assert (value, residual) == _unblocked_winding(map_many)
+
+
+def test_circle_degree_memory_does_not_grow_with_the_grid():
+    # A degree-20 map on S1 has 41 columns: 21 MB of Vandermonde at 65 536 rows,
+    # 1.3 MB in a block of 4096.
+    f = _polynomial_circle_map(20)
+    tracemalloc.start()
+    try:
+        report = sphere_degree(f, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value == 1
+    assert peak < 8e6
+
+
+def test_circle_report_starts_once_per_crossing():
+    # Newton starts once per grid crossing of y, so a value the fold covers
+    # three times has three starts, each its own preimage.
+    crossings = winding_number(_folded_circle_map)[2]
+    counts = []
+    for seed in range(8):
+        report = sphere_degree(_folded_circle_map, 1, DegreeOptions(seed=seed))
+        count, starts = crossings(np.array(report.regular_value))
+        assert report.value == count == 1
+        assert report.n_starts == len(starts) == len(report.preimages)
+        assert report.basin_counts == [1] * report.n_starts
+        counts.append(report.n_starts)
+    assert set(counts) == {1, 3}
+
+
+@pytest.mark.parametrize("d", [200, 1000])
+def test_high_circle_powers_certify_at_every_seed(d):
+    # 200 quasi-uniform starts could not find 200 or 1000 preimages; the
+    # grid's crossings locate every one.
+    for seed in range(8):
+        report = sphere_degree(circle_power_map(d), 1, DegreeOptions(seed=seed))
+        assert report.value == report.n_starts == d
 
 
 # ---------------------------------------------------------------------------
@@ -1439,15 +1551,16 @@ def test_unitary_report_carries_the_integral():
     ids=["a_3", "z^2"],
 )
 def test_a_wrong_psi_count_is_refused_by_the_integral(f, message, monkeypatch):
-    # Adding (k-1)! keeps the count divisible, so only the integral can see it.
-    real = _preimage_count_once
+    # Adding (k-1)! keeps the count divisible, so only the integral (or, at
+    # k = 1, the winding number) can see it.
+    real = degree_mod._count_at
     extra = math.factorial(f.k - 1)
 
-    def one_basin_too_many(*args):
-        report = real(*args)
+    def one_basin_too_many(*args, **kwargs):
+        report = real(*args, **kwargs)
         return replace(report, value=report.value + extra)
 
-    monkeypatch.setattr(degree_mod, "_preimage_count_once", one_basin_too_many)
+    monkeypatch.setattr(degree_mod, "_count_at", one_basin_too_many)
     with pytest.raises(InconsistencyError, match=message):
         unitary_degree(f)
 
@@ -1509,6 +1622,14 @@ def test_a_steep_circle_map_never_gets_a_wrong_degree():
         except InconsistencyError:
             continue
     assert values and set(values) == {2}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_steep_circle_map_certifies_at_every_seed(seed):
+    # The grid crosses the steep turn, so its small basin gets a start of its own.
+    report = unitary_degree(_steep_circle_map(), DegreeOptions(seed=seed))
+    assert report.value == report.cross_check_value == 2
+    assert report.n_starts == 2 and report.basin_counts == [1, 1]
 
 
 @pytest.mark.slow
